@@ -6,7 +6,8 @@ Nothing here is certified; everything is cross-checked against bounds that
 are.  Kobayashi upper estimates come from optimizing polynomial analytic
 discs, Carathéodory lower estimates from optimizing monomial combinations,
 and a vectorized random-disc oracle stress-tests the coefficient bound
-sqrt(m/2) on the monomial models.
+sqrt(m/2) on the monomial models.  Run with SQUEEZE_LOG=DEBUG to see how
+many disc scale tests the oracle's branch-and-bound pruning skips.
 """
 
 import math
@@ -19,7 +20,10 @@ from squeeze import (
     monomial_disc_oracle,
     reference_metric,
 )
+from squeeze.cli import configure_logging
 from squeeze.estimate import BallModel, PolydiscModel
+
+configure_logging()
 
 p0 = PointC2(0.0j, 0.0j)
 xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)

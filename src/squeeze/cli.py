@@ -380,6 +380,13 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def configure_logging() -> None:
+    """Log to stderr at the level named by ``SQUEEZE_LOG`` (default WARNING)."""
+    level = os.environ.get("SQUEEZE_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="squeeze",
@@ -399,10 +406,7 @@ def main(argv=None) -> int:
                         help="certified distance grid resolution")
     args = parser.parse_args(argv)
 
-    level = os.environ.get("SQUEEZE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
+    configure_logging()
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](config)

@@ -27,10 +27,21 @@ def load_schema(kind: str) -> dict:
         return json.load(fh)
 
 
+@lru_cache(maxsize=None)
+def _validator(kind: str):
+    """The schema's validator, built (and the schema checked against its
+    metaschema) once per kind, on first use."""
+    schema = load_schema(kind)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_doc(kind: str, doc: dict) -> dict:
     """Validate and return ``doc``; raises ValidationError with the schema path."""
-    try:
-        jsonschema.validate(doc, load_schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"{kind} document fails its schema: {exc.message}")
+    # the error jsonschema.validate would raise, without its per-call
+    # metaschema check
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
+    if error is not None:
+        raise ValidationError(f"{kind} document fails its schema: {error.message}")
     return doc

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from squeeze.errors import NumericalError, ValidationError
+from squeeze.estimate import _int_power
+
 
 def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     """Worst relative mismatch between the analytic complex Hessian of rho and
@@ -51,3 +54,69 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
         )
         checked += 1
     return worst
+
+
+def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
+                         seed: int = 1234, samples: int | None = None):
+    """The disc oracle without branch-and-bound pruning: every disc runs
+    all 30 bracket steps.  Returns ``(min_alpha, count)``; the pruned
+    ``monomial_disc_oracle`` must agree bit for bit."""
+    if m < 1:
+        raise ValidationError("m must be a positive integer")
+    d_eff = degree * (m + 1)
+    if samples is None:
+        samples = 128
+        while samples < 5 * d_eff:
+            samples *= 2
+    thr = 1.0 - math.pi * d_eff / samples
+    if thr <= 0.0:
+        raise ValidationError("not enough circle samples for the Bernstein margin")
+    zeta = np.exp(2j * math.pi * np.arange(samples) / samples).astype(np.complex64)
+    chunk = max(256, (1 << 21) // samples)
+    # float32 evaluation: the Bernstein margin is ~0.2-0.8, so a 1e-4 relative
+    # haircut swallows single-precision rounding with orders to spare
+    thr2 = np.float32((thr * (1.0 - 1e-4)) ** 2)
+
+    best_tau = 0.0
+    done = 0
+    ci = 0
+    while done < count:
+        b = min(chunk, count - done)
+        rng = np.random.default_rng([seed, m, ci])
+        scales = 0.35 / (np.arange(2, degree + 1) ** 2)
+        az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
+        bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
+
+        base_z = np.broadcast_to(zeta, (b, samples)).astype(np.complex64)
+        base_w = base_z.copy()
+        pw = zeta.copy()
+        for j in range(degree - 1):
+            pw = pw * zeta
+            base_z = base_z + az[:, j:j + 1].astype(np.complex64) * pw
+            base_w = base_w + bw[:, j:j + 1].astype(np.complex64) * pw
+
+        def feasible(c):
+            with np.errstate(over="ignore", invalid="ignore"):
+                cc = c.astype(np.float32)[:, None]
+                w = cc * base_w
+                z = 1.0 + cc * base_z
+                aw2 = w.real**2 + w.imag**2
+                az2 = z.real**2 + z.imag**2
+                bad = np.maximum(aw2, aw2 * _int_power(az2, m)) > thr2
+                return ~np.any(bad, axis=1)
+
+        lo = np.zeros(b)
+        hi = np.full(b, np.inf)
+        c = np.full(b, math.sqrt(2.0 / m))
+        for _ in range(30):
+            ok = feasible(c)
+            lo = np.where(ok, np.maximum(lo, c), lo)
+            hi = np.where(ok, hi, np.minimum(hi, c))
+            c = np.where(np.isinf(hi), 4.0 * c, 0.5 * (lo + hi))
+        if not np.all(lo > 0.0):
+            raise NumericalError("oracle found a disc with no feasible scale")
+        best_tau = max(best_tau, float(np.max(lo)))
+        done += b
+        ci += 1
+
+    return 1.0 / best_tau, count

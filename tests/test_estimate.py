@@ -18,6 +18,8 @@ from squeeze import (
 )
 from squeeze.estimate import BallModel, MonomialModel, PolydiscModel
 
+from helpers import unpruned_disc_oracle
+
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
 XI10 = Direction(1.0 + 0.0j, 0.0j)
@@ -175,3 +177,18 @@ class TestOracle:
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
             monomial_disc_oracle(0)
+
+    # (32, 6, 2500) spans two chunks, so pruning against an earlier
+    # chunk's best scale is exercised too
+    @pytest.mark.parametrize("m, degree, count", [
+        (1, 3, 1000), (2, 6, 1000), (8, 3, 1000), (8, 6, 1000), (32, 6, 2500),
+    ])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_pruning_matches_unpruned_reference(self, m, degree, count, seed):
+        res = monomial_disc_oracle(m, count=count, degree=degree, seed=seed)
+        assert (res.min_alpha, res.count) == unpruned_disc_oracle(
+            m, count=count, degree=degree, seed=seed)
+
+    def test_pruning_skips_scale_tests(self):
+        res = monomial_disc_oracle(2, count=2000, seed=11)
+        assert 0 < res.scale_tests < 30 * res.count

@@ -3,7 +3,7 @@
 import json
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squeeze import (
     Direction,
@@ -44,6 +44,8 @@ def domain_of(profile: RadialProfile) -> ReinhardtDomain:
        st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi),
        st.floats(-3.0, 1.0), st.floats(-30.0, 5.0))
 @settings(max_examples=150, deadline=None)
+# on the outer end cap: rotation moves |z| one ulp inside the annulus
+@example(RadialProfile((-0.5, -0.03125), (0.0, 0.0)), 3.0, 0.0, 0.46875, -1.0)
 def test_rotation_invariance_of_membership(profile, th, ps, t, lam):
     d = domain_of(profile)
     z = math.exp(t)
@@ -52,9 +54,13 @@ def test_rotation_invariance_of_membership(profile, th, ps, t, lam):
     rotated = d.contains((z * complex(math.cos(th), math.sin(th)),
                           w * complex(math.cos(ps), math.sin(ps))))
     # |z e^{i th}| can differ from |z| in the last ulp; retreat from the
-    # boundary case by requiring a safely signed margin
+    # boundary cases (profile surface and both annulus end caps) by
+    # requiring a safely signed margin
     zr = abs(z * complex(math.cos(th), math.sin(th)))
-    if abs(zr - z) > 0.0 and abs(d.profile.eval(math.log(z)) - lam) < 1e-12:
+    tz = math.log(z)
+    on_boundary = (abs(d.profile.eval(tz) - lam) < 1e-12
+                   or min(abs(tz - d.t_min), abs(tz - d.t_max)) < 1e-12)
+    if abs(zr - z) > 0.0 and on_boundary:
         return
     assert base == rotated
 
