@@ -9,15 +9,11 @@ from .domain import (
     ReinhardtDomain,
     bidisc_domain,
     boundary_distance_lower,
-    contains,
     domain_from_doc,
     domain_to_doc,
     is_pseudoconvex,
-    outer_radius_upper,
     perturb_value,
     annulus_model_domain,
-    profile_eval,
-    slice_radii,
 )
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
 from .metrics import (

@@ -31,7 +31,7 @@ from .construct import (
     HarmonicSchedule,
     build,
 )
-from .domain import PointC2, domain_to_doc
+from .domain import PointC2, domain_to_doc, fmt
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
 from .schema import validate_doc
 from .metrics import Direction, bound_to_record, caratheodory_upper_slices
@@ -160,15 +160,15 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
         base_vals = domain.profile.eval_many(tgrid)
         smooth_vals = sd.profile.value(tgrid)
         for t, v, vs in zip(tgrid, base_vals, smooth_vals):
-            rows.append([format(t, ".17g"), format(v, ".17g"), format(vs, ".17g")])
+            rows.append([fmt(t), fmt(v), fmt(vs)])
         _write_csv(out / "smooth_profile.csv", rows)
         _write_json(out / "levi_report.json",
                     validate_doc("levi-report", report.to_doc()))
         doc = smoothed.to_doc()
         doc["smoothing"] = {
-            "h": format(sd.h, ".17g"),
-            "eps": format(sd.eps, ".17g"),
-            "kappa": format(sd.kappa, ".17g"),
+            "h": fmt(sd.h),
+            "eps": fmt(sd.eps),
+            "kappa": fmt(sd.kappa),
         }
         _write_json(out / "smoothed_certificate.json",
                     validate_doc("construction-certificate", doc))
@@ -211,18 +211,18 @@ def _estimate_payload(config: RunConfig):
             k_ok = k_est.value >= k_cert_lower * (1.0 - 1e-9)
             c_ok = c_est.value <= c_cert_upper * (1.0 + 1e-9)
             sandwich_ok = sandwich_ok and k_ok and c_ok
-            entry["kobayashi"] = {"certified_lower": format(k_cert_lower, ".17g"),
+            entry["kobayashi"] = {"certified_lower": fmt(k_cert_lower),
                                   "estimate_upper": bound_to_record(k_est),
                                   "sandwich_ok": k_ok}
-            entry["caratheodory"] = {"certified_upper": format(c_cert_upper, ".17g"),
+            entry["caratheodory"] = {"certified_upper": fmt(c_cert_upper),
                                      "estimate_lower": bound_to_record(c_est),
                                      "sandwich_ok": c_ok}
             for ridx, objv, marg in ktrace:
                 trace_rows.append([f"(a_{rec.k},0)", "kobayashi", str(ridx),
-                                   format(objv, ".17g"), format(marg, ".17g")])
+                                   fmt(objv), fmt(marg)])
             for ridx, objv, marg in ctrace:
                 trace_rows.append([f"(a_{rec.k},0)", "caratheodory", str(ridx),
-                                   format(objv, ".17g"), format(marg, ".17g")])
+                                   fmt(objv), fmt(marg)])
         else:
             # profile so deep that exp(phi(t_k)) underflows: the pulled-back
             # direction is not representable, so no estimate is paired
@@ -241,13 +241,13 @@ def _estimate_payload(config: RunConfig):
     sandwich_ok = sandwich_ok and ok1
     points.append({
         "point": "(1, 0)",
-        "caratheodory": {"certified_upper": format(c_up.value, ".17g"),
+        "caratheodory": {"certified_upper": fmt(c_up.value),
                          "estimate_lower": bound_to_record(c_est1),
                          "sandwich_ok": ok1},
     })
     for ridx, objv, marg in ctrace1:
         trace_rows.append(["(1,0)", "caratheodory", str(ridx),
-                           format(objv, ".17g"), format(marg, ".17g")])
+                           fmt(objv), fmt(marg)])
 
     calibration = []
     cases = [
@@ -269,9 +269,9 @@ def _estimate_payload(config: RunConfig):
             model, p, xi, budget=config.est_budget, seed=config.seed)
         calibration.append({
             "model": name,
-            "reference": format(k_ref, ".17g"),
-            "kobayashi_estimate": format(k_est2.value, ".17g"),
-            "caratheodory_estimate": format(c_est2.value, ".17g"),
+            "reference": fmt(k_ref),
+            "kobayashi_estimate": fmt(k_est2.value),
+            "caratheodory_estimate": fmt(c_est2.value),
             "kobayashi_within_5pct": abs(k_est2.value - k_ref) <= 0.05 * k_ref,
             "caratheodory_within_5pct": abs(c_est2.value - c_ref) <= 0.05 * c_ref,
         })
@@ -306,9 +306,7 @@ def cmd_plotdata(config: RunConfig) -> int:
                     | {-math.log(rec.a_k) for rec in cert.levels} | {0.0})
         rows = [["t", "phi", "phi_tilde"]]
         for t in ts:
-            rows.append([format(t, ".17g"),
-                         format(domain.profile.eval(t), ".17g"),
-                         format(float(sd.profile.value(np.asarray(t))), ".17g")])
+            rows.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
         _write_csv(out / "profile.csv", rows)
 
         from .metrics import shear_normalize
@@ -318,14 +316,14 @@ def cmd_plotdata(config: RunConfig) -> int:
             image, _ = shear_normalize(domain, idx)
             rows = [["s", "phi_sheared"]]
             for s, v in zip(image.profile.breakpoints, image.profile.values):
-                rows.append([format(s, ".17g"), format(v, ".17g")])
+                rows.append([fmt(s), fmt(v)])
             _write_csv(out / f"sheared_profile_level{rec.k}.csv", rows)
 
         rows = [["t", "kind", "value"]]
         for rec in cert.levels:
             for sign in (1.0, -1.0):
-                rows.append([format(sign * math.log(rec.a_k), ".17g"),
-                             "s_upper", format(rec.s_upper.value, ".17g")])
+                rows.append([fmt(sign * math.log(rec.a_k)),
+                             "s_upper", fmt(rec.s_upper.value)])
         from .metrics import squeezing_lower_inclusion
         for t in np.linspace(domain.t_min * 0.8, domain.t_max * 0.8, 17):
             p = PointC2(complex(math.exp(t), 0.0), 0.0 + 0.0j)
@@ -335,7 +333,7 @@ def cmd_plotdata(config: RunConfig) -> int:
             except CertificationError:
                 # domain razor-thin here: 0 is the (trivially valid) lower bound
                 value = 0.0
-            rows.append([format(t, ".17g"), "s_lower", format(value, ".17g")])
+            rows.append([fmt(t), "s_lower", fmt(value)])
         _write_csv(out / "bound_curve.csv", rows)
         return EXIT_OK
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+
 import numpy as np
 
 from .errors import CertificationError, ValidationError
@@ -33,6 +35,17 @@ GUARD_REL = 1e-12
 DEFAULT_GRID = 2048
 
 _NEG_INF = float("-inf")
+
+
+def as_float(t) -> np.ndarray:
+    """``t`` as an array of its own float dtype (float64 for integers)."""
+    t = np.asarray(t)
+    return t.astype(np.promote_types(t.dtype, np.float64), copy=False)
+
+
+def fmt(x) -> str:
+    """Decimal text of a real with 17 significant digits (round-trips exactly)."""
+    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -159,52 +172,57 @@ class RadialProfile:
 
     # ------------------------------------------------------------------ float
     def slopes(self) -> tuple[float, ...]:
+        return self._float_slopes
+
+    @cached_property
+    def _float_slopes(self) -> tuple[float, ...]:
         return tuple(float(s) for s in self.exact_slopes())
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(breakpoints, anchor t, anchor value, slope) of the n + 1 linear
+        pieces: the left extension, the n - 1 segments and the right
+        extension.  Segment slopes are rounded as numpy's ``interp`` rounds
+        them; the extensions carry the exact end slopes."""
+        bps = np.asarray(self.breakpoints)
+        vals = np.asarray(self.values)
+        s = self.slopes()
+        t0 = np.concatenate([bps[:1], bps])
+        v0 = np.concatenate([vals[:1], vals])
+        slope = np.concatenate([s[:1], np.diff(vals) / np.diff(bps), s[-1:]])
+        return bps, t0, v0, slope
 
     def eval(self, t: float) -> float:
         """phi(t): linear interpolation, linear extension outside the breakpoints."""
-        bps, vals = self.breakpoints, self.values
         if t == _NEG_INF:
             s = self.slopes()[0]
             if s > 0.0:
                 return _NEG_INF
             if s == 0.0:
-                return vals[0]
+                return self.values[0]
             return math.inf
         if t == math.inf:
             s = self.slopes()[-1]
             if s < 0.0:
                 return _NEG_INF
             if s == 0.0:
-                return vals[-1]
+                return self.values[-1]
             return math.inf
         if not math.isfinite(t):
             raise ValidationError(f"profile argument must be finite, got {t!r}")
-        i = np.searchsorted(bps, t)
-        if i == 0:
-            return vals[0] + self.slopes()[0] * (t - bps[0])
-        if i == len(bps):
-            return vals[-1] + self.slopes()[-1] * (t - bps[-1])
-        t0, t1 = bps[i - 1], bps[i]
-        v0, v1 = vals[i - 1], vals[i]
-        if t == t1:
-            return v1
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return float(self.eval_many(t))
 
-    def eval_many(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized ``eval`` for finite inputs."""
-        t = np.asarray(t, dtype=float)
-        bps = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
-        out = np.interp(t, bps, vals)
-        s = self.slopes()
-        left = t < bps[0]
-        right = t > bps[-1]
-        if np.any(left):
-            out = np.where(left, vals[0] + s[0] * (t - bps[0]), out)
-        if np.any(right):
-            out = np.where(right, vals[-1] + s[-1] * (t - bps[-1]), out)
-        return out
+    def eval_many(self, t) -> np.ndarray:
+        """Vectorized ``eval`` for finite inputs, in the float dtype of ``t``.
+
+        ``t`` in ``[t_i, t_{i+1})`` is evaluated on the piece anchored at
+        ``t_i``, so breakpoints return their stored heights and the result
+        equals numpy's ``interp`` between the end breakpoints bit for bit.
+        """
+        t = as_float(t)
+        bps, t0, v0, slope = self._pieces
+        i = np.searchsorted(bps, t, side="right")
+        return slope[i] * (t - t0[i]) + v0[i]
 
     def max_value(self, t_lo: float, t_hi: float) -> float:
         """sup of phi over [t_lo, t_hi] (concavity: attained at a breakpoint or an end)."""
@@ -372,12 +390,8 @@ class ReinhardtDomain:
 
         # per-cell moduli boxes; cells contain no breakpoint, so the radius
         # range over a cell is exactly the endpoint range
-        u0, u1 = u[:-1], u[1:]
-        r_lo = np.minimum(r[:-1], r[1:])
-        r_hi = np.maximum(r[:-1], r[1:])
-        dz = np.maximum.reduce([np.zeros_like(u0), u0 - rz, rz - u1])
-        dw = np.maximum.reduce([np.zeros_like(r_lo), r_lo - rw, rw - r_hi])
-        d = float(np.min(np.hypot(dz, dw)))
+        d = box_distance(u[:-1], u[1:], np.minimum(r[:-1], r[1:]),
+                         np.maximum(r[:-1], r[1:]), rz, rw)
 
         # end caps {|z| = edge, |w| <= radius(edge)}; the exp cap at 709 keeps
         # huge cap heights finite and only ever shrinks the claimed distance
@@ -416,24 +430,16 @@ class ReinhardtDomain:
 
 
 # ------------------------------------------------------------------ module ops
-def profile_eval(profile: RadialProfile, t: float) -> float:
-    return profile.eval(t)
-
-
-def contains(domain: ReinhardtDomain, p) -> bool:
-    return domain.contains(p)
-
-
-def slice_radii(domain: ReinhardtDomain, z0: complex) -> tuple[float, float]:
-    return domain.slice_radii(z0)
+def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
+    """Smallest Euclidean distance from the moduli point ``(rz, rw)`` to the
+    cells ``[u0, u1] x [r_lo, r_hi]`` (arrays, one entry per cell)."""
+    dz = np.maximum.reduce([np.zeros_like(u0), u0 - rz, rz - u1])
+    dw = np.maximum.reduce([np.zeros_like(r_lo), r_lo - rw, rw - r_hi])
+    return float(np.min(np.hypot(dz, dw)))
 
 
 def boundary_distance_lower(domain: ReinhardtDomain, p, resolution: int = DEFAULT_GRID) -> float:
     return domain.boundary_distance_lower(p, resolution)
-
-
-def outer_radius_upper(domain: ReinhardtDomain, p) -> float:
-    return domain.outer_radius_upper(p)
 
 
 def is_pseudoconvex(domain: ReinhardtDomain, strict: bool = False) -> bool:
@@ -481,18 +487,14 @@ def annulus_model_domain(a_ratio: float, b_ratio: float, m: int,
 _DOC_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def domain_to_doc(domain: ReinhardtDomain) -> dict:
     """Versioned JSON document; all reals as decimal strings (17 significant digits)."""
     return {
         "version": _DOC_VERSION,
-        "t_min": _fmt(domain.t_min),
-        "t_max": _fmt(domain.t_max),
+        "t_min": fmt(domain.t_min),
+        "t_max": fmt(domain.t_max),
         "breakpoints": [
-            [_fmt(t), _fmt(v)]
+            [fmt(t), fmt(v)]
             for t, v in zip(domain.profile.breakpoints, domain.profile.values)
         ],
         "flags": {
@@ -531,25 +533,17 @@ def _snap_exact_values(bps: tuple[float, ...], vals: tuple[float, ...]):
     return eb, tuple(ev)
 
 
-def domain_from_doc(doc: dict, snap_integer_slopes: bool = True) -> ReinhardtDomain:
+def domain_from_doc(doc: dict) -> ReinhardtDomain:
     if doc.get("version") != _DOC_VERSION:
         raise ValidationError(f"unsupported domain document version: {doc.get('version')!r}")
     bps = tuple(float(pair[0]) for pair in doc["breakpoints"])
     vals = tuple(float(pair[1]) for pair in doc["breakpoints"])
     flags = doc.get("flags", {})
-    exact = _snap_exact_values(bps, vals) if snap_integer_slopes else None
-    if exact is not None:
-        eb, ev = exact
-        profile = RadialProfile(
-            bps, vals,
-            symmetric=bool(flags.get("symmetric", False)),
-            pseudoconvex=bool(flags.get("pseudoconvex", False)),
-            exact_breakpoints=eb, exact_values=ev,
-        )
-    else:
-        profile = RadialProfile(
-            bps, vals,
-            symmetric=bool(flags.get("symmetric", False)),
-            pseudoconvex=bool(flags.get("pseudoconvex", False)),
-        )
+    eb, ev = _snap_exact_values(bps, vals) or (None, None)
+    profile = RadialProfile(
+        bps, vals,
+        symmetric=bool(flags.get("symmetric", False)),
+        pseudoconvex=bool(flags.get("pseudoconvex", False)),
+        exact_breakpoints=eb, exact_values=ev,
+    )
     return ReinhardtDomain(profile, float(doc["t_min"]), float(doc["t_max"]))

@@ -30,6 +30,15 @@ log = logging.getLogger(__name__)
 _LOG_FLOOR = -745.0  # log of the smallest positive double
 
 
+def _log_moduli(z, w) -> tuple[np.ndarray, np.ndarray]:
+    """``(log|z|, log|w|)``; ``z = 0`` maps to ``_LOG_FLOOR``, ``w = 0`` to -inf."""
+    az = np.abs(z)
+    aw = np.abs(w)
+    t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
+    lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
+    return t, lam
+
+
 # ------------------------------------------------------------------ adapters
 class ReinhardtAdapter:
     """Membership defect and boundary samples for a profile domain."""
@@ -43,10 +52,7 @@ class ReinhardtAdapter:
         ``w = 0`` carries lam = -inf (the axis is inside wherever the annulus
         condition holds, however deep the profile drops).
         """
-        az = np.abs(z)
-        aw = np.abs(w)
-        t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
-        lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
+        t, lam = _log_moduli(z, w)
         d = lam - self.domain.profile.eval_many(t)
         d = np.maximum(d, t - self.domain.t_max)
         if self.domain.t_min != -math.inf:
@@ -119,10 +125,7 @@ class MonomialModel:
         self.m = int(m)
 
     def defect(self, z, w):
-        aw = np.abs(w)
-        az = np.abs(z)
-        lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
-        t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
+        t, lam = _log_moduli(z, w)
         return np.maximum(lam, lam + self.m * t)
 
     def polydisc_radii(self, p: PointC2):

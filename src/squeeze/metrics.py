@@ -29,6 +29,7 @@ from .domain import (
     RadialProfile,
     ReinhardtDomain,
     _as_point,
+    fmt,
 )
 from .errors import CertificationError, ValidationError
 
@@ -89,29 +90,20 @@ class Bound:
             raise ValidationError("certified bounds must cite a producing operation")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def bound_to_record(b: Bound) -> dict:
     """JSON record with values as decimal strings."""
     return {
         "quantity": b.quantity,
         "side": b.side,
-        "value": _fmt(b.value),
-        "basepoint": [_fmt(b.basepoint.z.real), _fmt(b.basepoint.z.imag),
-                      _fmt(b.basepoint.w.real), _fmt(b.basepoint.w.imag)],
+        "value": fmt(b.value),
+        "basepoint": [fmt(b.basepoint.z.real), fmt(b.basepoint.z.imag),
+                      fmt(b.basepoint.w.real), fmt(b.basepoint.w.imag)],
         "direction": None if b.direction is None else
-            [_fmt(b.direction.xi_z.real), _fmt(b.direction.xi_z.imag),
-             _fmt(b.direction.xi_w.real), _fmt(b.direction.xi_w.imag)],
+            [fmt(b.direction.xi_z.real), fmt(b.direction.xi_z.imag),
+             fmt(b.direction.xi_w.real), fmt(b.direction.xi_w.imag)],
         "certified": b.certified,
         "provenance": b.provenance,
     }
-
-
-def certified_below(upper: float, target: float, guard: float = GUARD_COMPARE) -> bool:
-    """True when ``upper < target`` still holds after inflating ``upper``."""
-    return upper * (1.0 + guard) + 0.0 < target
 
 
 def check_sandwich(bounds: list[Bound], context: str = "") -> None:

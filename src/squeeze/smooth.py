@@ -34,12 +34,21 @@ overflow, and positivity is manifest (``-phi_tilde'' >= 2 eps``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .domain import GUARD_REL, PointC2, RadialProfile, ReinhardtDomain, _as_point
+from .domain import (
+    GUARD_REL,
+    PointC2,
+    RadialProfile,
+    ReinhardtDomain,
+    _as_point,
+    as_float,
+    box_distance,
+    fmt,
+)
 from .errors import CertificationError, NumericalError, ValidationError
 from .metrics import Bound, check_sandwich
 from .construct import (
@@ -79,19 +88,12 @@ def bump_first_moment(x):
     return -(BUMP_NORM / 10.0) * y**5
 
 
-def kink_correction(x, h):
-    """K_h(x) = (relu * zeta_h)(x) - relu(x): nonnegative, supported on |x| < h."""
-    x = np.asarray(x, dtype=float)
-    s = x / h
-    val = x * bump_cdf(s) - h * bump_first_moment(s) - np.maximum(x, 0.0)
-    return np.where(np.abs(x) < h, val, 0.0)
-
-
-def kink_correction_d1(x, h):
-    """d/dx K_h(x) = Z(x/h) - [x > 0]."""
-    x = np.asarray(x, dtype=float)
-    val = bump_cdf(x / h) - (x > 0.0)
-    return np.where(np.abs(x) < h, val, 0.0)
+def _kinks(base: RadialProfile) -> list[tuple[int, float, float]]:
+    """(breakpoint index, slope drop, room) of every concave kink of ``base``;
+    the room is the shorter of the two segments that meet at the kink."""
+    s, bps = base.slopes(), base.breakpoints
+    return [(j, s[j - 1] - s[j], min(bps[j] - bps[j - 1], bps[j + 1] - bps[j]))
+            for j in range(1, len(s)) if s[j - 1] - s[j] > 0.0]
 
 
 class MollifiedProfile:
@@ -108,22 +110,16 @@ class MollifiedProfile:
             raise ValidationError("concavity boost eps must be nonnegative")
         self.base = base
         self.eps = float(eps)
-        slopes = base.slopes()
-        kinks = []
-        drops = []
-        for j in range(1, len(base.breakpoints) - 1):
-            drop = slopes[j - 1] - slopes[j]
-            if drop > 0.0:
-                kinks.append(base.breakpoints[j])
-                drops.append(drop)
-        self.kinks = np.asarray(kinks)
-        self.drops = np.asarray(drops)
+        kinks = _kinks(base)
+        self.kinks = np.asarray([base.breakpoints[j] for j, _, _ in kinks])
+        self.drops = np.asarray([drop for _, drop, _ in kinks])
+        self.room = np.asarray([room for _, _, room in kinks])
         widths = np.broadcast_to(np.asarray(widths, dtype=float),
                                  self.kinks.shape).copy()
         if self.kinks.size and not np.all(widths > 0.0):
             raise ValidationError("mollifier widths must be positive")
         self.widths = widths
-        self._slope0 = slopes[0]
+        self._slope0 = base.slopes()[0]
 
     @property
     def h(self) -> float:
@@ -131,9 +127,15 @@ class MollifiedProfile:
         return float(np.max(self.widths)) if self.kinks.size else 0.0
 
     def gap(self, t):
-        """phi(t) - phi_tilde(t) >= 0, evaluated without cancellation."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
+        """phi(t) - phi_tilde(t) >= 0, evaluated without cancellation, in the
+        float dtype of ``t``.
+
+        Each kink contributes ``drop * K_h(t - t_j)`` with the kink
+        correction ``K_h(x) = (relu * zeta_h)(x) - relu(x)``, nonnegative and
+        supported on ``|x| < h``.
+        """
+        t = as_float(t)
+        out = np.zeros_like(t)
         if self.kinks.size:
             diffs = t[..., None] - self.kinks
             corr = np.where(
@@ -147,7 +149,8 @@ class MollifiedProfile:
         return out + self.eps * t * t
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
+        """phi_tilde(t), in the float dtype of ``t``."""
+        t = as_float(t)
         return self.base.eval_many(t) - self.gap(t)
 
     def deriv1(self, t):
@@ -191,17 +194,9 @@ def default_widths(base: RadialProfile, eps: float) -> np.ndarray:
     ``(drop/2) h E`` stays within ``SAG_BUDGET``.
     """
     slopes = base.slopes()
-    bps = base.breakpoints
-    kinks = []
-    for j in range(1, len(bps) - 1):
-        if slopes[j - 1] - slopes[j] > 0.0:
-            kinks.append(j)
-    if not kinks:
-        return np.asarray([])
     denom = math.sqrt(4.0 * max(eps, 1e-12) / LEVI_FLOOR_TARGET)
     widths = []
-    for j in kinks:
-        drop = slopes[j - 1] - slopes[j]
+    for j, drop, room in _kinks(base):
         r_j = math.exp(base.values[j])
         need = 0.0
         for n in (abs(slopes[j - 1]), abs(slopes[j])):
@@ -210,9 +205,8 @@ def default_widths(base: RadialProfile, eps: float) -> np.ndarray:
                 if arg > 1.0:
                     need = max(need, math.log(arg) / n)
         sag_cap = SAG_BUDGET / (BUMP_ABS_MOMENT * drop)
-        gap_cap = 0.45 * min(bps[j] - bps[j - 1], bps[j + 1] - bps[j])
         h_j = max(need, min(sag_cap, 1e-3))
-        h_j = min(h_j, gap_cap)
+        h_j = min(h_j, 0.45 * room)
         widths.append(h_j)
     return np.asarray(widths)
 
@@ -234,11 +228,10 @@ class LeviReport:
         return {
             "schema": "levi-report/1",
             "grid_points": self.grid_points,
-            "tolerance": format(self.tolerance, ".17g"),
-            "min_value": format(self.min_value, ".17g"),
-            "argmin": [format(self.argmin_t, ".17g"), format(self.argmin_w, ".17g")],
-            "face_range": [format(self.face_range[0], ".17g"),
-                           format(self.face_range[1], ".17g")],
+            "tolerance": fmt(self.tolerance),
+            "min_value": fmt(self.min_value),
+            "argmin": [fmt(self.argmin_t), fmt(self.argmin_w)],
+            "face_range": [fmt(self.face_range[0]), fmt(self.face_range[1])],
             "strictly_pseudoconvex_reported": self.strictly_pseudoconvex_reported,
             "provenance": self.provenance,
         }
@@ -255,15 +248,16 @@ class SmoothDomain:
             raise ValidationError("smoothing requires a finite inner annulus edge")
         self.base = base
         prof = base.profile
-        gaps = [b - a for a, b in zip(prof.breakpoints, prof.breakpoints[1:])]
-        min_gap = min(gaps)
         widths = default_widths(prof, eps) if h is None else h
         self.profile = MollifiedProfile(prof, widths, eps)
-        if self.profile.kinks.size and not np.max(self.profile.widths) < min_gap:
-            raise ValidationError(
-                f"mollifier width {np.max(self.profile.widths)!r} must stay below "
-                f"the minimal breakpoint gap {min_gap!r}"
-            )
+        # each kernel must stay inside the two segments next to its kink
+        for t_j, h_j, room_j in zip(self.profile.kinks, self.profile.widths,
+                                    self.profile.room):
+            if not h_j < room_j:
+                raise ValidationError(
+                    f"mollifier width {float(h_j)!r} at the kink t={float(t_j)!r} "
+                    f"must stay below the adjacent breakpoint gap {float(room_j)!r}"
+                )
         if kappa <= 0.0:
             raise ValidationError("cap stiffness kappa must be positive")
         self.eps = float(eps)
@@ -299,7 +293,8 @@ class SmoothDomain:
 
     # ------------------------------------------------------------ cap profile
     def g(self, t):
-        t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
+        """Cap term, in the float dtype of ``t``."""
+        t = as_float(t)
         return (np.exp(self.kappa * (t - self.t_plus))
                 + np.exp(-self.kappa * (t - self.t_minus)))
 
@@ -335,9 +330,6 @@ class SmoothDomain:
         return self._axis_lo_in, self._axis_hi_in
 
     # ------------------------------------------------------ defining function
-    def phi(self, t):
-        return self.profile.value(t)
-
     def rho_moduli(self, rz, rw):
         """rho at |z| = rz, |w| = rw (rotation invariance); dtype-preserving.
 
@@ -351,46 +343,9 @@ class SmoothDomain:
         with np.errstate(divide="ignore"):
             t = np.log(rz)
             log_rw = np.where(rw > 0.0, np.log(np.where(rw > 0.0, rw, 1.0)), -np.inf)
-        phi_t = self._phi_any(t)
-        arg = np.minimum(2.0 * log_rw - 2.0 * phi_t, 709.0)
+        arg = np.minimum(2.0 * log_rw - 2.0 * self.profile.value(t), 709.0)
         w_term = np.where(np.isneginf(arg), 0.0, np.exp(np.where(np.isneginf(arg), 0.0, arg)))
-        cap = (np.exp(self.kappa * (t - self.t_plus))
-               + np.exp(-self.kappa * (t - self.t_minus)))
-        return w_term + cap - 1.0
-
-    def _phi_any(self, t):
-        """phi_tilde for arbitrary (possibly extended-precision) dtypes.
-
-        np.interp would downcast to float64, so the piecewise-linear part is
-        evaluated by hand (searchsorted + segment line, which also realizes
-        the linear extension beyond the outermost breakpoints).
-        """
-        t = np.asarray(t)
-        prof = self.profile
-        base = prof.base
-        bps = np.asarray(base.breakpoints, dtype=t.dtype)
-        vals = np.asarray(base.values, dtype=t.dtype)
-        idx = np.clip(np.searchsorted(bps, t), 1, len(base.breakpoints) - 1)
-        t0 = bps[idx - 1]
-        seg_slope = (vals[idx] - vals[idx - 1]) / (bps[idx] - t0)
-        out = vals[idx - 1] + seg_slope * (t - t0)
-        if prof.kinks.size:
-            diffs = t[..., None] - np.asarray(prof.kinks, dtype=t.dtype)
-            widths = np.asarray(prof.widths, dtype=t.dtype)
-            x = diffs / widths
-            xc = np.clip(x, -1.0, 1.0)
-            p = xc * (1.0 + xc * xc * (-4.0 / 3.0 + xc * xc * (6.0 / 5.0 + xc * xc * (-4.0 / 7.0 + xc * xc / 9.0))))
-            zc = 0.5 + t.dtype.type(BUMP_NORM) * p
-            mc = -(t.dtype.type(BUMP_NORM) / 10.0) * (1.0 - xc * xc) ** 5
-            val = diffs * zc - widths * mc - np.maximum(diffs, 0.0)
-            corr = np.where(np.abs(diffs) < widths, val, 0.0)
-            out = out - np.sum(np.asarray(prof.drops, dtype=t.dtype) * corr, axis=-1)
-        return out - t.dtype.type(prof.eps) * t * t
-
-    def rho(self, z, w):
-        z = np.asarray(z)
-        w = np.asarray(w)
-        return self.rho_moduli(np.abs(z), np.abs(w))
+        return w_term + self.g(t) - 1.0
 
     def contains(self, p) -> bool:
         p = _as_point(p)
@@ -403,7 +358,7 @@ class SmoothDomain:
         """Radius of the vertical disc {|w| < r(t)} inscribed at log|z| = t."""
         t = np.asarray(t, dtype=float)
         slack = 1.0 - self.g(t)
-        return np.exp(self.phi(t)) * np.sqrt(np.maximum(slack, 0.0))
+        return np.exp(self.profile.value(t)) * np.sqrt(np.maximum(slack, 0.0))
 
     # -------------------------------------------------------------- Hessian
     def hessian_entries(self, t: float, rw: float):
@@ -412,7 +367,7 @@ class SmoothDomain:
         ``levi_face_values`` for whole-face scans.
         """
         z = math.exp(t)
-        phi = float(self.phi(t))
+        phi = float(self.profile.value(t))
         d1 = float(self.profile.deriv1(t))
         d2 = float(self.profile.deriv2(t))
         u = math.exp(-2.0 * phi)
@@ -451,10 +406,6 @@ class SmoothDomain:
         return num / den
 
     # ------------------------------------------------------------- geometry
-    def outer_radius_upper(self, p) -> float:
-        """Valid for the smoothed domain since it sits inside the base."""
-        return self.base.outer_radius_upper(p)
-
     def boundary_distance_lower(self, p, resolution: int = 2048) -> float:
         """Certified distance lower bound to the smooth boundary.
 
@@ -483,9 +434,7 @@ class SmoothDomain:
         cap1 = phi_s[1:] + np.maximum(0.0, -d_phi_s[1:]) * dt
         r_hi = np.exp(np.minimum(cap0, cap1))
         r_hi = np.maximum(r_hi, np.maximum(r[:-1], r[1:]))
-        dz = np.maximum.reduce([np.zeros_like(u0), u0 - rz, rz - u1])
-        dw = np.maximum.reduce([np.zeros_like(r_lo), r_lo - rw, rw - r_hi])
-        d = float(np.min(np.hypot(dz, dw)))
+        d = box_distance(u0, u1, r_lo, r_hi, rz, rw)
 
         # closing strips: all boundary beyond the conservative face range lies
         # between the face range and the cap centers
@@ -567,7 +516,7 @@ def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
     values = sd.levi_face_values(t)
     rw = sd.face_radius(t)
     # closing circles (w -> 0): tangent (0, 1), L = u = exp(-2 phi_tilde)
-    edge_l = [math.exp(min(-2.0 * float(sd.phi(te)), 700.0)) for te in (lo, hi)]
+    edge_l = [math.exp(min(-2.0 * float(sd.profile.value(te)), 700.0)) for te in (lo, hi)]
     all_vals = np.concatenate([values, np.asarray(edge_l)])
     all_t = np.concatenate([t, np.asarray([lo, hi])])
     all_w = np.concatenate([rw, np.asarray([0.0, 0.0])])
@@ -652,24 +601,16 @@ def certify_smoothed(sd: SmoothDomain, base_cert: ConstructionCertificate,
             basepoint=PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j),
             direction=None, certified=True, provenance=prov,
         )
-        s_up_mirror = Bound(
-            quantity="squeezing", side="upper", value=s_val,
-            basepoint=PointC2(complex(1.0 / rec.a_k, 0.0), 0.0 + 0.0j),
-            direction=None, certified=True,
+        s_up_mirror = replace(
+            s_up, basepoint=PointC2(complex(1.0 / rec.a_k, 0.0), 0.0 + 0.0j),
             provenance=prov + "; mirrored by inversion symmetry of the smoothed domain",
         )
-        records.append(LevelRecord(
-            k=rec.k, a_k=rec.a_k, a_k_exact=rec.a_k_exact,
-            a_prev=rec.a_prev, a_next=rec.a_next,
-            c_k=rec.c_k, m_k=rec.m_k, n_k=rec.n_k,
-            s_upper=s_up, s_upper_mirror=s_up_mirror,
-            target=rec.target,
-            target_met=bool(s_val < float(rec.target)),
-        ))
+        records.append(replace(rec, s_upper=s_up, s_upper_mirror=s_up_mirror,
+                               target_met=bool(s_val < float(rec.target))))
 
     p_center = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
     d = sd.boundary_distance_lower(p_center, resolution)
-    r = sd.outer_radius_upper(p_center)
+    r = base.outer_radius_upper(p_center)  # the smoothed domain lies inside the base
     s_lower = Bound(
         quantity="squeezing", side="lower", value=min(1.0, d / r),
         basepoint=p_center, direction=None, certified=True,

@@ -1,11 +1,22 @@
 """Shared test oracles."""
 
+import functools
 import math
 
 import numpy as np
 
+from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
 from squeeze.estimate import _int_power
+
+# (margin u, levels) of the margin-schedule staircases the benchmark builds
+STAIRCASES = [(u, levels) for u in ("0.02", "0.05", "0.1") for levels in range(1, 7)]
+
+
+@functools.cache
+def staircase(u: str, levels: int):
+    """The margin-u staircase domain with ``levels`` levels at a = 2."""
+    return build(ConstructionParams(a="2", levels=levels, schedule=MarginSchedule(u)))[0]
 
 
 def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
@@ -25,7 +36,7 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     checked = 0
     while checked < n_points:
         t = float(rng.uniform(lo + 0.01, hi - 0.01))
-        if float(sd.phi(t)) < -150.0:
+        if float(sd.profile.value(t)) < -150.0:
             continue
         if kinks.size and np.any(np.abs(t - kinks) < 5.0 * widths):
             continue

@@ -83,6 +83,21 @@ class TestCertifySmoothed:
                      _write_config(tmp_path, {"smooth_h": 1.0})])
         assert code == EXIT_CONFIG
 
+    def test_harmonic_four_levels_smooth(self, tmp_path):
+        # no violation at 4 harmonic levels (exit 3 by design), but the
+        # smoothing, its Levi scan and plot-data all go through
+        cfg = RunConfig(levels=4, out=str(tmp_path / "s"))
+        assert cmd_certify_smoothed(cfg) == EXIT_CERTIFICATION
+        rep = json.loads((tmp_path / "s" / "levi_report.json").read_text())
+        assert rep["strictly_pseudoconvex_reported"]
+        cert = json.loads((tmp_path / "s" / "smoothed_certificate.json").read_text())
+        assert not cert["violation"]
+        assert cmd_plotdata(RunConfig(levels=4, out=str(tmp_path / "p"))) == EXIT_OK
+        lines = {"profile.csv": 10, "bound_curve.csv": 26}
+        lines.update({f"sheared_profile_level{k}.csv": 11 for k in range(1, 5)})
+        for name, n in lines.items():
+            assert len(read_csv(tmp_path / "p" / name)) == n
+
 
 class TestPlotData:
     def test_files_and_shapes(self, tmp_path):

@@ -13,20 +13,17 @@ from squeeze import (
     ValidationError,
     CertificationError,
     bidisc_domain,
-    boundary_distance_lower,
-    contains,
     is_pseudoconvex,
-    outer_radius_upper,
     annulus_model_domain,
-    profile_eval,
-    slice_radii,
 )
 from squeeze.domain import domain_from_doc, domain_to_doc, perturb_value
+
+from helpers import STAIRCASES, staircase
 
 
 def test_profile_eval_flat_region(p0):
     _, domain, _ = p0
-    assert profile_eval(domain.profile, 0.0) == 0.0
+    assert domain.profile.eval(0.0) == 0.0
 
 
 def test_profile_eval_matches_schedule(p0):
@@ -34,7 +31,7 @@ def test_profile_eval_matches_schedule(p0):
     _, domain, _ = p0
     t1, t2 = math.log(1.5), math.log(1.75)
     expected = -99.0 * (t2 - t1)
-    got = profile_eval(domain.profile, math.log(1.75))
+    got = domain.profile.eval(math.log(1.75))
     assert math.isclose(got, expected, rel_tol=1e-13)
     assert math.isclose(got, -15.261, rel_tol=1e-4)
 
@@ -42,43 +39,59 @@ def test_profile_eval_matches_schedule(p0):
 def test_profile_eval_symmetric(p0):
     _, domain, _ = p0
     for t in domain.profile.breakpoints:
-        assert profile_eval(domain.profile, -t) == profile_eval(domain.profile, t)
+        assert domain.profile.eval(-t) == domain.profile.eval(t)
 
 
 def test_profile_eval_linear_extension():
     prof = RadialProfile((0.0, 1.0), (0.0, -2.0))
-    assert profile_eval(prof, 2.0) == pytest.approx(-4.0)
-    assert profile_eval(prof, -1.0) == pytest.approx(2.0)
+    assert prof.eval(2.0) == pytest.approx(-4.0)
+    assert prof.eval(-1.0) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("u, levels", STAIRCASES)
+def test_eval_many_is_interp_between_the_ends(u, levels):
+    prof = staircase(u, levels).profile
+    bps, vals = np.asarray(prof.breakpoints), np.asarray(prof.values)
+    rng = np.random.default_rng(levels)
+    # random points and every breakpoint, the last one included
+    t = np.concatenate([rng.uniform(bps[0], bps[-1], 4000), bps])
+    assert np.array_equal(prof.eval_many(t), np.interp(t, bps, vals))
+    # beyond the ends: the end height plus the exact end slope times the offset
+    s = prof.exact_slopes()
+    left = bps[0] - rng.uniform(0.0, 1.0, 200)
+    right = bps[-1] + rng.uniform(0.0, 1.0, 200)
+    assert np.array_equal(prof.eval_many(left), vals[0] + float(s[0]) * (left - bps[0]))
+    assert np.array_equal(prof.eval_many(right), vals[-1] + float(s[-1]) * (right - bps[-1]))
 
 
 def test_contains_flat_region(p0):
     _, domain, _ = p0
-    assert contains(domain, (1.0, 0.5))
+    assert domain.contains((1.0, 0.5))
 
 
 def test_contains_monomial_region(p0):
     _, domain, _ = p0
-    phi = profile_eval(domain.profile, math.log(1.75))
-    assert not contains(domain, (1.75, math.exp(phi) * 1.01))
-    assert contains(domain, (1.75, math.exp(phi) * 0.99))
+    phi = domain.profile.eval(math.log(1.75))
+    assert not domain.contains((1.75, math.exp(phi) * 1.01))
+    assert domain.contains((1.75, math.exp(phi) * 0.99))
 
 
 def test_contains_outside_annulus(p0):
     _, domain, _ = p0
-    assert not contains(domain, (2.1, 0.0))
-    assert contains(domain, (0.51, 0.0))
-    assert not contains(domain, (0.49, 0.0))
+    assert not domain.contains((2.1, 0.0))
+    assert domain.contains((0.51, 0.0))
+    assert not domain.contains((0.49, 0.0))
 
 
 def test_contains_axis_is_inside_everywhere(p0):
     _, domain, _ = p0
     for r in np.linspace(0.51, 1.99, 41):
-        assert contains(domain, (r, 0.0))
+        assert domain.contains((r, 0.0))
 
 
 def test_slice_radii_prime_model():
     model = annulus_model_domain(0.5, 2.0, 5)
-    r_h, r_v = slice_radii(model, 1.0)
+    r_h, r_v = model.slice_radii(1.0)
     assert r_h == pytest.approx(0.5, rel=1e-12)
     assert r_v == pytest.approx(1.0, rel=1e-12)
 
@@ -87,13 +100,13 @@ def test_slice_radii_at_breakpoints(p0):
     _, domain, cert = p0
     for rec in cert.levels:
         t_k = math.log(rec.a_k)
-        _r_h, r_v = slice_radii(domain, rec.a_k)
-        assert r_v == math.exp(profile_eval(domain.profile, t_k))
+        _r_h, r_v = domain.slice_radii(rec.a_k)
+        assert r_v == math.exp(domain.profile.eval(t_k))
 
 
 def test_slice_radii_bidisc():
     d = bidisc_domain()
-    r_h, r_v = slice_radii(d, 0.5)
+    r_h, r_v = d.slice_radii(0.5)
     assert r_h == pytest.approx(0.5, rel=1e-12)
     assert r_v == pytest.approx(1.0, rel=1e-12)
 
@@ -101,19 +114,19 @@ def test_slice_radii_bidisc():
 def test_slice_radii_rejects_outside():
     d = bidisc_domain()
     with pytest.raises(ValidationError):
-        slice_radii(d, 1.5)
+        d.slice_radii(1.5)
 
 
 def test_boundary_distance_bidisc_center():
     d = bidisc_domain()
-    val = boundary_distance_lower(d, (0.0, 0.0))
+    val = d.boundary_distance_lower((0.0, 0.0))
     assert val <= 1.0
     assert val >= 1.0 - 1e-6
 
 
 def test_boundary_distance_below_brute_force(p0):
     _, domain, _ = p0
-    d_cert = boundary_distance_lower(domain, (1.0, 0.0), resolution=2048)
+    d_cert = domain.boundary_distance_lower((1.0, 0.0), resolution=2048)
     d_brute = domain.boundary_distance_brute((1.0, 0.0), 10 * 2048)
     assert 0.0 < d_cert <= d_brute
 
@@ -124,7 +137,7 @@ def test_boundary_distance_near_inner_edge():
                            math.log(0.5), math.log(2.0))
     eps = 1e-3
     p = (math.exp(flat.t_min + eps), 0.0)
-    val = boundary_distance_lower(flat, p)
+    val = flat.boundary_distance_lower(p)
     assert 0.0 < val < 2 * eps * math.exp(flat.t_min + eps)
 
 
@@ -133,22 +146,22 @@ def test_boundary_distance_refuses_degenerate():
     prof = RadialProfile((-0.5, 0.0, 0.1, 0.5), (0.0, 0.0, -500.0, -2500.0))
     d = ReinhardtDomain(prof, -0.5, 0.5)
     with pytest.raises(CertificationError):
-        boundary_distance_lower(d, (math.exp(0.3), 0.0), resolution=64)
+        d.boundary_distance_lower((math.exp(0.3), 0.0), resolution=64)
 
 
 def test_outer_radius_bidisc():
     d = bidisc_domain()
-    assert outer_radius_upper(d, (0.0, 0.0)) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    assert d.outer_radius_upper((0.0, 0.0)) == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
 def test_outer_radius_p0(p0):
     _, domain, _ = p0
-    assert outer_radius_upper(domain, (1.0, 0.0)) == pytest.approx(math.sqrt(10.0), rel=1e-9)
+    assert domain.outer_radius_upper((1.0, 0.0)) == pytest.approx(math.sqrt(10.0), rel=1e-9)
 
 
 def test_outer_radius_dominates_samples(p0):
     _, domain, _ = p0
-    r = outer_radius_upper(domain, (1.0, 0.0))
+    r = domain.outer_radius_upper((1.0, 0.0))
     t = np.linspace(domain.t_min, domain.t_max, 20001)
     u = np.exp(t)
     h = np.exp(domain.profile.eval_many(t))
@@ -247,19 +260,19 @@ def test_slice_discs_verify_against_contains(p0):
     # 1e-9 relative exposes a sampled point outside
     _, domain, _ = p0
     for z0 in (1.0, 1.2, 0.8):
-        r_h, r_v = slice_radii(domain, z0)
+        r_h, r_v = domain.slice_radii(z0)
         angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         for th in angles:
             dz = (r_h * (1.0 - 1e-12)) * complex(math.cos(th), math.sin(th))
-            assert contains(domain, (z0 + dz, 0.0))
-            assert contains(domain, (z0, r_v * (1.0 - 1e-12) *
-                                     complex(math.cos(th), math.sin(th))))
+            assert domain.contains((z0 + dz, 0.0))
+            assert domain.contains((z0, r_v * (1.0 - 1e-12) *
+                                    complex(math.cos(th), math.sin(th))))
         inflated_h = any(
-            not contains(domain, (z0 + r_h * (1.0 + 1e-9) *
-                                  complex(math.cos(th), math.sin(th)), 0.0))
+            not domain.contains((z0 + r_h * (1.0 + 1e-9) *
+                                 complex(math.cos(th), math.sin(th)), 0.0))
             for th in angles)
         assert inflated_h
-        assert not contains(domain, (z0, r_v * (1.0 + 1e-9)))
+        assert not domain.contains((z0, r_v * (1.0 + 1e-9)))
 
 
 def test_perturb_value_is_exact(p0):

@@ -119,6 +119,20 @@ def test_serialization_roundtrip(profile):
 
 @given(concave_profiles(), st.floats(-4.0, 4.0))
 @settings(max_examples=150, deadline=None)
+def test_eval_within_ulps_of_exact(profile, t):
+    # slope * (t - t_i) + phi(t_i) rounds a handful of times, each by at most
+    # one ulp of the largest term
+    from fractions import Fraction
+
+    exact = float(profile.eval_exact(Fraction(t)))
+    scale = (max(abs(v) for v in profile.values)
+             + max(abs(s) for s in profile.slopes())
+             * max(abs(t - b) for b in profile.breakpoints))
+    assert abs(profile.eval(t) - exact) <= 8 * math.ulp(scale)
+
+
+@given(concave_profiles(), st.floats(-4.0, 4.0))
+@settings(max_examples=150, deadline=None)
 def test_eval_between_fraction_and_float(profile, t):
     from fractions import Fraction
 

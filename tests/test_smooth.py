@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from squeeze import (
+    ConstructionParams,
     RadialProfile,
     ReinhardtDomain,
     ValidationError,
+    build,
     certify_smoothed,
     levi_on_tangent,
     levi_verify,
     smooth,
 )
 from squeeze.smooth import BUMP_ABS_MOMENT, bump, bump_cdf
+
+from helpers import STAIRCASES, staircase
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -99,6 +103,34 @@ class TestMollifiedProfile:
             d2 = float(sd.profile.deriv2(np.asarray(t0)))
             assert (vp - vm) / (2 * dlt) == pytest.approx(d1, abs=1e-4)
             assert (vp - 2 * v0 + vm) / (dlt * dlt) == pytest.approx(d2, rel=1e-3, abs=1e-3)
+
+    @pytest.mark.parametrize("u, levels", STAIRCASES)
+    def test_longdouble_in_longdouble_out(self, u, levels):
+        domain = staircase(u, levels)
+        sd = smooth(domain)
+        t = np.linspace(domain.t_min, domain.t_max, 4001)
+        tol = 1e-15 * max(abs(v) for v in domain.profile.values)
+        for f in (domain.profile.eval_many, sd.profile.value):
+            ld = f(t.astype(np.longdouble))
+            assert ld.dtype == np.longdouble
+            assert np.all(np.abs(ld - f(t)) <= tol)
+
+    def test_widths_fit_the_gaps_next_to_their_kink(self):
+        # harmonic, 4 levels: the kernels at +-t_1 are wider than the narrowest
+        # gap (at the annulus edges) but fit the two gaps next to their kink
+        domain, _ = build(ConstructionParams(a="2", levels=4))
+        prof = smooth(domain).profile
+        assert prof.widths.max() > np.diff(domain.profile.breakpoints).min()
+        widest = prof.widths == prof.widths.max()
+        with pytest.raises(ValidationError):
+            smooth(domain, h=np.where(widest, prof.room, prof.widths))
+
+    def test_scalar_width_stops_at_the_gap_next_to_a_kink(self, headline):
+        _, domain, _ = headline
+        gap = float(np.min(np.diff(domain.profile.breakpoints)))
+        smooth(domain, h=np.nextafter(gap, 0.0))
+        with pytest.raises(ValidationError):
+            smooth(domain, h=np.nextafter(gap, 1.0))
 
     def test_widths_validation(self, headline):
         _, domain, _ = headline
