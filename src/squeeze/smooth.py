@@ -103,6 +103,12 @@ class MollifiedProfile:
     smoothing serve two masters at once: wide kernels where the tangential
     Levi form needs curvature coverage past a corner, narrow kernels where a
     large slope drop must not sag the profile.
+
+    Every width stays below its kink's ``room``, the shorter of the two
+    segments that meet there, so each kernel's support ends before the next
+    breakpoint on either side.  At any ``t`` at most the two kernels of the
+    kinks on either side of ``t`` are active; only those two are evaluated,
+    and every sum equals the sum over all kinks bit for bit.
     """
 
     def __init__(self, base: RadialProfile, widths, eps: float):
@@ -118,13 +124,35 @@ class MollifiedProfile:
                                  self.kinks.shape).copy()
         if self.kinks.size and not np.all(widths > 0.0):
             raise ValidationError("mollifier widths must be positive")
+        # each kernel must stay inside the two segments next to its kink
+        for t_j, h_j, room_j in zip(self.kinks, widths, self.room):
+            if not h_j < room_j:
+                raise ValidationError(
+                    f"mollifier width {float(h_j)!r} at the kink t={float(t_j)!r} "
+                    f"must stay below the adjacent breakpoint gap {float(room_j)!r}"
+                )
         self.widths = widths
         self._slope0 = base.slopes()[0]
+        # deriv1 terms of the kinks whose support lies wholly left / right of t
+        self._d1_left = self.drops * bump_cdf(1.0)
+        self._d1_right = self.drops * bump_cdf(-1.0)
 
     @property
     def h(self) -> float:
         """Largest kernel width (reporting; per-kink values in ``widths``)."""
         return float(np.max(self.widths)) if self.kinks.size else 0.0
+
+    def _near(self, t):
+        """The kinks on either side of each ``t``, the only ones whose kernel
+        can be active there: their indices (``t.shape + (2,)``), offsets
+        ``t - t_j``, widths and slope drops.  Beyond an end kink both sides
+        name that kink; its second drop is zeroed so it counts once."""
+        i = np.searchsorted(self.kinks, t)
+        idx = np.stack([np.maximum(i - 1, 0), np.minimum(i, self.kinks.size - 1)],
+                       axis=-1)
+        drops = self.drops[idx]
+        drops[..., 1] = np.where(idx[..., 0] == idx[..., 1], 0.0, drops[..., 1])
+        return idx, t[..., None] - self.kinks[idx], self.widths[idx], drops
 
     def gap(self, t):
         """phi(t) - phi_tilde(t) >= 0, evaluated without cancellation, in the
@@ -137,15 +165,15 @@ class MollifiedProfile:
         t = as_float(t)
         out = np.zeros_like(t)
         if self.kinks.size:
-            diffs = t[..., None] - self.kinks
+            _, diffs, widths, drops = self._near(t)
             corr = np.where(
-                np.abs(diffs) < self.widths,
-                diffs * bump_cdf(diffs / self.widths)
-                - self.widths * bump_first_moment(diffs / self.widths)
+                np.abs(diffs) < widths,
+                diffs * bump_cdf(diffs / widths)
+                - widths * bump_first_moment(diffs / widths)
                 - np.maximum(diffs, 0.0),
                 0.0,
             )
-            out = np.sum(self.drops * corr, axis=-1)
+            out = np.sum(drops * corr, axis=-1)
         return out + self.eps * t * t
 
     def value(self, t):
@@ -154,20 +182,25 @@ class MollifiedProfile:
         return self.base.eval_many(t) - self.gap(t)
 
     def deriv1(self, t):
+        """phi_tilde'(t).  A kink outside its support contributes
+        ``drop * bump_cdf(+-1)``, and ``bump_cdf(-1)`` is not zero, so every
+        kink keeps its term and the sum runs over all of them in kink order."""
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self._slope0) - 2.0 * self.eps * t
         if self.kinks.size:
-            diffs = t[..., None] - self.kinks
-            out = out - np.sum(self.drops * bump_cdf(diffs / self.widths), axis=-1)
+            idx, diffs, widths, _ = self._near(t)
+            terms = np.where(t[..., None] > self.kinks, self._d1_left, self._d1_right)
+            np.put_along_axis(terms, idx, self.drops[idx] * bump_cdf(diffs / widths),
+                              axis=-1)
+            out = out - np.sum(terms, axis=-1)
         return out
 
     def deriv2(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, -2.0 * self.eps)
         if self.kinks.size:
-            diffs = t[..., None] - self.kinks
-            out = out - np.sum(self.drops * bump(diffs / self.widths) / self.widths,
-                               axis=-1)
+            _, diffs, widths, drops = self._near(t)
+            out = out - np.sum(drops * bump(diffs / widths) / widths, axis=-1)
         return out
 
     def sup_gap_bound(self, t_lo: float, t_hi: float) -> float:
@@ -250,14 +283,6 @@ class SmoothDomain:
         prof = base.profile
         widths = default_widths(prof, eps) if h is None else h
         self.profile = MollifiedProfile(prof, widths, eps)
-        # each kernel must stay inside the two segments next to its kink
-        for t_j, h_j, room_j in zip(self.profile.kinks, self.profile.widths,
-                                    self.profile.room):
-            if not h_j < room_j:
-                raise ValidationError(
-                    f"mollifier width {float(h_j)!r} at the kink t={float(t_j)!r} "
-                    f"must stay below the adjacent breakpoint gap {float(room_j)!r}"
-                )
         if kappa <= 0.0:
             raise ValidationError("cap stiffness kappa must be positive")
         self.eps = float(eps)
@@ -319,6 +344,8 @@ class SmoothDomain:
         inner, outer = mid, outside
         for _ in range(200):
             m = 0.5 * (inner + outer)
+            if m == inner or m == outer:
+                break  # adjacent floats: no later step can move the bracket
             if self.g(m) < 1.0:
                 inner = m
             else:
@@ -391,6 +418,11 @@ class SmoothDomain:
 
         with F = 1 - g, r the face radius, A = -2 phi' F + g'.
         """
+        return self._levi_face(t)[0]
+
+    def _levi_face(self, t):
+        """(``levi_face_values(t)``, ``face_radius(t)``), the radius computed
+        once for both."""
         t = np.asarray(t, dtype=float)
         f = 1.0 - self.g(t)
         if np.any(f <= 0.0):
@@ -403,7 +435,7 @@ class SmoothDomain:
         a = -2.0 * d1 * f + g1
         num = f * (-2.0 * d2 * f * f + g2 * f + g1 * g1)
         den = (r * a) ** 2 + 4.0 * np.exp(2.0 * t) * f * f
-        return num / den
+        return num / den, r
 
     # ------------------------------------------------------------- geometry
     def boundary_distance_lower(self, p, resolution: int = 2048) -> float:
@@ -513,8 +545,7 @@ def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
         raise ValidationError("grid too small")
     lo, hi = sd.axis_log_range()
     t = np.linspace(lo, hi, grid_points)
-    values = sd.levi_face_values(t)
-    rw = sd.face_radius(t)
+    values, rw = sd._levi_face(t)
     # closing circles (w -> 0): tangent (0, 1), L = u = exp(-2 phi_tilde)
     edge_l = [math.exp(min(-2.0 * float(sd.profile.value(te)), 700.0)) for te in (lo, hi)]
     all_vals = np.concatenate([values, np.asarray(edge_l)])

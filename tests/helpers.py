@@ -7,7 +7,9 @@ import numpy as np
 
 from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
+from squeeze.domain import as_float
 from squeeze.estimate import _int_power
+from squeeze.smooth import bump, bump_cdf, bump_first_moment
 
 # (margin u, levels) of the margin-schedule staircases the benchmark builds
 STAIRCASES = [(u, levels) for u in ("0.02", "0.05", "0.1") for levels in range(1, 7)]
@@ -131,3 +133,42 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
         ci += 1
 
     return 1.0 / best_tau, count
+
+
+def dense_gap(prof, t):
+    """``MollifiedProfile.gap`` summed over every kink: the near-kink
+    evaluator must agree bit for bit."""
+    t = as_float(t)
+    out = np.zeros_like(t)
+    if prof.kinks.size:
+        diffs = t[..., None] - prof.kinks
+        corr = np.where(
+            np.abs(diffs) < prof.widths,
+            diffs * bump_cdf(diffs / prof.widths)
+            - prof.widths * bump_first_moment(diffs / prof.widths)
+            - np.maximum(diffs, 0.0),
+            0.0,
+        )
+        out = np.sum(prof.drops * corr, axis=-1)
+    return out + prof.eps * t * t
+
+
+def dense_deriv1(prof, t):
+    """``MollifiedProfile.deriv1`` summed over every kink."""
+    t = np.asarray(t, dtype=float)
+    out = np.full(t.shape, prof.base.slopes()[0]) - 2.0 * prof.eps * t
+    if prof.kinks.size:
+        diffs = t[..., None] - prof.kinks
+        out = out - np.sum(prof.drops * bump_cdf(diffs / prof.widths), axis=-1)
+    return out
+
+
+def dense_deriv2(prof, t):
+    """``MollifiedProfile.deriv2`` summed over every kink."""
+    t = np.asarray(t, dtype=float)
+    out = np.full(t.shape, -2.0 * prof.eps)
+    if prof.kinks.size:
+        diffs = t[..., None] - prof.kinks
+        out = out - np.sum(prof.drops * bump(diffs / prof.widths) / prof.widths,
+                           axis=-1)
+    return out

@@ -14,9 +14,15 @@ from squeeze import (
     levi_verify,
     smooth,
 )
-from squeeze.smooth import BUMP_ABS_MOMENT, bump, bump_cdf
+from squeeze.smooth import (
+    BUMP_ABS_MOMENT,
+    MollifiedProfile,
+    bump,
+    bump_cdf,
+    default_widths,
+)
 
-from helpers import STAIRCASES, staircase
+from helpers import STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, staircase
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -27,6 +33,26 @@ def flat_domain(height=0.0, half=0.6931471805599453):
 def corner_domain(m: int):
     prof = RadialProfile((-1.0, 0.0, 1.0), (0.0, 0.0, -float(m)))
     return ReinhardtDomain(prof, -1.0, 1.0)
+
+
+# the margin staircases and the harmonic staircases at 1-4 levels
+PROFILES = [pytest.param(u, levels, id=f"margin{u}-L{levels}") for u, levels in STAIRCASES]
+PROFILES += [pytest.param(None, levels, id=f"harmonic-L{levels}") for levels in range(1, 5)]
+
+
+def probe_points(prof, rng):
+    """Every kink, kink +- width and +- width/2, the float neighbours of those,
+    points beyond both end kinks, and 4000 random points (half of them within
+    1.5 widths of a kink)."""
+    k, w = prof.kinks, prof.widths
+    pts = np.concatenate([k, k - w, k + w, k - w / 2, k + w / 2])
+    pts = np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf)])
+    bps = prof.base.breakpoints
+    lo, hi = bps[0] - 1.0, bps[-1] + 1.0
+    j = rng.integers(0, k.size, 2000)
+    return np.concatenate([pts, [lo, bps[0], bps[-1], hi],
+                           rng.uniform(lo, hi, 2000),
+                           k[j] + w[j] * rng.uniform(-1.5, 1.5, 2000)])
 
 
 class TestKernel:
@@ -114,6 +140,33 @@ class TestMollifiedProfile:
             ld = f(t.astype(np.longdouble))
             assert ld.dtype == np.longdouble
             assert np.all(np.abs(ld - f(t)) <= tol)
+
+    @pytest.mark.parametrize("u, levels", PROFILES)
+    def test_near_kink_sums_equal_the_dense_sums(self, u, levels):
+        # with the default widths and with one width just below the narrowest
+        # room, where (from two levels on) neighbouring supports overlap
+        if u is None:
+            domain, _ = build(ConstructionParams(a="2", levels=levels))
+        else:
+            domain = staircase(u, levels)
+        eps = 1e-5
+        base = domain.profile
+        default = MollifiedProfile(base, default_widths(base, eps), eps)
+        overlapping = MollifiedProfile(base, np.nextafter(default.room.min(), 0.0), eps)
+        rng = np.random.default_rng(levels)
+        for prof in (default, overlapping):
+            t = probe_points(prof, rng)
+            for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
+                               (prof.deriv2, dense_deriv2)):
+                assert new(t).tobytes() == dense(prof, t).tobytes()
+                assert new(t[7]).tobytes() == dense(prof, t[7]).tobytes()  # a scalar
+            # longdouble: compare values and signs, not the padding bytes
+            ld = t.astype(np.longdouble) + np.longdouble(2.0) ** -60 * t
+            for got, want in ((prof.gap(ld), dense_gap(prof, ld)),
+                              (prof.value(ld), base.eval_many(ld) - dense_gap(prof, ld))):
+                assert got.dtype == want.dtype == np.longdouble
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_widths_fit_the_gaps_next_to_their_kink(self):
         # harmonic, 4 levels: the kernels at +-t_1 are wider than the narrowest
