@@ -34,7 +34,13 @@ from .construct import (
 from .domain import PointC2, domain_to_doc, fmt
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
 from .schema import validate_doc
-from .metrics import Direction, bound_to_record, caratheodory_upper_slices
+from .metrics import (
+    Direction,
+    bound_to_record,
+    caratheodory_upper_slices,
+    shear_normalize,
+    squeezing_lower_inclusion,
+)
 from .smooth import certify_smoothed, levi_verify, smooth
 
 log = logging.getLogger("squeeze")
@@ -309,7 +315,6 @@ def cmd_plotdata(config: RunConfig) -> int:
             rows.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
         _write_csv(out / "profile.csv", rows)
 
-        from .metrics import shear_normalize
         for rec in cert.levels:
             t_k = math.log(rec.a_k)
             idx = domain.profile.breakpoints.index(t_k)
@@ -324,7 +329,6 @@ def cmd_plotdata(config: RunConfig) -> int:
             for sign in (1.0, -1.0):
                 rows.append([fmt(sign * math.log(rec.a_k)),
                              "s_upper", fmt(rec.s_upper.value)])
-        from .metrics import squeezing_lower_inclusion
         for t in np.linspace(domain.t_min * 0.8, domain.t_max * 0.8, 17):
             p = PointC2(complex(math.exp(t), 0.0), 0.0 + 0.0j)
             try:

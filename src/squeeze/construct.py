@@ -28,6 +28,7 @@ from .metrics import (
     Bound,
     GUARD_COMPARE,
     LevelModel,
+    at_breakpoint,
     bound_to_record,
     check_sandwich,
     kobayashi_lower_shear,
@@ -370,27 +371,16 @@ def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCert
         a_lo = radii[k - 1] / radii[k]
         a_hi = radii[k + 1] / radii[k]
         lo_log, hi_log = _model_edges(profile, idx, k, ks, a_lo, a_hi)
-        model = LevelModel(a_ratio=a_lo, b_ratio=a_hi, c_constant=c_k, m=m_k)
         s_up = squeezing_upper_at_breakpoint(
             domain,
             idx,
             model_lo_log=lo_log,
             model_hi_log=hi_log,
-            exact_model=model,
+            exact_model=LevelModel(c_constant=c_k, m=m_k),
         )
-        mirror_idx = n_bp - 1 - idx
-        s_up_mirror = squeezing_upper_at_breakpoint(
-            domain,
-            mirror_idx,
-            model_lo_log=lo_log,
-            model_hi_log=hi_log,
-            exact_model=model,
-        )
-        if s_up_mirror.value != s_up.value:
-            raise CertificationError(
-                f"inversion symmetry broken at level {k}: "
-                f"{s_up.value!r} != {s_up_mirror.value!r}"
-            )
+        # the profile is symmetric, so z -> 1/z carries the bound to -t_k
+        s_up_mirror = at_breakpoint(s_up.sheared, profile.breakpoints[n_bp - 1 - idx],
+                                    mirrored=True)
         target = params.schedule.target(k)
         met = s_up.value * (1.0 + GUARD_COMPARE) < float(target)
         if not met:
@@ -480,9 +470,7 @@ def verify_model_annulus_inclusion(domain: ReinhardtDomain, k: int,
         model_hi_log = (image.profile.breakpoints[k + 1]
                         if k + 1 < len(profile.breakpoints) else image.t_max)
     if m is None:
-        from .metrics import _adjacent_exact_slopes
-        s_l, s_r = _adjacent_exact_slopes(profile, k)
-        m = math.floor(s_l - s_r)
+        m = profile.slope_drop(k)
     lo_e, hi_e = Fraction(model_lo_log), Fraction(model_hi_log)
     if not (Fraction(image.t_min) <= lo_e < 0 < hi_e <= Fraction(image.t_max)):
         return False

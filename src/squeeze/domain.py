@@ -234,10 +234,24 @@ class RadialProfile:
 
     # ------------------------------------------------------------------ exact
     def exact_slopes(self) -> tuple[Fraction, ...]:
+        return self._exact_slopes
+
+    @cached_property
+    def _exact_slopes(self) -> tuple[Fraction, ...]:
         bs, vs = self.exact_breakpoints, self.exact_values
         return tuple(
             (vs[i + 1] - vs[i]) / (bs[i + 1] - bs[i]) for i in range(len(bs) - 1)
         )
+
+    def adjacent_slopes(self, k: int) -> tuple[Fraction, Fraction]:
+        """Exact (left, right) slopes at breakpoint ``k``, the extensions' at the ends."""
+        slopes = self.exact_slopes()
+        return slopes[max(k - 1, 0)], slopes[min(k, len(slopes) - 1)]
+
+    def slope_drop(self, k: int) -> int:
+        """The integer slope drop ``floor(s_left - s_right)`` at breakpoint ``k``."""
+        s_left, s_right = self.adjacent_slopes(k)
+        return math.floor(s_left - s_right)
 
     def eval_exact(self, t: Fraction) -> Fraction:
         """Exact piecewise-linear evaluation on the dyadic mirrors."""

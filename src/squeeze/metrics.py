@@ -20,7 +20,7 @@ checks (shear containment) run on exact dyadic rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .domain import (
@@ -64,6 +64,8 @@ class Bound:
     ``certified`` distinguishes rigorous bounds (produced by the mechanisms in
     this module) from numerical estimates (the ``estimate`` module).
     ``provenance`` is a human-readable trace of the producing rule.
+    ``sheared`` is set on a bound moved to a breakpoint by ``at_breakpoint``:
+    the bound at ``(1, 0)`` of the sheared domain that it was moved from.
     """
 
     quantity: str
@@ -73,6 +75,7 @@ class Bound:
     direction: Direction | None
     certified: bool
     provenance: str
+    sheared: Bound | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.quantity not in _QUANTITIES:
@@ -174,14 +177,6 @@ class AffineLogMap:
         return float(t2), float(l2)
 
 
-def _adjacent_exact_slopes(profile: RadialProfile, k: int) -> tuple[Fraction, Fraction]:
-    """(slope left, slope right) of breakpoint ``k``, extension-aware."""
-    slopes = profile.exact_slopes()
-    left = slopes[k - 1] if k > 0 else slopes[0]
-    right = slopes[k] if k < len(slopes) else slopes[-1]
-    return left, right
-
-
 def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, AffineLogMap]:
     """Image domain under the shear that moves breakpoint ``k`` to ``(0, 0)``
     and flattens the segment on its left.
@@ -195,7 +190,7 @@ def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, A
         raise ValidationError(f"breakpoint index {k} out of range (profile has {n})")
     t_k = profile.exact_breakpoints[k]
     v_k = profile.exact_values[k]
-    s_left, _ = _adjacent_exact_slopes(profile, k)
+    s_left, _ = profile.adjacent_slopes(k)
     n_left = -s_left
     mp = AffineLogMap(t_shift=-t_k, lam_shift=-v_k, shear=n_left)
     eb = tuple(t - t_k for t in profile.exact_breakpoints)
@@ -258,8 +253,7 @@ def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
     if not profile.is_concave():
         raise ValidationError("profile must be pseudoconvex (nonincreasing slopes)")
     if m is None:
-        s_left, s_right = _adjacent_exact_slopes(profile, k)
-        m = math.floor(s_left - s_right)
+        m = profile.slope_drop(k)
     if m < 1:
         raise ValidationError(
             f"slope drop at breakpoint {k} gives model exponent {m}; need m >= 1"
@@ -357,14 +351,26 @@ def squeezing_lower_inclusion(domain: ReinhardtDomain, p,
 class LevelModel:
     """Exact model data injected by the construction for one breakpoint level.
 
-    ``a_ratio``/``b_ratio`` are the model annulus edges relative to the
-    breakpoint; ``c_constant`` the exact slice constant; ``m`` the slope drop.
+    ``c_constant`` is the exact slice constant, which replaces the float slice
+    bound it agrees with; ``m`` is the slope drop the profile must show.
     """
 
-    a_ratio: Fraction
-    b_ratio: Fraction
     c_constant: Fraction
     m: int
+
+
+def at_breakpoint(sheared: Bound, t: float, mirrored: bool) -> Bound:
+    """``sheared``, a squeezing upper at ``(1, 0)`` of the domain sheared at
+    breakpoint ``t`` (at ``-t`` of a symmetric profile if ``mirrored``), moved
+    to ``(exp(t), 0)`` of the source domain by biholomorphic invariance."""
+    note = "; mirrored by inversion symmetry" if mirrored else ""
+    return replace(
+        sheared,
+        basepoint=PointC2(complex(math.exp(t), 0.0), 0.0 + 0.0j),
+        provenance=(f"biholomorphic invariance under shear at breakpoint t={t!r}"
+                    f"{note}; " + sheared.provenance),
+        sheared=sheared,
+    )
 
 
 def squeezing_upper_at_breakpoint(
@@ -393,11 +399,9 @@ def squeezing_upper_at_breakpoint(
     if not 0 <= k < n:
         raise ValidationError(f"breakpoint index {k} out of range")
     t_k = profile.breakpoints[k]
-    mirrored = False
-    if profile.symmetric and t_k < 0.0:
+    mirrored = profile.symmetric and t_k < 0.0
+    if mirrored:
         k = n - 1 - k
-        mirrored = True
-    basepoint_t = profile.breakpoints[n - 1 - k] if mirrored else profile.breakpoints[k]
 
     image, _mp = shear_normalize(domain, k)
     if model_lo_log is None:
@@ -425,8 +429,7 @@ def squeezing_upper_at_breakpoint(
                 f"slice constant {c_slice.value!r} disagrees with exact model "
                 f"constant {c_exact!r}"
             )
-        m_img = int(math.floor(_adjacent_exact_slopes(profile, k)[0]
-                               - _adjacent_exact_slopes(profile, k)[1]))
+        m_img = profile.slope_drop(k)
         if m_img != exact_model.m:
             raise CertificationError(
                 f"slope drop {m_img} disagrees with exact model m={exact_model.m}"
@@ -439,17 +442,4 @@ def squeezing_upper_at_breakpoint(
     else:
         c_used = c_slice
 
-    s_up = squeezing_upper_quotient(c_used, k_low)
-    note = "; mirrored by inversion symmetry" if mirrored else ""
-    return Bound(
-        quantity="squeezing",
-        side="upper",
-        value=s_up.value,
-        basepoint=PointC2(complex(math.exp(basepoint_t), 0.0), 0.0 + 0.0j),
-        direction=None,
-        certified=s_up.certified,
-        provenance=(
-            f"biholomorphic invariance under shear at breakpoint t={t_k!r}"
-            f"{note}; " + s_up.provenance
-        ),
-    )
+    return at_breakpoint(squeezing_upper_quotient(c_used, k_low), t_k, mirrored)

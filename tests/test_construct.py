@@ -6,6 +6,7 @@ import pytest
 from squeeze import (
     CertificationError,
     ConstructionParams,
+    HarmonicSchedule,
     MarginSchedule,
     ReinhardtDomain,
     ValidationError,
@@ -14,7 +15,8 @@ from squeeze import (
     level_constant,
     verify_model_annulus_inclusion,
 )
-from squeeze.construct import verify_construction
+from squeeze.construct import _model_edges, verify_construction
+from squeeze.metrics import LevelModel, bound_to_record, squeezing_upper_at_breakpoint
 from squeeze.domain import perturb_value
 
 
@@ -81,6 +83,24 @@ class TestBuild:
             assert rec.s_upper.value == rec.s_upper_mirror.value
             assert abs(rec.s_upper_mirror.basepoint.z) == pytest.approx(
                 1.0 / rec.a_k, rel=1e-15)
+
+    @pytest.mark.parametrize("schedule, levels", [
+        (HarmonicSchedule(), 3), (MarginSchedule("0.05"), 2),
+        (MarginSchedule("0.02"), 6), (HarmonicSchedule(), 4)],
+        ids=["p0", "headline", "u0.02-L6", "harmonic-L4"])
+    def test_mirror_rows_equal_the_mirror_index_call(self, schedule, levels):
+        params = ConstructionParams(a="2", levels=levels, schedule=schedule)
+        domain, cert = build(params)
+        radii = params.radii()
+        n = len(domain.profile.breakpoints)
+        for rec in cert.levels:
+            k = rec.k
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            lo, hi = _model_edges(domain.profile, idx, k, levels,
+                                  radii[k - 1] / radii[k], radii[k + 1] / radii[k])
+            mirror = squeezing_upper_at_breakpoint(
+                domain, n - 1 - idx, lo, hi, exact_model=LevelModel(rec.c_k, rec.m_k))
+            assert bound_to_record(rec.s_upper_mirror) == bound_to_record(mirror)
 
     def test_deterministic(self, p0):
         params, _, cert = p0

@@ -280,3 +280,31 @@ def test_perturb_value_is_exact(p0):
     prof2 = perturb_value(domain.profile, 2, 1e-6)
     diff = prof2.exact_values[2] - domain.profile.exact_values[2]
     assert diff == Fraction(1e-6)
+
+
+def _recomputed_slopes(prof):
+    bs, vs = prof.exact_breakpoints, prof.exact_values
+    return tuple((vs[i + 1] - vs[i]) / (bs[i + 1] - bs[i]) for i in range(len(bs) - 1))
+
+
+def test_exact_slope_table_is_built_once(p0):
+    _, domain, cert = p0
+    prof = domain.profile
+    s = prof.exact_slopes()
+    assert prof.exact_slopes() is s
+    assert s == _recomputed_slopes(prof)
+    assert prof.slopes() == tuple(float(x) for x in s)
+    # the end breakpoints take their extension's slope on the outer side
+    assert prof.adjacent_slopes(0) == (s[0], s[0])
+    assert prof.adjacent_slopes(len(s)) == (s[-1], s[-1])
+    n = len(prof.breakpoints)
+    for rec in cert.levels:
+        idx = prof.breakpoints.index(math.log(rec.a_k))
+        assert prof.slope_drop(idx) == prof.slope_drop(n - 1 - idx) == rec.m_k
+    # a perturbed copy gets its own table: the two slopes next to the raised
+    # height change, the others stay
+    copy = perturb_value(prof, 2, 1e-6)
+    s2 = copy.exact_slopes()
+    assert s2 == _recomputed_slopes(copy)
+    assert [i for i in range(len(s)) if s2[i] != s[i]] == [1, 2]
+    assert prof.exact_slopes() is s

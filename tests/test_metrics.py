@@ -20,8 +20,9 @@ from squeeze import (
     squeezing_upper_quotient,
     bidisc_domain,
 )
+from squeeze.construct import _model_edges
 from squeeze.domain import perturb_value
-from squeeze.metrics import Bound
+from squeeze.metrics import Bound, LevelModel
 
 P = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
 XI = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -195,6 +196,18 @@ class TestSqueezingLower:
 
 
 class TestSqueezingUpperAtBreakpoint:
+    def test_exact_model_must_agree(self, p0):
+        params, domain, cert = p0
+        rec = cert.row(1)
+        radii = params.radii()
+        idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+        lo, hi = _model_edges(domain.profile, idx, 1, len(cert.levels),
+                              radii[0] / radii[1], radii[2] / radii[1])
+        for model, message in ((LevelModel(rec.c_k + 1, rec.m_k), "slice constant"),
+                               (LevelModel(rec.c_k, rec.m_k - 1), "slope drop")):
+            with pytest.raises(CertificationError, match=message):
+                squeezing_upper_at_breakpoint(domain, idx, lo, hi, exact_model=model)
+
     def test_p0_values(self, p0):
         _, domain, cert = p0
         t1 = math.log(cert.row(1).a_k)
