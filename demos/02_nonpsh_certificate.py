@@ -49,7 +49,7 @@ print(f"Levi form minimum on the boundary grid: {report.min_value:.3g} "
       f"(tolerance {report.tolerance:.0e}) -> strictly pseudoconvex "
       f"reported: {report.strictly_pseudoconvex_reported}")
 
-smoothed = certify_smoothed(sd, cert)
+smoothed = certify_smoothed(sd, cert.levels, params.margin_guard)
 print("\nsmoothed certificate:")
 for rec in smoothed.levels:
     print(f"  level {rec.k}: S(a_{rec.k}) <= {rec.s_upper.value:.6f}")

@@ -11,8 +11,6 @@ from .domain import (
     boundary_distance_lower,
     domain_from_doc,
     domain_to_doc,
-    is_pseudoconvex,
-    perturb_value,
     annulus_model_domain,
 )
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
@@ -46,19 +44,16 @@ from .smooth import (
     MollifiedProfile,
     SmoothDomain,
     certify_smoothed,
-    levi_on_tangent,
     levi_verify,
     smooth,
 )
 from .estimate import (
     BallModel,
-    CoefficientCheck,
     DiscCandidate,
     FunctionCandidate,
     OracleResult,
     PolydiscModel,
     caratheodory_lower_search,
-    coefficient_bound_check,
     kobayashi_upper_search,
     monomial_disc_oracle,
     reference_metric,

@@ -30,6 +30,7 @@ from .construct import (
     MarginSchedule,
     HarmonicSchedule,
     build,
+    certify_levels,
 )
 from .domain import PointC2, domain_to_doc, fmt
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
@@ -122,7 +123,10 @@ class _RunDir:
         self.lock = self.path / ".lock"
 
     def __enter__(self) -> Path:
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {self.path}: {exc}")
         try:
             self.lock.touch(exist_ok=False)
         except FileExistsError:
@@ -154,12 +158,12 @@ def cmd_build(config: RunConfig) -> int:
 def cmd_certify_smoothed(config: RunConfig) -> int:
     params = config.construction_params()
     with _RunDir(config.out) as out:
-        domain, cert = build(params)
+        domain, levels = certify_levels(params)
         sd = smooth(domain, h=config.smooth_h, eps=config.smooth_eps,
                     kappa=config.smooth_kappa)
         report = levi_verify(sd, grid_points=config.levi_points,
                              tolerance=config.levi_tolerance)
-        smoothed = certify_smoothed(sd, cert,
+        smoothed = certify_smoothed(sd, levels, params.margin_guard,
                                     resolution=config.distance_resolution)
         tgrid = np.linspace(domain.t_min, domain.t_max, 2001)
         rows = [["t", "phi", "phi_tilde"]]
@@ -192,12 +196,12 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
 
 def _estimate_payload(config: RunConfig):
     params = config.construction_params()
-    domain, cert = build(params)
+    domain, levels = certify_levels(params)
     points = []
     sandwich_ok = True
     trace_rows = [["point", "quantity", "restart", "objective", "feasibility_margin"]]
 
-    for rec in cert.levels:
+    for rec in levels:
         t_k = math.log(rec.a_k)
         beta = math.exp(domain.profile.eval(t_k))
         p = PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j)
@@ -304,18 +308,18 @@ def cmd_estimate(config: RunConfig) -> int:
 def cmd_plotdata(config: RunConfig) -> int:
     params = config.construction_params()
     with _RunDir(config.out) as out:
-        domain, cert = build(params)
+        domain, levels = certify_levels(params)
         sd = smooth(domain, h=config.smooth_h, eps=config.smooth_eps,
                     kappa=config.smooth_kappa)
         # profile rows: the level breakpoints plus the center (2K + 1 rows)
-        ts = sorted({math.log(rec.a_k) for rec in cert.levels}
-                    | {-math.log(rec.a_k) for rec in cert.levels} | {0.0})
+        ts = sorted({math.log(rec.a_k) for rec in levels}
+                    | {-math.log(rec.a_k) for rec in levels} | {0.0})
         rows = [["t", "phi", "phi_tilde"]]
         for t in ts:
             rows.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
         _write_csv(out / "profile.csv", rows)
 
-        for rec in cert.levels:
+        for rec in levels:
             t_k = math.log(rec.a_k)
             idx = domain.profile.breakpoints.index(t_k)
             image, _ = shear_normalize(domain, idx)
@@ -325,7 +329,7 @@ def cmd_plotdata(config: RunConfig) -> int:
             _write_csv(out / f"sheared_profile_level{rec.k}.csv", rows)
 
         rows = [["t", "kind", "value"]]
-        for rec in cert.levels:
+        for rec in levels:
             for sign in (1.0, -1.0):
                 rows.append([fmt(sign * math.log(rec.a_k)),
                              "s_upper", fmt(rec.s_upper.value)])
@@ -362,7 +366,10 @@ _COMMANDS = {
 def _load_config(args) -> RunConfig:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+            raise ValidationError(f"cannot read config {args.config}: {exc}")
         validate_doc("run-config", doc)
     cfg = RunConfig.from_doc(doc)
     overrides = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .domain import RadialProfile, ReinhardtDomain, PointC2, fmt
 from .errors import CertificationError, ValidationError
@@ -90,16 +90,15 @@ class MarginSchedule:
 class ConstructionParams:
     """Parameters of the staircase construction.
 
-    ``a_sequence`` may be an explicit sequence of radii, a callable
-    ``k -> a_k``, or None for the default rule ``a_k = a - a 2^{-(k+1)}``
-    (halving gaps; at ``a = 2`` this is ``2 - 2^{-k}``).  ``a_0`` is fixed
-    to 1.  One radius beyond the last level is consumed as the outer model
-    edge of the final level.
+    ``a_sequence`` may be an explicit sequence of radii, or None for the
+    default rule ``a_k = a - a 2^{-(k+1)}`` (halving gaps; at ``a = 2`` this
+    is ``2 - 2^{-k}``).  ``a_0`` is fixed to 1.  One radius beyond the last
+    level is consumed as the outer model edge of the final level.
     """
 
     a: Fraction
     levels: int
-    a_sequence: Sequence | Callable[[int], object] | None = None
+    a_sequence: Sequence | None = None
     schedule: HarmonicSchedule | MarginSchedule = field(default_factory=HarmonicSchedule)
     margin_guard: float = 0.01
     distance_resolution: int = 2048
@@ -120,8 +119,6 @@ class ConstructionParams:
             return Fraction(1)
         if self.a_sequence is None:
             return self.a - self.a * Fraction(1, 2 ** (k + 1))
-        if callable(self.a_sequence):
-            return _to_fraction(self.a_sequence(k))
         seq = self.a_sequence
         if k <= len(seq):
             return _to_fraction(seq[k - 1])
@@ -338,11 +335,11 @@ def _staircase_profile(params: ConstructionParams, exponents: list[int]) -> Radi
     )
 
 
-def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCertificate]:
-    """Run the inductive construction and certify every level.
+def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[LevelRecord, ...]]:
+    """Run the inductive construction and certify every level's circle bounds.
 
     Deterministic: identical parameters produce bit-identical domains and
-    certificates.
+    level records.
     """
     radii = params.radii()
     ks = params.levels
@@ -402,10 +399,16 @@ def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCert
             target=target,
             target_met=met,
         ))
+    return domain, tuple(records)
 
+
+def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCertificate]:
+    """``certify_levels``, then the certified squeezing lower bound at the
+    center ``(1, 0)``, the violation verdict and the sandwich check."""
+    domain, records = certify_levels(params)
     p_center = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
     s_lower = squeezing_lower_inclusion(domain, p_center, params.distance_resolution)
-    cert = assemble_certificate(tuple(records), s_lower, params.margin_guard)
+    cert = assemble_certificate(records, s_lower, params.margin_guard)
     bounds = [rec.s_upper for rec in records] + [rec.s_upper_mirror for rec in records]
     check_sandwich(bounds + [s_lower], context="construction certificate")
     return domain, cert

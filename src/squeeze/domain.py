@@ -19,7 +19,7 @@ segment lying exactly on a model boundary) decidable with no tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -273,25 +273,6 @@ class RadialProfile:
         return all(b <= a for a, b in zip(slopes, slopes[1:]))
 
 
-def perturb_value(profile: RadialProfile, index: int, delta: float) -> RadialProfile:
-    """Copy of ``profile`` with breakpoint height ``index`` raised by ``delta``.
-
-    The perturbation is applied to the exact mirror too, so certified checks
-    see it exactly.  Used by mutation tests and demos.
-    """
-    vals = list(profile.values)
-    exact = list(profile.exact_values)
-    exact[index] = exact[index] + Fraction(delta)
-    vals[index] = float(exact[index])
-    return replace(
-        profile,
-        values=tuple(vals),
-        exact_values=tuple(exact),
-        symmetric=False,
-        pseudoconvex=False,
-    )
-
-
 @dataclass(frozen=True)
 class ReinhardtDomain:
     """Reinhardt domain over a z-annulus, described by a radial profile.
@@ -425,23 +406,6 @@ class ReinhardtDomain:
             )
         return d
 
-    def boundary_distance_brute(self, p, resolution: int) -> float:
-        """Plain sampled distance minimum (test oracle, not certified)."""
-        p = _as_point(p)
-        rz, rw = p.moduli()
-        u = np.linspace(self.inner_radius(), self.outer_radius(), resolution + 1)
-        u = u[u > 0.0]
-        r = np.exp(self.profile.eval_many(np.log(u)))
-        d = float(np.min(np.hypot(u - rz, r - rw)))
-        for edge_t in (self.t_min, self.t_max):
-            if edge_t == _NEG_INF:
-                continue
-            ue = math.exp(edge_t)
-            re = math.exp(self.profile.eval(edge_t))
-            ws = np.linspace(0.0, re, 256)
-            d = min(d, float(np.min(np.hypot(abs(rz - ue), np.abs(ws - rw)))))
-        return d
-
 
 # ------------------------------------------------------------------ module ops
 def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
@@ -454,11 +418,6 @@ def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
 
 def boundary_distance_lower(domain: ReinhardtDomain, p, resolution: int = DEFAULT_GRID) -> float:
     return domain.boundary_distance_lower(p, resolution)
-
-
-def is_pseudoconvex(domain: ReinhardtDomain, strict: bool = False) -> bool:
-    """Nonincreasing-slope predicate (log-concavity of the radius function)."""
-    return domain.profile.is_concave(strict=strict)
 
 
 # ------------------------------------------------------------- model builders

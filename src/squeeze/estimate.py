@@ -116,36 +116,6 @@ class BallModel:
         return z, w
 
 
-class MonomialModel:
-    """The model {|w| < 1, |w| < |z|^-m} (unbounded in z; z = 0 allowed)."""
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValidationError("m must be a positive integer")
-        self.m = int(m)
-
-    def defect(self, z, w):
-        t, lam = _log_moduli(z, w)
-        return np.maximum(lam, lam + self.m * t)
-
-    def polydisc_radii(self, p: PointC2):
-        rz, rw = p.moduli()
-        cap = min(1.0, rz ** (-self.m)) if rz > 0 else 1.0
-        return math.inf, cap - rw
-
-    def has_hole(self) -> bool:
-        return False
-
-    def boundary_samples(self, nt: int = 48, nphase: int = 16):
-        t = np.linspace(-2.0, 2.0, nt)
-        r = np.exp(np.minimum(0.0, -self.m * t))
-        th = np.exp(2j * math.pi * np.arange(nphase) / nphase)
-        ones = np.ones(nphase)
-        z = (np.exp(t)[:, None, None] * th[None, :, None] * ones[None, None, :]).ravel()
-        w = (r[:, None, None] * ones[None, :, None] * th[None, None, :]).ravel()
-        return z, w
-
-
 class PolydiscModel:
     def __init__(self, r_z: float = 1.0, r_w: float = 1.0):
         self.r_z = float(r_z)
@@ -517,55 +487,6 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     if return_trace:
         return bound, candidate, trace
     return bound
-
-
-# -------------------------------------------------------- coefficient checks
-@dataclass(frozen=True)
-class CoefficientCheck:
-    ok: bool
-    violations: tuple[tuple[int, float, float], ...]
-    alias_level: float
-    scaled_coefficients: tuple[float, ...]
-
-
-def coefficient_bound_check(samples: np.ndarray, r: float,
-                            sup_bound: float | None = None,
-                            tol: float = 1e-9,
-                            alias_threshold: float = 1e-8) -> CoefficientCheck:
-    """Cauchy-estimate check |c_j| r^j <= sup|g| + tol from circle samples.
-
-    ``samples`` are values of a holomorphic function on the uniform grid of
-    the circle of radius ``r < 1``.  The DFT recovers ``c_j r^j``; the top
-    (negative-frequency) modes must carry no energy, otherwise the samples
-    alias and the check aborts.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    n = samples.size
-    if n < 8:
-        raise ValidationError("need at least 8 samples")
-    if not 0.0 < r < 1.0:
-        raise ValidationError("sample circle radius must lie in (0, 1)")
-    coeffs = np.fft.fft(samples) / n
-    mags = np.abs(coeffs)
-    scale = float(np.max(mags)) if np.max(mags) > 0 else 1.0
-    # a holomorphic function adequately sampled leaves the whole
-    # negative-frequency band empty
-    alias = float(np.max(mags[n // 2:])) / scale
-    if alias > alias_threshold:
-        raise NumericalError(
-            f"aliasing detected: top-mode energy {alias!r} above threshold"
-        )
-    sup = float(np.max(np.abs(samples))) if sup_bound is None else float(sup_bound)
-    violations = []
-    for j in range(n // 2):
-        if mags[j] > sup + tol:
-            violations.append((j, float(mags[j]), sup + tol))
-    return CoefficientCheck(
-        ok=not violations,
-        violations=tuple(violations),
-        alias_level=alias,
-        scaled_coefficients=tuple(mags[: n // 2].tolist()),
-    )
 
 
 # ------------------------------------------------------------- disc oracle

@@ -203,11 +203,6 @@ class MollifiedProfile:
             out = out - np.sum(drops * bump(diffs / widths) / widths, axis=-1)
         return out
 
-    def sup_gap_bound(self, t_lo: float, t_hi: float) -> float:
-        """max width * max|slope| + eps * max(t^2) on [t_lo, t_hi]."""
-        max_slope = max(abs(s) for s in self.base.slopes())
-        return self.h * max_slope + self.eps * max(t_lo * t_lo, t_hi * t_hi)
-
 
 # target for the tangential Levi floor left uncovered by kernels (an order
 # above the default verification tolerance 1e-7)
@@ -387,42 +382,15 @@ class SmoothDomain:
         slack = 1.0 - self.g(t)
         return np.exp(self.profile.value(t)) * np.sqrt(np.maximum(slack, 0.0))
 
-    # -------------------------------------------------------------- Hessian
-    def hessian_entries(self, t: float, rw: float):
-        """Analytic complex Hessian of rho at the real-positive representative
-        (e^t, rw).  Overflows where exp(-2 phi_tilde) does; use
-        ``levi_face_values`` for whole-face scans.
-        """
-        z = math.exp(t)
-        phi = float(self.profile.value(t))
-        d1 = float(self.profile.deriv1(t))
-        d2 = float(self.profile.deriv2(t))
-        u = math.exp(-2.0 * phi)
-        u1 = -2.0 * d1 * u
-        u2 = (4.0 * d1 * d1 - 2.0 * d2) * u
-        g1 = float(self.g1(t))
-        g2 = float(self.g2(t))
-        w2 = rw * rw
-        rho_z = (u1 * w2 + g1) / (2.0 * z)
-        rho_w = u * rw
-        rho_zz = (u2 * w2 + g2) / (4.0 * z * z)
-        rho_zw = u1 * rw / (2.0 * z)
-        rho_ww = u
-        return rho_z, rho_w, rho_zz, rho_zw, rho_ww
-
-    def levi_face_values(self, t):
-        """Levi form on the complex tangent along the boundary face,
-        cancellation-free:
+    # ------------------------------------------------------------ Levi form
+    def _levi_face(self, t):
+        """``(L, r)`` along the boundary face: the Levi form on the complex
+        tangent, cancellation-free, and the face radius it uses:
 
             L = F (-2 phi'' F^2 + g'' F + g'^2) / ((r A)^2 + 4 e^{2t} F^2)
 
         with F = 1 - g, r the face radius, A = -2 phi' F + g'.
         """
-        return self._levi_face(t)[0]
-
-    def _levi_face(self, t):
-        """(``levi_face_values(t)``, ``face_radius(t)``), the radius computed
-        once for both."""
         t = np.asarray(t, dtype=float)
         f = 1.0 - self.g(t)
         if np.any(f <= 0.0):
@@ -484,26 +452,6 @@ class SmoothDomain:
             )
         return d
 
-    def sample_interior(self, n: int, rng: np.random.Generator):
-        """n random points of {rho < 0} (moduli sampled, phases uniform).
-
-        Where the face radius falls into the subnormal range its logarithm
-        carries almost no precision, so such samples are snapped to the axis
-        (which is inside wherever the caps admit any fiber at all).
-        """
-        lo, hi = self._axis_lo_in, self._axis_hi_in
-        t = rng.uniform(lo, hi, n)
-        frac = rng.uniform(0.0, 1.0, n)
-        r_v = self.face_radius(t)
-        rw = np.where(r_v < 1e-300, 0.0, frac * r_v * (1.0 - 1e-12))
-        if not np.all(self.rho_moduli(np.exp(t), rw) < 0.0):
-            raise NumericalError("interior sampler produced a boundary point")
-        th = rng.uniform(0.0, 2.0 * math.pi, n)
-        ps = rng.uniform(0.0, 2.0 * math.pi, n)
-        z = np.exp(t) * np.exp(1j * th)
-        w = rw * np.exp(1j * ps)
-        return z, w
-
 
 def smooth(domain: ReinhardtDomain, h=None, eps: float = 1e-5,
            kappa: float = 50.0, t_plus: float | None = None,
@@ -515,20 +463,6 @@ def smooth(domain: ReinhardtDomain, h=None, eps: float = 1e-5,
     """
     return SmoothDomain(domain, h=h, eps=eps, kappa=kappa,
                         t_plus=t_plus, t_minus=t_minus)
-
-
-def levi_on_tangent(rho_z, rho_w, rho_zz, rho_zw, rho_ww) -> float:
-    """Levi form of a defining function on the canonical complex tangent
-    ``v = (-rho_w, rho_z)``, normalized to a unit vector."""
-    vz = -rho_w
-    vw = rho_z
-    norm2 = abs(vz) ** 2 + abs(vw) ** 2
-    if norm2 == 0.0:
-        raise ValidationError("vanishing gradient: not a boundary point")
-    raw = (rho_zz * abs(vz) ** 2
-           + 2.0 * (rho_zw * vz * np.conj(vw)).real
-           + rho_ww * abs(vw) ** 2)
-    return float(raw / norm2)
 
 
 def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
@@ -570,10 +504,12 @@ def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
     return report
 
 
-def certify_smoothed(sd: SmoothDomain, base_cert: ConstructionCertificate,
-                     levels: Sequence[int] | None = None,
+def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
+                     margin_guard: float,
                      resolution: int = 2048) -> ConstructionCertificate:
-    """Recompute the level certificates directly on the smoothed domain.
+    """Recompute the level certificates of ``base_levels`` (the rows
+    ``construct.certify_levels`` returns for the base domain) directly on
+    the smoothed domain, and assemble their verdict against ``margin_guard``.
 
     Carathéodory uppers: slice bound at ``(a_k, 0)`` in the pulled-back shear
     direction ``(a_k, e^{phi(t_k)})``; the vertical radius shrinks by the
@@ -590,20 +526,17 @@ def certify_smoothed(sd: SmoothDomain, base_cert: ConstructionCertificate,
             "smoothed certification mirrors by inversion symmetry and needs the "
             "symmetric setup"
         )
-    if levels is None:
-        levels = [rec.k for rec in base_cert.levels]
     lo_ax, hi_ax = sd.axis_log_range()
     records: list[LevelRecord] = []
-    for k in levels:
-        rec = base_cert.row(k)
+    for rec in base_levels:
         t_k = math.log(rec.a_k)
         try:
             idx = base.profile.breakpoints.index(t_k)
         except ValueError:
-            raise ValidationError(f"level {k}: breakpoint t={t_k!r} not in the base profile")
+            raise ValidationError(f"level {rec.k}: breakpoint t={t_k!r} not in the base profile")
         if not sd.contains(PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j)):
             raise ValidationError(
-                f"level {k}: basepoint ({rec.a_k}, 0) left the smoothed domain"
+                f"level {rec.k}: basepoint ({rec.a_k}, 0) left the smoothed domain"
             )
         # exact re-verification of the base shear containment backing the
         # Kobayashi transfer
@@ -617,12 +550,12 @@ def certify_smoothed(sd: SmoothDomain, base_cert: ConstructionCertificate,
         r_h = min(rec.a_k - lo_edge, hi_edge - rec.a_k)
         if not r_h > 0.0:
             raise CertificationError(
-                f"level {k}: smoothed horizontal radius degenerate (caps too stiff)"
+                f"level {rec.k}: smoothed horizontal radius degenerate (caps too stiff)"
             )
         c_smooth = rec.a_k / r_h + vertical_term
         s_val = min(1.0, c_smooth * math.sqrt(2.0 / rec.m_k))
         prov = (
-            f"smoothed slice bound at (a_{k}, 0): C <= {c_smooth!r} "
+            f"smoothed slice bound at (a_{rec.k}, 0): C <= {c_smooth!r} "
             f"(r_h={r_h!r}, vertical factor={vertical_term!r}, gap={gap!r}); "
             f"Kobayashi lower sqrt({rec.m_k}/2) transfers by inclusion in the "
             f"base domain; [base K] {k_low.provenance}"
@@ -650,8 +583,7 @@ def certify_smoothed(sd: SmoothDomain, base_cert: ConstructionCertificate,
             f"(grid {resolution}), outer radius <= {r!r} (base circumscribed box)"
         ),
     )
-    cert = assemble_certificate(tuple(records), s_lower,
-                                base_cert.margin_guard, smoothed=True)
+    cert = assemble_certificate(tuple(records), s_lower, margin_guard, smoothed=True)
     bounds = [r_.s_upper for r_ in records] + [r_.s_upper_mirror for r_ in records]
     check_sandwich(bounds + [s_lower], context="smoothed certificate")
     return cert

@@ -31,7 +31,7 @@ def headline_smoothed(headline):
     _params, domain, cert = headline
     sd = smooth(domain)
     report = levi_verify(sd)
-    smoothed = certify_smoothed(sd, cert)
+    smoothed = certify_smoothed(sd, cert.levels, cert.margin_guard)
     return sd, report, smoothed
 
 

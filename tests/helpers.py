@@ -2,13 +2,15 @@
 
 import functools
 import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
-from squeeze.domain import as_float
-from squeeze.estimate import _int_power
+from squeeze.domain import PointC2, RadialProfile, _as_point, as_float
+from squeeze.estimate import _int_power, _log_moduli
 from squeeze.smooth import bump, bump_cdf, bump_first_moment
 
 # (margin u, levels) of the margin-schedule staircases the benchmark builds
@@ -43,7 +45,7 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
         if kinks.size and np.any(np.abs(t - kinks) < 5.0 * widths):
             continue
         rw = float(sd.face_radius(t))
-        rho_z, rho_w, rho_zz, rho_zw, rho_ww = sd.hessian_entries(t, rw)
+        rho_z, rho_w, rho_zz, rho_zw, rho_ww = hessian_entries(sd, t, rw)
         z0 = math.exp(t)
         slope = abs(float(sd.profile.deriv1(t)))
         delta = np.longdouble(min(1e-5, 3e-4 / max(1.0, slope)))
@@ -172,3 +174,182 @@ def dense_deriv2(prof, t):
         out = out - np.sum(prof.drops * bump(diffs / prof.widths) / prof.widths,
                            axis=-1)
     return out
+
+
+def perturb_value(profile: RadialProfile, index: int, delta: float) -> RadialProfile:
+    """Copy of ``profile`` with breakpoint height ``index`` raised by ``delta``.
+
+    The perturbation is applied to the exact mirror too, so certified checks
+    see it exactly.  Used by the mutation tests.
+    """
+    vals = list(profile.values)
+    exact = list(profile.exact_values)
+    exact[index] = exact[index] + Fraction(delta)
+    vals[index] = float(exact[index])
+    return replace(
+        profile,
+        values=tuple(vals),
+        exact_values=tuple(exact),
+        symmetric=False,
+        pseudoconvex=False,
+    )
+
+
+def boundary_distance_brute(domain, p, resolution: int) -> float:
+    """Plain sampled distance minimum (test oracle, not certified)."""
+    p = _as_point(p)
+    rz, rw = p.moduli()
+    u = np.linspace(domain.inner_radius(), domain.outer_radius(), resolution + 1)
+    u = u[u > 0.0]
+    r = np.exp(domain.profile.eval_many(np.log(u)))
+    d = float(np.min(np.hypot(u - rz, r - rw)))
+    for edge_t in (domain.t_min, domain.t_max):
+        if edge_t == -math.inf:
+            continue
+        ue = math.exp(edge_t)
+        re = math.exp(domain.profile.eval(edge_t))
+        ws = np.linspace(0.0, re, 256)
+        d = min(d, float(np.min(np.hypot(abs(rz - ue), np.abs(ws - rw)))))
+    return d
+
+
+def sup_gap_bound(prof, t_lo: float, t_hi: float) -> float:
+    """max width * max|slope| + eps * max(t^2) on [t_lo, t_hi]."""
+    max_slope = max(abs(s) for s in prof.base.slopes())
+    return prof.h * max_slope + prof.eps * max(t_lo * t_lo, t_hi * t_hi)
+
+
+def hessian_entries(sd, t: float, rw: float):
+    """Analytic complex Hessian of rho at the real-positive representative
+    (e^t, rw).  Overflows where exp(-2 phi_tilde) does; the closed-form face
+    formula ``SmoothDomain._levi_face`` scans whole faces.
+    """
+    z = math.exp(t)
+    phi = float(sd.profile.value(t))
+    d1 = float(sd.profile.deriv1(t))
+    d2 = float(sd.profile.deriv2(t))
+    u = math.exp(-2.0 * phi)
+    u1 = -2.0 * d1 * u
+    u2 = (4.0 * d1 * d1 - 2.0 * d2) * u
+    g1 = float(sd.g1(t))
+    g2 = float(sd.g2(t))
+    w2 = rw * rw
+    rho_z = (u1 * w2 + g1) / (2.0 * z)
+    rho_w = u * rw
+    rho_zz = (u2 * w2 + g2) / (4.0 * z * z)
+    rho_zw = u1 * rw / (2.0 * z)
+    rho_ww = u
+    return rho_z, rho_w, rho_zz, rho_zw, rho_ww
+
+
+def levi_on_tangent(rho_z, rho_w, rho_zz, rho_zw, rho_ww) -> float:
+    """Levi form of a defining function on the canonical complex tangent
+    ``v = (-rho_w, rho_z)``, normalized to a unit vector."""
+    vz = -rho_w
+    vw = rho_z
+    norm2 = abs(vz) ** 2 + abs(vw) ** 2
+    if norm2 == 0.0:
+        raise ValidationError("vanishing gradient: not a boundary point")
+    raw = (rho_zz * abs(vz) ** 2
+           + 2.0 * (rho_zw * vz * np.conj(vw)).real
+           + rho_ww * abs(vw) ** 2)
+    return float(raw / norm2)
+
+
+def sample_interior(sd, n: int, rng: np.random.Generator):
+    """n random points of {rho < 0} (moduli sampled, phases uniform).
+
+    Where the face radius falls into the subnormal range its logarithm
+    carries almost no precision, so such samples are snapped to the axis
+    (which is inside wherever the caps admit any fiber at all).
+    """
+    lo, hi = sd.axis_log_range()
+    t = rng.uniform(lo, hi, n)
+    frac = rng.uniform(0.0, 1.0, n)
+    r_v = sd.face_radius(t)
+    rw = np.where(r_v < 1e-300, 0.0, frac * r_v * (1.0 - 1e-12))
+    if not np.all(sd.rho_moduli(np.exp(t), rw) < 0.0):
+        raise NumericalError("interior sampler produced a boundary point")
+    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    ps = rng.uniform(0.0, 2.0 * math.pi, n)
+    z = np.exp(t) * np.exp(1j * th)
+    w = rw * np.exp(1j * ps)
+    return z, w
+
+
+class MonomialModel:
+    """The model {|w| < 1, |w| < |z|^-m} (unbounded in z; z = 0 allowed)."""
+
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValidationError("m must be a positive integer")
+        self.m = int(m)
+
+    def defect(self, z, w):
+        t, lam = _log_moduli(z, w)
+        return np.maximum(lam, lam + self.m * t)
+
+    def polydisc_radii(self, p: PointC2):
+        rz, rw = p.moduli()
+        cap = min(1.0, rz ** (-self.m)) if rz > 0 else 1.0
+        return math.inf, cap - rw
+
+    def has_hole(self) -> bool:
+        return False
+
+    def boundary_samples(self, nt: int = 48, nphase: int = 16):
+        t = np.linspace(-2.0, 2.0, nt)
+        r = np.exp(np.minimum(0.0, -self.m * t))
+        th = np.exp(2j * math.pi * np.arange(nphase) / nphase)
+        ones = np.ones(nphase)
+        z = (np.exp(t)[:, None, None] * th[None, :, None] * ones[None, None, :]).ravel()
+        w = (r[:, None, None] * ones[None, :, None] * th[None, None, :]).ravel()
+        return z, w
+
+
+@dataclass(frozen=True)
+class CoefficientCheck:
+    ok: bool
+    violations: tuple[tuple[int, float, float], ...]
+    alias_level: float
+    scaled_coefficients: tuple[float, ...]
+
+
+def coefficient_bound_check(samples: np.ndarray, r: float,
+                            sup_bound: float | None = None,
+                            tol: float = 1e-9,
+                            alias_threshold: float = 1e-8) -> CoefficientCheck:
+    """Cauchy-estimate check |c_j| r^j <= sup|g| + tol from circle samples.
+
+    ``samples`` are values of a holomorphic function on the uniform grid of
+    the circle of radius ``r < 1``.  The DFT recovers ``c_j r^j``; the top
+    (negative-frequency) modes must carry no energy, otherwise the samples
+    alias and the check aborts.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.size
+    if n < 8:
+        raise ValidationError("need at least 8 samples")
+    if not 0.0 < r < 1.0:
+        raise ValidationError("sample circle radius must lie in (0, 1)")
+    coeffs = np.fft.fft(samples) / n
+    mags = np.abs(coeffs)
+    scale = float(np.max(mags)) if np.max(mags) > 0 else 1.0
+    # a holomorphic function adequately sampled leaves the whole
+    # negative-frequency band empty
+    alias = float(np.max(mags[n // 2:])) / scale
+    if alias > alias_threshold:
+        raise NumericalError(
+            f"aliasing detected: top-mode energy {alias!r} above threshold"
+        )
+    sup = float(np.max(np.abs(samples))) if sup_bound is None else float(sup_bound)
+    violations = []
+    for j in range(n // 2):
+        if mags[j] > sup + tol:
+            violations.append((j, float(mags[j]), sup + tol))
+    return CoefficientCheck(
+        ok=not violations,
+        violations=tuple(violations),
+        alias_level=alias,
+        scaled_coefficients=tuple(mags[: n // 2].tolist()),
+    )

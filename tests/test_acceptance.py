@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import fd_hessian_mismatch
+from helpers import fd_hessian_mismatch, perturb_value, sample_interior
 from squeeze import (
     CertificationError,
     ConstructionParams,
@@ -23,7 +23,7 @@ from squeeze import (
 )
 from squeeze.cli import EXIT_OK, RunConfig, cmd_certify_smoothed, main
 from squeeze.construct import verify_construction
-from squeeze.domain import PointC2, perturb_value
+from squeeze.domain import PointC2
 from squeeze.estimate import (BallModel, PolydiscModel,
                               caratheodory_lower_search,
                               kobayashi_upper_search)
@@ -206,7 +206,7 @@ def test_criterion_7_inner_approximation(headline, headline_smoothed):
 
     # 10^5 random interior samples of {rho < 0} all satisfy membership
     rng = np.random.default_rng(20240501)
-    z, w = sd.sample_interior(100_000, rng)
+    z, w = sample_interior(sd, 100_000, rng)
     inside = np.fromiter(
         (domain.contains((zz, ww)) for zz, ww in zip(z, w)),
         dtype=bool, count=len(z))

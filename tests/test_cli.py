@@ -3,6 +3,9 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
+from squeeze import CertificationError
 from squeeze.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -52,6 +55,18 @@ class TestBuild:
                      _write_config(tmp_path, {"bogus": 1})])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args", [
+        ["--config", "{tmp}/bad.json", "--out", "{tmp}/r"],
+        ["--config", "{tmp}/missing.json", "--out", "{tmp}/r"],
+        ["--out", "{tmp}/bad.json"],
+    ], ids=["malformed-json", "missing-config", "out-names-a-file"])
+    def test_unusable_config_or_out_exit2(self, tmp_path, capsys, args):
+        (tmp_path / "bad.json").write_text('{"levels": 2,')
+        code = main(["build"] + [a.format(tmp=tmp_path) for a in args])
+        assert code == EXIT_CONFIG
+        assert any(line.startswith("error: ")
+                   for line in capsys.readouterr().err.splitlines())
+
 
 def _write_config(tmp_path, doc):
     p = tmp_path / "config.json"
@@ -97,6 +112,17 @@ class TestCertifySmoothed:
         lines.update({f"sheared_profile_level{k}.csv": 11 for k in range(1, 5)})
         for name, n in lines.items():
             assert len(read_csv(tmp_path / "p" / name)) == n
+
+
+def test_only_build_computes_the_base_center_bound(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise CertificationError("base center bound requested")
+
+    monkeypatch.setattr("squeeze.construct.squeezing_lower_inclusion", refuse)
+    assert cmd_certify_smoothed(RunConfig(out=str(tmp_path / "s"), **HEADLINE)) == EXIT_OK
+    assert cmd_plotdata(RunConfig(out=str(tmp_path / "p"), **HEADLINE)) == EXIT_OK
+    assert main(["build", "--levels", "2", "--margin", "0.05",
+                 "--out", str(tmp_path / "b")]) == EXIT_CERTIFICATION
 
 
 class TestPlotData:

@@ -17,7 +17,8 @@ from squeeze import (
 )
 from squeeze.construct import _model_edges, verify_construction
 from squeeze.metrics import LevelModel, bound_to_record, squeezing_upper_at_breakpoint
-from squeeze.domain import perturb_value
+
+from helpers import perturb_value
 
 
 class TestLevelConstant:

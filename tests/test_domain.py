@@ -13,12 +13,11 @@ from squeeze import (
     ValidationError,
     CertificationError,
     bidisc_domain,
-    is_pseudoconvex,
     annulus_model_domain,
 )
-from squeeze.domain import domain_from_doc, domain_to_doc, perturb_value
+from squeeze.domain import domain_from_doc, domain_to_doc
 
-from helpers import STAIRCASES, staircase
+from helpers import STAIRCASES, boundary_distance_brute, perturb_value, staircase
 
 
 def test_profile_eval_flat_region(p0):
@@ -127,7 +126,7 @@ def test_boundary_distance_bidisc_center():
 def test_boundary_distance_below_brute_force(p0):
     _, domain, _ = p0
     d_cert = domain.boundary_distance_lower((1.0, 0.0), resolution=2048)
-    d_brute = domain.boundary_distance_brute((1.0, 0.0), 10 * 2048)
+    d_brute = boundary_distance_brute(domain, (1.0, 0.0), 10 * 2048)
     assert 0.0 < d_cert <= d_brute
 
 
@@ -172,20 +171,20 @@ def test_outer_radius_dominates_samples(p0):
 
 def test_is_pseudoconvex(p0):
     _, domain, _ = p0
-    assert is_pseudoconvex(domain)
-    assert is_pseudoconvex(domain, strict=True)
+    assert domain.profile.is_concave()
+    assert domain.profile.is_concave(strict=True)
 
 
 def test_is_pseudoconvex_convex_corner():
     prof = RadialProfile((-1.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     d = ReinhardtDomain(prof, -2.0, 2.0)
-    assert not is_pseudoconvex(d)
+    assert not d.profile.is_concave()
 
 
 def test_is_pseudoconvex_single_segment():
     d = ReinhardtDomain(RadialProfile((-1.0, 1.0), (0.0, 0.0)), -2.0, 2.0)
-    assert is_pseudoconvex(d)
-    assert is_pseudoconvex(d, strict=True)
+    assert d.profile.is_concave()
+    assert d.profile.is_concave(strict=True)
 
 
 def test_logpoint_roundtrip():

@@ -10,15 +10,14 @@ from squeeze import (
     ValidationError,
     caratheodory_lower_search,
     caratheodory_upper_slices,
-    coefficient_bound_check,
     kobayashi_upper_search,
     monomial_disc_oracle,
     annulus_model_domain,
     reference_metric,
 )
-from squeeze.estimate import BallModel, MonomialModel, PolydiscModel
+from squeeze.estimate import BallModel, PolydiscModel
 
-from helpers import unpruned_disc_oracle
+from helpers import MonomialModel, coefficient_bound_check, unpruned_disc_oracle
 
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)

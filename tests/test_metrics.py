@@ -21,8 +21,9 @@ from squeeze import (
     bidisc_domain,
 )
 from squeeze.construct import _model_edges
-from squeeze.domain import perturb_value
 from squeeze.metrics import Bound, LevelModel
+
+from helpers import perturb_value
 
 P = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
 XI = Direction(1.0 + 0.0j, 1.0 + 0.0j)

@@ -46,6 +46,8 @@ def domain_of(profile: RadialProfile) -> ReinhardtDomain:
 @settings(max_examples=150, deadline=None)
 # on the outer end cap: rotation moves |z| one ulp inside the annulus
 @example(RadialProfile((-0.5, -0.03125), (0.0, 0.0)), 3.0, 0.0, 0.46875, -1.0)
+# on the profile surface: rotation moves |w| one ulp inside
+@example(RadialProfile((-1.0, 0.0), (0.0, 0.0)), 0.0, 0.9999999999999999, 0.0, 0.0)
 def test_rotation_invariance_of_membership(profile, th, ps, t, lam):
     d = domain_of(profile)
     z = math.exp(t)
@@ -53,14 +55,16 @@ def test_rotation_invariance_of_membership(profile, th, ps, t, lam):
     base = d.contains((z, w))
     rotated = d.contains((z * complex(math.cos(th), math.sin(th)),
                           w * complex(math.cos(ps), math.sin(ps))))
-    # |z e^{i th}| can differ from |z| in the last ulp; retreat from the
-    # boundary cases (profile surface and both annulus end caps) by
-    # requiring a safely signed margin
+    # |z e^{i th}| and |w e^{i ps}| can differ from |z| and |w| in the last
+    # ulp; in the boundary cases (profile surface and both annulus end caps)
+    # the rotated point is compared with the real point of its own moduli
     zr = abs(z * complex(math.cos(th), math.sin(th)))
+    wr = abs(w * complex(math.cos(ps), math.sin(ps)))
     tz = math.log(z)
     on_boundary = (abs(d.profile.eval(tz) - lam) < 1e-12
                    or min(abs(tz - d.t_min), abs(tz - d.t_max)) < 1e-12)
-    if abs(zr - z) > 0.0 and on_boundary:
+    if (zr != z or wr != w) and on_boundary:
+        assert rotated == d.contains((zr, wr))
         return
     assert base == rotated
 

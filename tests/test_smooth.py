@@ -10,7 +10,6 @@ from squeeze import (
     ValidationError,
     build,
     certify_smoothed,
-    levi_on_tangent,
     levi_verify,
     smooth,
 )
@@ -22,7 +21,8 @@ from squeeze.smooth import (
     default_widths,
 )
 
-from helpers import STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, staircase
+from helpers import (STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, hessian_entries,
+                     levi_on_tangent, sample_interior, staircase, sup_gap_bound)
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -106,7 +106,7 @@ class TestMollifiedProfile:
         t = np.linspace(domain.t_min, domain.t_max, 4001)
         gap = sd.profile.gap(t)
         assert np.all(gap >= 0.0)
-        bound = sd.profile.sup_gap_bound(domain.t_min, domain.t_max)
+        bound = sup_gap_bound(sd.profile, domain.t_min, domain.t_max)
         assert np.max(gap) <= bound + 1e-12
 
     def test_strict_concavity_second_differences(self, headline):
@@ -208,7 +208,7 @@ class TestDefiningFunction:
         _, domain, _ = headline
         sd, _, _ = headline_smoothed
         rng = np.random.default_rng(11)
-        z, w = sd.sample_interior(20000, rng)
+        z, w = sample_interior(sd, 20000, rng)
         assert all(domain.contains((zz, ww)) for zz, ww in zip(z, w))
 
     def test_face_radius_solves_rho(self, headline_smoothed):
@@ -250,6 +250,26 @@ class TestLevi:
         assert rep.min_value > 1e-7
         assert rep.strictly_pseudoconvex_reported
 
+    def test_face_formula_matches_hessian_reference(self, headline, headline_smoothed):
+        # the closed-form face values against the Levi form of the analytic
+        # Hessian on the tangent; the reference loses digits just past the
+        # kinks, where exp(-2 phi_tilde) is large and its terms cancel
+        _, _, cert = headline
+        sd, _, _ = headline_smoothed
+        lo, hi = sd.axis_log_range()
+        t = np.linspace(lo, hi, 4001)
+        t = t[sd.profile.value(t) > -150.0]
+        face, r = sd._levi_face(t)
+        ref = np.array([levi_on_tangent(*hessian_entries(sd, float(ti), float(ri)))
+                        for ti, ri in zip(t, r)])
+        rel = np.abs(face - ref) / np.abs(ref)
+        t_1 = math.log(cert.row(1).a_k)
+        h_1 = float(sd.profile.widths[sd.profile.kinks == t_1][0])
+        flat = np.abs(t) < t_1 - 5.0 * h_1
+        assert flat.sum() > 1000
+        assert np.max(rel[flat]) <= 1e-12
+        assert np.max(rel) <= 1e-2
+
     def test_analytic_matches_fd(self, headline_smoothed):
         from helpers import fd_hessian_mismatch
 
@@ -290,7 +310,7 @@ class TestCertifySmoothed:
         for h, eps, kappa in ((1e-4, 1e-5, 50.0), (1e-6, 1e-7, 200.0),
                               (1e-8, 1e-9, 800.0)):
             sd = smooth(domain, h=h, eps=eps, kappa=kappa)
-            sc = certify_smoothed(sd, cert)
+            sc = certify_smoothed(sd, cert.levels, cert.margin_guard)
             err = max(abs(rec.s_upper.value - base_vals[rec.k]) / base_vals[rec.k]
                       for rec in sc.levels)
             assert err < prev_err or err < 1e-6
