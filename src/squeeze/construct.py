@@ -194,12 +194,6 @@ class ConstructionCertificate:
     margin_guard: float
     smoothed: bool = False
 
-    def row(self, k: int) -> LevelRecord:
-        for rec in self.levels:
-            if rec.k == k:
-                return rec
-        raise KeyError(f"no level {k} in certificate")
-
     def to_doc(self) -> dict:
         return {
             "schema": "construction-certificate/1",

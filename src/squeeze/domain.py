@@ -78,12 +78,6 @@ class LogPoint:
         lam = math.log(rw) if rw > 0.0 else _NEG_INF
         return cls(t, lam)
 
-    def to_point(self) -> PointC2:
-        """Representative point with both phases zero."""
-        rz = math.exp(self.t) if self.t != _NEG_INF else 0.0
-        rw = math.exp(self.lam) if self.lam != _NEG_INF else 0.0
-        return PointC2(complex(rz, 0.0), complex(rw, 0.0))
-
 
 def _as_point(p) -> PointC2:
     if isinstance(p, PointC2):

@@ -193,10 +193,6 @@ class DiscCandidate:
                              np.asarray(self.tails_w, dtype=complex)])
         return cz, cw
 
-    def evaluate(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cz, cw = self.coefficients()
-        return _polyval(cz, zeta), _polyval(cw, zeta)
-
     def alpha(self) -> float:
         if self.tau <= 0.0:
             raise ValidationError("degenerate disc")
@@ -213,9 +209,15 @@ def _polyval(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------- shared local search
 def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
                      iters: int, step0: float = 0.25):
-    """Seeded coordinate search with multiplicative step adaptation."""
+    """Seeded coordinate search with multiplicative step adaptation.
+
+    A proposal is kept only if it scores above the incumbent, so
+    ``objective(x, bar)`` gets the incumbent as ``bar`` and may return any
+    value ``<= bar`` for a proposal that does not beat it; a value above
+    ``bar`` must be exact.  The start point is scored with ``bar = -inf``.
+    """
     x = x0.copy()
-    f = objective(x)
+    f = objective(x, -math.inf)
     step = step0
     for _ in range(iters):
         if x.size == 0:
@@ -223,7 +225,7 @@ def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
         i = int(rng.integers(x.size))
         xp = x.copy()
         xp[i] += step * rng.standard_normal()
-        fp = objective(xp)
+        fp = objective(xp, f)
         if fp > f:
             x, f = xp, fp
             step = min(step * 1.4, 10.0)
@@ -233,6 +235,46 @@ def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
 
 
 # ------------------------------------------------------ Kobayashi upper search
+_TAU_START = 1e-6  # first rung of the disc-scale ladder
+
+
+def _largest_feasible_tau(infeasible_at, bar: float) -> float:
+    """The disc-scale ladder: 0.0 if ``infeasible_at(1e-6)``, else double
+    from 1e-6 up to the first infeasible scale (at most 80 times), bisect
+    that bracket 40 times and return its feasible end.
+
+    Only a result above ``bar`` matters to the caller.  For ``bar > 1e-6``
+    the scale ``bar`` is tested first, and 0.0 is returned if it is
+    infeasible.  Otherwise 1e-6 is tested as always, and each later rung
+    ``<= bar`` counts as feasible without a test: if the feasible scales form
+    an interval, it holds both 1e-6 and ``bar`` and so every scale between.
+    Under that assumption the result equals the full ladder's bit for bit
+    whenever either is above ``bar``, and is ``<= bar`` exactly when the
+    full ladder's is.
+    """
+    if bar > _TAU_START and infeasible_at(bar):
+        return 0.0
+    tau = _TAU_START
+    if infeasible_at(tau):
+        return 0.0
+
+    def fails(t: float) -> bool:
+        return t > bar and infeasible_at(t)
+
+    for _ in range(80):
+        if fails(2.0 * tau):
+            break
+        tau *= 2.0
+    lo, hi = tau, 2.0 * tau
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
                            budget: int = 150, seed: int = 0,
                            samples: int = 2048, restarts: int = 4,
@@ -242,6 +284,16 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     Feasibility of a disc is enforced as ``defect <= -margin`` on ``samples``
     boundary points of the unit circle; the returned disc additionally passes
     a 10x finer sampling (the scale backs off until it does).
+
+    Each proposal of the search is first tested at the incumbent scale and
+    rejected with one sampled check if it is infeasible there; a proposal
+    feasible there skips the ladder rungs below it
+    (``_largest_feasible_tau``).  The sampled constraints are convex in the
+    scale on ``BallModel`` and ``PolydiscModel``, whose feasible scales are
+    therefore an interval, so there the search keeps and returns exactly what
+    the full ladder on every proposal would.  On a profile domain the
+    feasible scales along a disc's ray are assumed, not proven, to be an
+    interval.
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
@@ -256,30 +308,25 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         c = x.view(complex) if x.size else np.zeros(0, dtype=complex)
         return c[:n_tail], c[n_tail:]
 
+    counts = [0, 0, 0]  # objective calls, proposals rejected at the bar, defect calls
+
     def max_defect(tz_val, tw_val, tau):
         z = p.z + tau * xi.xi_z * zeta + tz_val
         w = p.w + tau * xi.xi_w * zeta + tw_val
+        counts[2] += 1
         return float(np.max(adapter.defect(z, w)))
 
-    def feasible_tau(x: np.ndarray) -> float:
+    def feasible_tau(x: np.ndarray, bar: float) -> float:
         tz, tw = tail_arrays(x)
         tz_val = _polyval(np.concatenate([[0.0, 0.0], tz]), zeta) if n_tail else 0.0
         tw_val = _polyval(np.concatenate([[0.0, 0.0], tw]), zeta) if n_tail else 0.0
-        tau = 1e-6
-        if max_defect(tz_val, tw_val, tau) > -margin:
-            return 0.0
-        for _ in range(80):
-            if max_defect(tz_val, tw_val, 2.0 * tau) > -margin:
-                break
-            tau *= 2.0
-        lo, hi = tau, 2.0 * tau
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if max_defect(tz_val, tw_val, mid) > -margin:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        before = counts[2]
+        tau = _largest_feasible_tau(
+            lambda t: max_defect(tz_val, tw_val, t) > -margin, bar)
+        counts[0] += 1
+        if bar > _TAU_START and counts[2] - before == 1:
+            counts[1] += 1  # one check: the test at the bar failed
+        return tau
 
     best_tau = 0.0
     best_x = np.zeros(4 * n_tail)
@@ -317,12 +364,15 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         z = p.z + best_tau * xi.xi_z * zeta_fine + _polyval(cz_t, zeta_fine)
         w = p.w + best_tau * xi.xi_w * zeta_fine + _polyval(cw_t, zeta_fine)
         fine_defect = float(np.max(adapter.defect(z, w)))
+        counts[2] += 1
         if fine_defect <= -0.5 * margin:
             break
         best_tau *= 0.999
     else:
         raise NumericalError("could not stabilize the returned disc on the fine grid")
 
+    log.debug("disc search: %d objective calls, %d proposals rejected at the bar, "
+              "%d defect calls", *counts)
     value = 1.0 / best_tau
     bound = Bound(
         quantity="kobayashi", side="upper", value=value, basepoint=p, direction=xi,
@@ -428,7 +478,7 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     b = b - _monomial_at(indices, p)[None, :]
     d = _monomial_grad(indices, p, xi)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray, _bar: float = -math.inf) -> float:
         c = x.view(complex)
         sup = float(np.max(np.abs(b @ c)))
         if sup <= 0.0:

@@ -165,17 +165,6 @@ class AffineLogMap:
     lam_shift: Fraction
     shear: Fraction
 
-    def apply_exact(self, t: Fraction, lam: Fraction) -> tuple[Fraction, Fraction]:
-        t2 = t + self.t_shift
-        return t2, lam + self.lam_shift + self.shear * t2
-
-    def invert_exact(self, t2: Fraction, lam2: Fraction) -> tuple[Fraction, Fraction]:
-        return t2 - self.t_shift, lam2 - self.lam_shift - self.shear * t2
-
-    def apply(self, t: float, lam: float) -> tuple[float, float]:
-        t2, l2 = self.apply_exact(Fraction(t), Fraction(lam))
-        return float(t2), float(l2)
-
 
 def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, AffineLogMap]:
     """Image domain under the shear that moves breakpoint ``k`` to ``(0, 0)``

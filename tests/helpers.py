@@ -9,8 +9,11 @@ import numpy as np
 
 from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
-from squeeze.domain import PointC2, RadialProfile, _as_point, as_float
-from squeeze.estimate import _int_power, _log_moduli
+from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
+                            _as_point, as_float)
+from squeeze.estimate import (DiscCandidate, _as_adapter, _int_power, _log_moduli,
+                              _polyval)
+from squeeze.metrics import Bound, Direction
 from squeeze.smooth import bump, bump_cdf, bump_first_moment
 
 # (margin u, levels) of the margin-schedule staircases the benchmark builds
@@ -135,6 +138,153 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
         ci += 1
 
     return 1.0 / best_tau, count
+
+
+def unpruned_adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
+                             iters: int, step0: float = 0.25):
+    """Seeded coordinate search with multiplicative step adaptation."""
+    x = x0.copy()
+    f = objective(x)
+    step = step0
+    for _ in range(iters):
+        if x.size == 0:
+            break
+        i = int(rng.integers(x.size))
+        xp = x.copy()
+        xp[i] += step * rng.standard_normal()
+        fp = objective(xp)
+        if fp > f:
+            x, f = xp, fp
+            step = min(step * 1.4, 10.0)
+        else:
+            step = max(step * 0.7, 1e-6)
+    return x, f
+
+
+def unpruned_largest_feasible_tau(infeasible_at) -> float:
+    """The disc-scale ladder with every rung tested: the reference for
+    ``estimate._largest_feasible_tau``."""
+    tau = 1e-6
+    if infeasible_at(tau):
+        return 0.0
+    for _ in range(80):
+        if infeasible_at(2.0 * tau):
+            break
+        tau *= 2.0
+    lo, hi = tau, 2.0 * tau
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if infeasible_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
+                                    budget: int = 150, seed: int = 0,
+                                    samples: int = 2048, restarts: int = 4,
+                                    margin: float = 1e-6, return_trace: bool = False):
+    """``kobayashi_upper_search`` running the full ladder on every proposal;
+    the pruned search must agree bit for bit."""
+    adapter = _as_adapter(domain)
+    p = _as_point(p)
+    if isinstance(domain, ReinhardtDomain) and not domain.contains(p):
+        raise ValidationError("basepoint must lie in the domain")
+    if degree < 1:
+        raise ValidationError("degree must be at least 1")
+    zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
+    n_tail = max(degree - 1, 0)
+
+    def tail_arrays(x: np.ndarray):
+        c = x.view(complex) if x.size else np.zeros(0, dtype=complex)
+        return c[:n_tail], c[n_tail:]
+
+    def max_defect(tz_val, tw_val, tau):
+        z = p.z + tau * xi.xi_z * zeta + tz_val
+        w = p.w + tau * xi.xi_w * zeta + tw_val
+        return float(np.max(adapter.defect(z, w)))
+
+    def feasible_tau(x: np.ndarray) -> float:
+        tz, tw = tail_arrays(x)
+        tz_val = _polyval(np.concatenate([[0.0, 0.0], tz]), zeta) if n_tail else 0.0
+        tw_val = _polyval(np.concatenate([[0.0, 0.0], tw]), zeta) if n_tail else 0.0
+        tau = 1e-6
+        if max_defect(tz_val, tw_val, tau) > -margin:
+            return 0.0
+        for _ in range(80):
+            if max_defect(tz_val, tw_val, 2.0 * tau) > -margin:
+                break
+            tau *= 2.0
+        lo, hi = tau, 2.0 * tau
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if max_defect(tz_val, tw_val, mid) > -margin:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+    best_tau = 0.0
+    best_x = np.zeros(4 * n_tail)
+    trace = []
+    for ridx in range(restarts):
+        rng = np.random.default_rng([seed, 7, ridx])
+        if ridx == 0:
+            x0 = np.zeros(4 * n_tail)
+        else:
+            scale = 0.05 / (1.0 + np.repeat(np.arange(2 * n_tail) % max(n_tail, 1), 2))
+            x0 = rng.standard_normal(4 * n_tail) * np.concatenate([scale, scale])[: 4 * n_tail]
+        x, tau = unpruned_adaptive_search(feasible_tau, x0, rng, budget)
+        trace.append((ridx, 1.0 / tau if tau > 0.0 else math.inf, tau))
+        if tau > best_tau:
+            best_tau, best_x = tau, x
+
+    fallback = False
+    if best_tau <= 0.0:
+        try:
+            r_h, r_v = adapter.polydisc_radii(p)
+            scale = max(abs(xi.xi_z) / r_h if r_h > 0 else math.inf,
+                        abs(xi.xi_w) / r_v if r_v > 0 else math.inf)
+            best_tau = 0.98 / scale
+            best_x = np.zeros(4 * n_tail)
+            fallback = True
+        except Exception as exc:
+            raise NumericalError("no feasible disc found and no polydisc fallback") from exc
+
+    # honesty pass: the returned disc must clear a 10x finer sampling
+    zeta_fine = np.exp(2j * math.pi * np.arange(10 * samples) / (10 * samples))
+    tz, tw = tail_arrays(best_x)
+    cz_t = np.concatenate([[0.0, 0.0], tz]) if n_tail else np.asarray([0.0, 0.0])
+    cw_t = np.concatenate([[0.0, 0.0], tw]) if n_tail else np.asarray([0.0, 0.0])
+    for _ in range(200):
+        z = p.z + best_tau * xi.xi_z * zeta_fine + _polyval(cz_t, zeta_fine)
+        w = p.w + best_tau * xi.xi_w * zeta_fine + _polyval(cw_t, zeta_fine)
+        fine_defect = float(np.max(adapter.defect(z, w)))
+        if fine_defect <= -0.5 * margin:
+            break
+        best_tau *= 0.999
+    else:
+        raise NumericalError("could not stabilize the returned disc on the fine grid")
+
+    value = 1.0 / best_tau
+    bound = Bound(
+        quantity="kobayashi", side="upper", value=value, basepoint=p, direction=xi,
+        certified=False,
+        provenance=(
+            f"polynomial disc search: degree={degree}, budget={budget}, seed={seed}, "
+            f"samples={samples}, restarts={restarts}, margin={margin!r}, "
+            f"fine-grid defect={fine_defect!r}"
+            + ("; inscribed polydisc fallback" if fallback else "")
+        ),
+    )
+    if return_trace:
+        tz_best, tw_best = tail_arrays(best_x)
+        candidate = DiscCandidate(
+            basepoint=p, direction=xi, tau=best_tau,
+            tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
+        return bound, candidate, trace
+    return bound
 
 
 def dense_gap(prof, t):
@@ -353,3 +503,36 @@ def coefficient_bound_check(samples: np.ndarray, r: float,
         alias_level=alias,
         scaled_coefficients=tuple(mags[: n // 2].tolist()),
     )
+
+
+def evaluate(disc, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    cz, cw = disc.coefficients()
+    return _polyval(cz, zeta), _polyval(cw, zeta)
+
+
+def to_point(lp) -> PointC2:
+    """Representative point with both phases zero."""
+    rz = math.exp(lp.t) if lp.t != _NEG_INF else 0.0
+    rw = math.exp(lp.lam) if lp.lam != _NEG_INF else 0.0
+    return PointC2(complex(rz, 0.0), complex(rw, 0.0))
+
+
+def apply_exact(mp, t: Fraction, lam: Fraction) -> tuple[Fraction, Fraction]:
+    t2 = t + mp.t_shift
+    return t2, lam + mp.lam_shift + mp.shear * t2
+
+
+def invert_exact(mp, t2: Fraction, lam2: Fraction) -> tuple[Fraction, Fraction]:
+    return t2 - mp.t_shift, lam2 - mp.lam_shift - mp.shear * t2
+
+
+def apply(mp, t: float, lam: float) -> tuple[float, float]:
+    t2, l2 = apply_exact(mp, Fraction(t), Fraction(lam))
+    return float(t2), float(l2)
+
+
+def row(cert, k: int):
+    for rec in cert.levels:
+        if rec.k == k:
+            return rec
+    raise KeyError(f"no level {k} in certificate")

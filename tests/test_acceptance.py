@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import fd_hessian_mismatch, perturb_value, sample_interior
+from helpers import fd_hessian_mismatch, perturb_value, row, sample_interior
 from squeeze import (
     CertificationError,
     ConstructionParams,
@@ -175,7 +175,7 @@ def test_criterion_6_symmetry_invariance_determinism(tmp_path, p0, headline,
     # rotation invariance of the slice bound at rotated basepoints
     # (|z e^{i th}| reconstructs |z| only to the last ulp, hence 1e-12)
     xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)
-    a1 = cert.row(1).a_k
+    a1 = row(cert, 1).a_k
     base = caratheodory_upper_slices(domain, (a1, 0.0), xi)
     for _ in range(1000):
         th = rng.uniform(0.0, 2 * math.pi)

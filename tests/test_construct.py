@@ -18,7 +18,7 @@ from squeeze import (
 from squeeze.construct import _model_edges, verify_construction
 from squeeze.metrics import LevelModel, bound_to_record, squeezing_upper_at_breakpoint
 
-from helpers import perturb_value
+from helpers import perturb_value, row
 
 
 class TestLevelConstant:
@@ -151,12 +151,12 @@ class TestPrimeInclusion:
 
     def test_perturbed_fails(self, p0):
         _, domain, cert = p0
-        idx = domain.profile.breakpoints.index(math.log(cert.row(1).a_k))
+        idx = domain.profile.breakpoints.index(math.log(row(cert, 1).a_k))
         bad = ReinhardtDomain(perturb_value(domain.profile, idx + 1, -1e-6),
                               domain.t_min, domain.t_max)
         # lowering the right-neighbour height pulls the sheared profile
         # below the model's monomial line
-        assert not verify_model_annulus_inclusion(bad, idx, m=cert.row(1).m_k)
+        assert not verify_model_annulus_inclusion(bad, idx, m=row(cert, 1).m_k)
 
 
 class TestVerifyConstruction:

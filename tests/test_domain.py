@@ -17,7 +17,7 @@ from squeeze import (
 )
 from squeeze.domain import domain_from_doc, domain_to_doc
 
-from helpers import STAIRCASES, boundary_distance_brute, perturb_value, staircase
+from helpers import STAIRCASES, boundary_distance_brute, perturb_value, staircase, to_point
 
 
 def test_profile_eval_flat_region(p0):
@@ -192,7 +192,7 @@ def test_logpoint_roundtrip():
     lp = LogPoint.from_point(p)
     assert lp.t == math.log(0.5)
     assert lp.lam == math.log(0.25)
-    q = lp.to_point()
+    q = to_point(lp)
     assert abs(q.z) == pytest.approx(0.5, rel=1e-15)
     assert LogPoint.from_point(PointC2(1.0 + 0.0j, 0.0j)).lam == -math.inf
 

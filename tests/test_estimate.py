@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from squeeze import (
+    ConstructionParams,
     Direction,
     NumericalError,
     PointC2,
@@ -15,9 +17,12 @@ from squeeze import (
     annulus_model_domain,
     reference_metric,
 )
-from squeeze.estimate import BallModel, PolydiscModel
+from squeeze.construct import certify_levels
+from squeeze.estimate import BallModel, PolydiscModel, _largest_feasible_tau
 
-from helpers import MonomialModel, coefficient_bound_check, unpruned_disc_oracle
+from helpers import (MonomialModel, coefficient_bound_check, evaluate, row,
+                     unpruned_disc_oracle, unpruned_kobayashi_upper_search,
+                     unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -74,17 +79,91 @@ class TestKobayashiSearch:
         assert cw[1] == disc.tau * XI11.xi_w
         assert disc.alpha() == b.value
         zeta = np.exp(2j * math.pi * np.arange(64) / 64)
-        zs, ws = disc.evaluate(zeta)
+        zs, ws = evaluate(disc, zeta)
         assert np.all(PolydiscModel().defect(zs, ws) < 0.0)
 
     def test_staircase_point(self, p0):
         _, domain, cert = p0
-        rec = cert.row(1)
+        rec = row(cert, 1)
         beta = math.exp(domain.profile.eval(math.log(rec.a_k)))
         xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
         b = kobayashi_upper_search(domain, PointC2(complex(rec.a_k, 0), 0.0j),
                                    xi, seed=3, budget=60, restarts=2)
         assert b.value >= math.sqrt(rec.m_k / 2.0) * (1.0 - 1e-9)
+
+
+@st.composite
+def ladder_cases(draw):
+    """A feasible interval ``[a, b]`` of disc scales and a bar.  The ends
+    range over both sides of the ladder's start 1e-6, and the bar is often
+    drawn within a few ulps to a few percent of an end, of the start or of
+    the full ladder's result, where a wrong skip or probe would show."""
+    a = draw(st.sampled_from([0.0, 1e-6]) | st.floats(-9.0, 1.0).map(lambda e: 10.0 ** e))
+    b = a + draw(st.floats(-9.0, 2.0).map(lambda e: 10.0 ** e))
+    ref = unpruned_largest_feasible_tau(lambda t: not a <= t <= b)
+    near = st.tuples(st.sampled_from([a, b, ref, 1e-6]),
+                     st.sampled_from([-1.0, 1.0]),
+                     st.sampled_from([0, 2, 6, 9, 10, 11, 12, 13, 14, 15, 16]))
+    bar = draw(st.sampled_from([-math.inf, 0.0])
+               | st.floats(-9.0, 2.0).map(lambda e: 10.0 ** e)
+               | near.map(lambda n: n[0] * (1.0 + n[1] * 10.0 ** -n[2])))
+    return a, b, bar
+
+
+class TestLadder:
+    # each example separates one faulty pruning from the full ladder: no test
+    # of the start (interval off the start); a probe just above the bar, and
+    # rungs just above the bar counted as feasible (bar just under the result)
+    @example(case=(1e-3, 1.0, 0.5))
+    @example(case=(1e-6, 1.0, 0.999999999999))
+    @example(case=(1e-6, 1e-5, 9.9999999e-6))
+    @given(case=ladder_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_bar_pruning_matches_full_ladder(self, case):
+        a, b, bar = case
+
+        def infeasible_at(t):
+            return not a <= t <= b
+
+        want = unpruned_largest_feasible_tau(infeasible_at)
+        got = _largest_feasible_tau(infeasible_at, bar)
+        assert (got > bar) == (want > bar)
+        if want > bar:
+            assert got == want
+
+
+def _assert_same_search(got, want):
+    (bound, cand, trace), (bound_ref, cand_ref, trace_ref) = got, want
+    assert repr(bound.value) == repr(bound_ref.value)
+    assert bound.provenance == bound_ref.provenance
+    assert cand == cand_ref
+    assert trace == trace_ref
+
+
+CALIBRATION = {"bidisc": (PolydiscModel(), XI11), "ball": (BallModel(), XI11),
+               "disc": (PolydiscModel(), XI10)}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", sorted(CALIBRATION))
+def test_pruned_search_matches_unpruned_reference_calibration(case, seed):
+    model, xi = CALIBRATION[case]
+    kw = dict(seed=seed, budget=60, samples=512, return_trace=True)
+    _assert_same_search(kobayashi_upper_search(model, P0C, xi, **kw),
+                        unpruned_kobayashi_upper_search(model, P0C, xi, **kw))
+
+
+@pytest.mark.parametrize("seed", [1, 31])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_pruned_search_matches_unpruned_reference_staircase(levels, seed):
+    domain, records = certify_levels(ConstructionParams(a="2", levels=levels))
+    for rec in records:
+        beta = math.exp(domain.profile.eval(math.log(rec.a_k)))
+        p = PointC2(complex(rec.a_k, 0.0), 0.0j)
+        xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
+        kw = dict(seed=seed + rec.k, budget=60, samples=512, return_trace=True)
+        _assert_same_search(kobayashi_upper_search(domain, p, xi, **kw),
+                            unpruned_kobayashi_upper_search(domain, p, xi, **kw))
 
 
 class TestCaratheodorySearch:

@@ -22,7 +22,7 @@ from squeeze.smooth import (
 )
 
 from helpers import (STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, hessian_entries,
-                     levi_on_tangent, sample_interior, staircase, sup_gap_bound)
+                     levi_on_tangent, row, sample_interior, staircase, sup_gap_bound)
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -263,7 +263,7 @@ class TestLevi:
         ref = np.array([levi_on_tangent(*hessian_entries(sd, float(ti), float(ri)))
                         for ti, ri in zip(t, r)])
         rel = np.abs(face - ref) / np.abs(ref)
-        t_1 = math.log(cert.row(1).a_k)
+        t_1 = math.log(row(cert, 1).a_k)
         h_1 = float(sd.profile.widths[sd.profile.kinks == t_1][0])
         flat = np.abs(t) < t_1 - 5.0 * h_1
         assert flat.sum() > 1000
@@ -288,8 +288,8 @@ class TestCertifySmoothed:
     def test_level2_increase_small(self, headline, headline_smoothed):
         _, _, cert = headline
         _, _, smoothed = headline_smoothed
-        base = cert.row(2).s_upper.value
-        after = smoothed.row(2).s_upper.value
+        base = row(cert, 2).s_upper.value
+        after = row(smoothed, 2).s_upper.value
         assert after >= base
         assert (after - base) / base < 0.05
 
