@@ -74,6 +74,35 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     return worst
 
 
+def single_pass_samples(zeta, az, bw):
+    """The disc oracle's circle samples ``(base_z, base_w)``, built over the
+    whole chunk at once as before the blocked build."""
+    b, samples = az.shape[0], zeta.size
+    base_z = np.broadcast_to(zeta, (b, samples)).astype(np.complex64)
+    base_w = base_z.copy()
+    pw = zeta.copy()
+    for j in range(az.shape[1]):
+        pw = pw * zeta
+        base_z = base_z + az[:, j:j + 1].astype(np.complex64) * pw
+        base_w = base_w + bw[:, j:j + 1].astype(np.complex64) * pw
+    return base_z, base_w
+
+
+def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
+                         m: int, thr2: np.float32) -> np.ndarray:
+    """Per disc (row): are both |w| and |w z^m| within the margined threshold
+    on every circle sample at scale ``c``?  The disc oracle's verdict in one
+    pass over all samples, before the two-stage verdict."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = c.astype(np.float32)[:, None]
+        w = cc * base_w
+        z = 1.0 + cc * base_z
+        aw2 = w.real**2 + w.imag**2
+        az2 = z.real**2 + z.imag**2
+        bad = np.maximum(aw2, aw2 * _int_power(az2, m)) > thr2
+        return ~np.any(bad, axis=1)
+
+
 def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
                          seed: int = 1234, samples: int | None = None):
     """The disc oracle without branch-and-bound pruning: every disc runs

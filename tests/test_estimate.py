@@ -18,11 +18,12 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import BallModel, PolydiscModel, _largest_feasible_tau
+from squeeze.estimate import (_COARSE, BallModel, PolydiscModel, _bad, _circle_samples,
+                              _coarse_first, _feasible, _largest_feasible_tau)
 
 from helpers import (MonomialModel, coefficient_bound_check, evaluate, row,
-                     unpruned_disc_oracle, unpruned_kobayashi_upper_search,
-                     unpruned_largest_feasible_tau)
+                     single_pass_feasible, single_pass_samples, unpruned_disc_oracle,
+                     unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -255,6 +256,90 @@ class TestOracle:
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
             monomial_disc_oracle(0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"count": 0}, {"count": -5}, {"degree": 0}, {"degree": -1},
+        {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"samples": 0}, {"samples": 256.0},
+    ], ids=["count0", "count-5", "degree0", "degree-1", "m2.5", "m2.0", "m-str",
+            "samples0", "samples-float"])
+    def test_rejects_bad_inputs(self, kwargs):
+        with pytest.raises(ValidationError):
+            monomial_disc_oracle(**{"m": 2, "count": 300, **kwargs})
+
+    @staticmethod
+    def _discs(m, degree, b, seed, samples=None):
+        """Circle samples, coefficients and threshold as the oracle draws
+        them for its first chunk."""
+        d_eff = degree * (m + 1)
+        if samples is None:
+            samples = 128
+            while samples < 5 * d_eff:
+                samples *= 2
+        zeta = np.exp(2j * math.pi * np.arange(samples) / samples).astype(np.complex64)
+        rng = np.random.default_rng([seed, m, 0])
+        scales = 0.35 / (np.arange(2, degree + 1) ** 2)
+
+        def draw():
+            return (rng.standard_normal((b, degree - 1))
+                    + 1j * rng.standard_normal((b, degree - 1))) * scales
+
+        az = draw()
+        bw = draw()
+        thr2 = np.float32(((1.0 - math.pi * d_eff / samples) * (1.0 - 1e-4)) ** 2)
+        return zeta, az, bw, thr2
+
+    @staticmethod
+    def _samples(zeta, az, bw):
+        return _circle_samples(zeta, az, bw, np.empty((4, len(az), zeta.size), np.float32))
+
+    @pytest.mark.parametrize("m, degree, b, samples", [
+        (1, 1, 10, None), (2, 6, 150, None), (8, 3, 64, None), (32, 6, 129, None),
+        (2, 6, 70, 130), (2, 6, 70, 200),
+    ])
+    def test_blocked_build_matches_single_pass(self, m, degree, b, samples):
+        zeta, az, bw, _ = self._discs(m, degree, b, 5, samples)
+        s = self._samples(zeta, az, bw)
+        for plane, base in zip((0, 2), single_pass_samples(zeta, az, bw)):
+            built = np.empty_like(base)
+            built.real, built.imag = s[plane], s[plane + 1]
+            assert built.tobytes() == base.tobytes()
+        perm = _coarse_first(zeta.size)
+        assert sorted(perm[:-(-zeta.size // _COARSE)]) == list(range(0, zeta.size, _COARSE))
+        assert self._samples(zeta[perm], az, bw).tobytes() == s[:, :, perm].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32])
+    def test_two_stage_verdict_matches_single_pass(self, m):
+        zeta, az, bw, thr2 = self._discs(m, 6, 60, 5)
+        base_z, base_w = single_pass_samples(zeta, az, bw)
+        # per disc, a scale at the edge of feasibility on the coarse samples
+        # alone: most of these pass the coarse stage and fail the full one
+        lo, hi = np.zeros(len(az)), np.full(len(az), 1e3)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ok = single_pass_feasible(mid, base_z[:, ::_COARSE], base_w[:, ::_COARSE], m, thr2)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        # and a grid from 1e-3 into the float32 overflow range (c^2 > 3.4e38)
+        grid = np.concatenate([np.geomspace(1e-3, 1e30, 34),
+                               math.sqrt(2.0 / m) * np.geomspace(0.25, 4.0, 24)])
+        rows = np.concatenate([np.arange(len(az)), np.repeat(np.arange(len(az)), grid.size)])
+        c = np.concatenate([lo, np.tile(grid, len(az))])
+
+        want = single_pass_feasible(c, base_z[rows], base_w[rows], m, thr2)
+        s = self._samples(zeta[_coarse_first(zeta.size)], az, bw)
+        got, n_full = _feasible(c, s, rows, m, thr2)
+        assert np.array_equal(got, want)
+        coarse_ok = ~_bad(c, s[:, rows, :-(-zeta.size // _COARSE)], m, thr2)
+        assert n_full == np.count_nonzero(coarse_ok)
+        assert np.any(coarse_ok & ~want)
+        assert np.any(want) and not np.any(want[c > 1e19])
+
+    @pytest.mark.parametrize("samples", [130, 200])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_samples_not_a_multiple_of_the_stride(self, samples, seed):
+        res = monomial_disc_oracle(2, count=1000, seed=seed, samples=samples)
+        assert res.samples == samples
+        assert (res.min_alpha, res.count) == unpruned_disc_oracle(
+            2, count=1000, seed=seed, samples=samples)
 
     # (32, 6, 2500) spans two chunks, so pruning against an earlier
     # chunk's best scale is exercised too
