@@ -364,14 +364,16 @@ _COMMANDS = {
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with the command-line overrides applied, validated
+    as a whole against the run-config schema."""
     doc = {}
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
             raise ValidationError(f"cannot read config {args.config}: {exc}")
-        validate_doc("run-config", doc)
-    cfg = RunConfig.from_doc(doc)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config {args.config} is not a JSON object")
     overrides = {}
     if args.out is not None:
         overrides["out"] = args.out
@@ -384,9 +386,7 @@ def _load_config(args) -> RunConfig:
         overrides["margin_u"] = args.margin
     if args.grid is not None:
         overrides["distance_resolution"] = args.grid
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return RunConfig.from_doc(validate_doc("run-config", {**doc, **overrides}))
 
 
 def configure_logging() -> None:

@@ -25,6 +25,7 @@ from typing import Sequence
 from .domain import RadialProfile, ReinhardtDomain, PointC2, fmt
 from .errors import CertificationError, ValidationError
 from .metrics import (
+    AffineLogMap,
     Bound,
     GUARD_COMPARE,
     LevelModel,
@@ -48,7 +49,10 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"cannot read {x!r} as an exact rational") from None
     if isinstance(x, float):
         return Fraction(repr(x))
     raise ValidationError(f"cannot coerce {x!r} to an exact rational")
@@ -438,29 +442,32 @@ def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) 
         lo, hi = _model_edges(prof, idx, rec.k, ks,
                               Fraction(rec.a_prev) / Fraction(rec.a_k),
                               Fraction(rec.a_next) / Fraction(rec.a_k))
-        for anchor in (idx, n - 1 - idx):
-            kobayashi_lower_shear(domain, anchor, m=rec.m_k)
+        sheared = shear_normalize(domain, idx)
+        kobayashi_lower_shear(domain, idx, m=rec.m_k, sheared=sheared)
+        kobayashi_lower_shear(domain, n - 1 - idx, m=rec.m_k)
         if not verify_model_annulus_inclusion(domain, idx, model_lo_log=lo,
-                                             model_hi_log=hi, m=rec.m_k):
+                                             model_hi_log=hi, m=rec.m_k,
+                                             sheared=sheared):
             raise CertificationError(
                 f"level {rec.k}: model annulus escapes the sheared domain"
             )
 
 
-def verify_model_annulus_inclusion(domain: ReinhardtDomain, k: int,
-                                  model_lo_log: float | None = None,
-                                  model_hi_log: float | None = None,
-                                  m: int | None = None) -> bool:
+def verify_model_annulus_inclusion(
+        domain: ReinhardtDomain, k: int, model_lo_log: float | None = None,
+        model_hi_log: float | None = None, m: int | None = None, *,
+        sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None) -> bool:
     """Check (exactly, at breakpoints) that the flat-then-monomial model annulus
     sits inside the sheared domain.
 
     The model profile is ``min(0, -m s)`` restricted to ``(lo, hi)``; the
     sheared profile must dominate it there.  Both are piecewise linear, so
     the comparison at the union of their breakpoints is equivalent to the
-    comparison everywhere on the range.
+    comparison everywhere on the range.  ``sheared`` is
+    ``shear_normalize(domain, k)`` when the caller already has it.
     """
     profile = domain.profile
-    image, _ = shear_normalize(domain, k)
+    image = (shear_normalize(domain, k) if sheared is None else sheared)[0]
     if model_lo_log is None:
         model_lo_log = image.profile.breakpoints[k - 1] if k > 0 else image.t_min
     if model_hi_log is None:

@@ -362,35 +362,9 @@ class ReinhardtDomain:
         if resolution < 8:
             raise ValidationError("resolution too small")
         rz, rw = p.moduli()
-
-        u_lo = self.inner_radius()
-        u_hi = self.outer_radius()
-        grid = np.linspace(u_lo, u_hi, resolution + 1)
-        knots_u = np.exp(np.asarray(self.profile.breakpoints))
-        knots_u = knots_u[(knots_u > u_lo) & (knots_u < u_hi)]
-        u = np.unique(np.concatenate([grid, knots_u]))
-        with np.errstate(divide="ignore"):
-            tgrid = np.where(u > 0.0, np.log(np.maximum(u, 1e-300)), _NEG_INF)
-        r = np.empty_like(u)
-        finite = u > 0.0
-        r[finite] = np.exp(self.profile.eval_many(tgrid[finite]))
-        if not np.all(finite):
-            r[~finite] = math.exp(self.profile.eval(_NEG_INF))
-
-        # per-cell moduli boxes; cells contain no breakpoint, so the radius
-        # range over a cell is exactly the endpoint range
-        d = box_distance(u[:-1], u[1:], np.minimum(r[:-1], r[1:]),
-                         np.maximum(r[:-1], r[1:]), rz, rw)
-
-        # end caps {|z| = edge, |w| <= radius(edge)}; the exp cap at 709 keeps
-        # huge cap heights finite and only ever shrinks the claimed distance
-        for edge_t in (self.t_min, self.t_max):
-            if edge_t == _NEG_INF:
-                continue
-            ue = math.exp(edge_t)
-            re = math.exp(min(self.profile.eval(edge_t), 709.0))
-            d_cap = math.hypot(abs(rz - ue), max(0.0, rw - re))
-            d = min(d, d_cap)
+        d = box_distance(*self._cells(resolution), rz, rw)
+        for ue, re in self._end_caps:
+            d = min(d, math.hypot(abs(rz - ue), max(0.0, rw - re)))
 
         d *= 1.0 - GUARD_REL
         if not d > 0.0:
@@ -400,13 +374,54 @@ class ReinhardtDomain:
             )
         return d
 
+    @cached_property
+    def _cell_cache(self) -> dict:
+        return {}
+
+    def _cells(self, resolution: int) -> tuple[np.ndarray, ...]:
+        """The moduli boxes ``(u0, u1, r_lo, r_hi)`` that cover the profile
+        surface at ``resolution``, built once per domain and resolution.
+
+        The cells split ``[inner_radius, outer_radius]`` evenly and at every
+        breakpoint, so no cell contains a breakpoint and the radius range
+        over a cell is exactly the range of its endpoint values.
+        """
+        cells = self._cell_cache.get(resolution)
+        if cells is None:
+            u_lo = self.inner_radius()
+            u_hi = self.outer_radius()
+            grid = np.linspace(u_lo, u_hi, resolution + 1)
+            knots_u = np.exp(np.asarray(self.profile.breakpoints))
+            knots_u = knots_u[(knots_u > u_lo) & (knots_u < u_hi)]
+            u = np.unique(np.concatenate([grid, knots_u]))
+            with np.errstate(divide="ignore"):
+                tgrid = np.where(u > 0.0, np.log(np.maximum(u, 1e-300)), _NEG_INF)
+            r = np.empty_like(u)
+            finite = u > 0.0
+            r[finite] = np.exp(self.profile.eval_many(tgrid[finite]))
+            if not np.all(finite):
+                r[~finite] = math.exp(self.profile.eval(_NEG_INF))
+            cells = (u[:-1], u[1:], np.minimum(r[:-1], r[1:]), np.maximum(r[:-1], r[1:]))
+            for a in cells:
+                a.flags.writeable = False
+            self._cell_cache[resolution] = cells
+        return cells
+
+    @cached_property
+    def _end_caps(self) -> tuple[tuple[float, float], ...]:
+        """``(|z|, largest |w|)`` of the end caps ``{|z| = edge, |w| <=
+        radius(edge)}``; the exp cap at 709 keeps huge cap heights finite and
+        only ever shrinks the claimed distance."""
+        return tuple((math.exp(edge_t), math.exp(min(self.profile.eval(edge_t), 709.0)))
+                     for edge_t in (self.t_min, self.t_max) if edge_t != _NEG_INF)
+
 
 # ------------------------------------------------------------------ module ops
 def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
     """Smallest Euclidean distance from the moduli point ``(rz, rw)`` to the
     cells ``[u0, u1] x [r_lo, r_hi]`` (arrays, one entry per cell)."""
-    dz = np.maximum.reduce([np.zeros_like(u0), u0 - rz, rz - u1])
-    dw = np.maximum.reduce([np.zeros_like(r_lo), r_lo - rw, rw - r_hi])
+    dz = np.maximum(np.maximum(u0 - rz, rz - u1), 0.0)
+    dw = np.maximum(np.maximum(r_lo - rw, rw - r_hi), 0.0)
     return float(np.min(np.hypot(dz, dw)))
 
 

@@ -225,7 +225,8 @@ def _restrict_to_annulus(domain: ReinhardtDomain, lo: float, hi: float) -> Reinh
 
 # ----------------------------------------------------- Kobayashi lower bound
 def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
-                          m: int | None = None) -> Bound:
+                          m: int | None = None, *,
+                          sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None) -> Bound:
     """Certified ``K >= sqrt(m/2)`` at ``(1, 0)``, direction ``(1, 1)``, of the
     sheared domain, where ``m`` is the integer slope drop at breakpoint ``k``
     (or a caller-pinned model exponent, e.g. from a certificate being
@@ -236,7 +237,8 @@ def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
     are piecewise linear and concave, so the inequality holds everywhere iff
     it holds at every breakpoint of both functions; the check runs on exact
     rationals (equality-riding segments are decided exactly), plus exact slope
-    conditions for the two linear tails.
+    conditions for the two linear tails.  ``sheared`` is
+    ``shear_normalize(domain, k)`` when the caller already has it.
     """
     profile = domain.profile
     if not profile.is_concave():
@@ -247,7 +249,7 @@ def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
         raise ValidationError(
             f"slope drop at breakpoint {k} gives model exponent {m}; need m >= 1"
         )
-    image, mp = shear_normalize(domain, k)
+    image, mp = shear_normalize(domain, k) if sheared is None else sheared
     prof = image.profile
     # node check: phi'(s_j) <= min(0, -m s_j), exact
     for j, (s, v) in enumerate(zip(prof.exact_breakpoints, prof.exact_values)):
@@ -392,7 +394,8 @@ def squeezing_upper_at_breakpoint(
     if mirrored:
         k = n - 1 - k
 
-    image, _mp = shear_normalize(domain, k)
+    sheared = shear_normalize(domain, k)
+    image = sheared[0]
     if model_lo_log is None:
         if k == 0:
             raise ValidationError("no breakpoint left of the peak; pass model_lo_log")
@@ -409,7 +412,7 @@ def squeezing_upper_at_breakpoint(
     p_sheared = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
     xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)
     c_slice = caratheodory_upper_slices(restriction, p_sheared, xi)
-    k_low = kobayashi_lower_shear(domain, k)
+    k_low = kobayashi_lower_shear(domain, k, sheared=sheared)
 
     if exact_model is not None:
         c_exact = float(exact_model.c_constant)

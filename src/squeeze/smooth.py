@@ -106,9 +106,12 @@ class MollifiedProfile:
 
     Every width stays below its kink's ``room``, the shorter of the two
     segments that meet there, so each kernel's support ends before the next
-    breakpoint on either side.  At any ``t`` at most the two kernels of the
-    kinks on either side of ``t`` are active; only those two are evaluated,
-    and every sum equals the sum over all kinks bit for bit.
+    breakpoint on either side and a ``t`` lies inside at most two supports.
+    Outside every support each kink's term is exact and constant between two
+    kinks: no gap or curvature, and ``drop * bump_cdf(+-1)`` in the slope.
+    The kernels are evaluated only at the ``t`` inside some support, found by
+    one ``searchsorted`` over the support edges; the gap, slope and curvature
+    sums equal the sums over all kinks bit for bit.
     """
 
     def __init__(self, base: RadialProfile, widths, eps: float):
@@ -133,26 +136,64 @@ class MollifiedProfile:
                 )
         self.widths = widths
         self._slope0 = base.slopes()[0]
-        # deriv1 terms of the kinks whose support lies wholly left / right of t
-        self._d1_left = self.drops * bump_cdf(1.0)
-        self._d1_right = self.drops * bump_cdf(-1.0)
+        # deriv1 terms between kinks i - 1 and i (row i): the kinks left of
+        # t add drop * bump_cdf(1), the others drop * bump_cdf(-1)
+        n = self.kinks.size
+        self._d1_rows = np.where(np.arange(n) < np.arange(n + 1)[:, None],
+                                 self.drops * bump_cdf(1.0), self.drops * bump_cdf(-1.0))
+        # the stretches (a_i, b_i] between kinks i - 1 and i that no support
+        # reaches, their edges rounded outward so that every t inside has
+        # |t - t_j| >= h_j in any float dtype; overlapping supports can
+        # leave a stretch empty, and it is dropped.  A searchsorted position
+        # 2k + 1 names the k-th stretch kept; even positions lie in supports.
+        a = np.concatenate([[-np.inf], np.nextafter(self.kinks + widths, np.inf)])
+        b = np.concatenate([np.nextafter(self.kinks - widths, -np.inf), [np.inf]])
+        free = a < b
+        self._free_edges = np.stack([a[free], b[free]], axis=-1).ravel()
+        self._d1_by_pos = np.zeros(self._free_edges.size + 1)
+        self._d1_by_pos[1::2] = np.sum(self._d1_rows[free], axis=-1)
 
     @property
     def h(self) -> float:
         """Largest kernel width (reporting; per-kink values in ``widths``)."""
         return float(np.max(self.widths)) if self.kinks.size else 0.0
 
-    def _near(self, t):
-        """The kinks on either side of each ``t``, the only ones whose kernel
-        can be active there: their indices (``t.shape + (2,)``), offsets
-        ``t - t_j``, widths and slope drops.  Beyond an end kink both sides
-        name that kink; its second drop is zeroed so it counts once."""
-        i = np.searchsorted(self.kinks, t)
-        idx = np.stack([np.maximum(i - 1, 0), np.minimum(i, self.kinks.size - 1)],
-                       axis=-1)
-        drops = self.drops[idx]
-        drops[..., 1] = np.where(idx[..., 0] == idx[..., 1], 0.0, drops[..., 1])
-        return idx, t[..., None] - self.kinks[idx], self.widths[idx], drops
+    def _sums(self, t):
+        """The gap and the sums over all kinks of the kernel slope and
+        curvature terms at the array ``t``, in its float dtype.  The kernels
+        run only at the ``t`` inside a support, on the (at most two) kinks
+        whose support holds it; each such row of slope terms is summed
+        whole, as over all kinks."""
+        flat = t.reshape(-1)
+        gap = np.zeros_like(flat)
+        d2 = np.zeros_like(flat)
+        # a t on a left stretch edge counts as near a kink, which only adds
+        # an exact evaluation
+        pos = np.searchsorted(self._free_edges, flat)
+        d1 = self._d1_by_pos[pos]
+        near = np.flatnonzero(pos % 2 == 0)
+        if near.size and self.kinks.size:
+            tn = flat[near]
+            seg = np.searchsorted(self.kinks, tn)
+            rows = self._d1_rows[seg]
+            for j in (seg - 1, seg):
+                ok = (j >= 0) & (j < self.kinks.size)
+                j = np.where(ok, j, 0)
+                diffs = tn - self.kinks[j]
+                widths = self.widths[j]
+                inside = np.flatnonzero(ok & (np.abs(diffs) < widths))
+                j, diffs, widths = j[inside], diffs[inside], widths[inside]
+                drops = self.drops[j]
+                x = diffs / widths
+                cdf = bump_cdf(x)
+                gap[near[inside]] += drops * (diffs * cdf
+                                              - widths * bump_first_moment(x)
+                                              - np.maximum(diffs, 0.0))
+                rows[inside, j] = drops * cdf
+                d2[near[inside]] += drops * bump(x) / widths
+            d1[near] = np.sum(rows, axis=-1)
+        return (gap.reshape(t.shape) + self.eps * t * t,
+                d1.reshape(t.shape), d2.reshape(t.shape))
 
     def gap(self, t):
         """phi(t) - phi_tilde(t) >= 0, evaluated without cancellation, in the
@@ -162,19 +203,7 @@ class MollifiedProfile:
         correction ``K_h(x) = (relu * zeta_h)(x) - relu(x)``, nonnegative and
         supported on ``|x| < h``.
         """
-        t = as_float(t)
-        out = np.zeros_like(t)
-        if self.kinks.size:
-            _, diffs, widths, drops = self._near(t)
-            corr = np.where(
-                np.abs(diffs) < widths,
-                diffs * bump_cdf(diffs / widths)
-                - widths * bump_first_moment(diffs / widths)
-                - np.maximum(diffs, 0.0),
-                0.0,
-            )
-            out = np.sum(drops * corr, axis=-1)
-        return out + self.eps * t * t
+        return self._sums(as_float(t))[0]
 
     def value(self, t):
         """phi_tilde(t), in the float dtype of ``t``."""
@@ -185,23 +214,19 @@ class MollifiedProfile:
         """phi_tilde'(t).  A kink outside its support contributes
         ``drop * bump_cdf(+-1)``, and ``bump_cdf(-1)`` is not zero, so every
         kink keeps its term and the sum runs over all of them in kink order."""
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self._slope0) - 2.0 * self.eps * t
-        if self.kinks.size:
-            idx, diffs, widths, _ = self._near(t)
-            terms = np.where(t[..., None] > self.kinks, self._d1_left, self._d1_right)
-            np.put_along_axis(terms, idx, self.drops[idx] * bump_cdf(diffs / widths),
-                              axis=-1)
-            out = out - np.sum(terms, axis=-1)
-        return out
+        return self.jet(t)[1]
 
     def deriv2(self, t):
+        return self.jet(t)[2]
+
+    def jet(self, t):
+        """``(phi_tilde, phi_tilde', phi_tilde'')`` at ``t`` as float64, from
+        one kernel evaluation."""
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, -2.0 * self.eps)
-        if self.kinks.size:
-            _, diffs, widths, drops = self._near(t)
-            out = out - np.sum(drops * bump(diffs / widths) / widths, axis=-1)
-        return out
+        gap, d1, d2 = self._sums(t)
+        return (self.base.eval_many(t) - gap,
+                np.full(t.shape, self._slope0) - 2.0 * self.eps * t - d1,
+                np.full(t.shape, -2.0 * self.eps) - d2)
 
 
 # target for the tangential Levi floor left uncovered by kernels (an order
@@ -314,16 +339,20 @@ class SmoothDomain:
     # ------------------------------------------------------------ cap profile
     def g(self, t):
         """Cap term, in the float dtype of ``t``."""
-        t = as_float(t)
-        return (np.exp(self.kappa * (t - self.t_plus))
-                + np.exp(-self.kappa * (t - self.t_minus)))
+        return self._caps(as_float(t))[0]
 
     def g1(self, t):
-        return self.kappa * (np.exp(self.kappa * (t - self.t_plus))
-                             - np.exp(-self.kappa * (t - self.t_minus)))
+        return self._caps(as_float(t))[1]
 
     def g2(self, t):
-        return self.kappa * self.kappa * self.g(t)
+        return self._caps(as_float(t))[2]
+
+    def _caps(self, t):
+        """``(g, g', g'')`` from one evaluation of the two cap exponentials."""
+        e_plus = np.exp(self.kappa * (t - self.t_plus))
+        e_minus = np.exp(-self.kappa * (t - self.t_minus))
+        g = e_plus + e_minus
+        return g, self.kappa * (e_plus - e_minus), self.kappa * self.kappa * g
 
     def _root_bracket(self, left: bool) -> tuple[float, float]:
         """Conservative bracket of the axis-edge root of g = 1.
@@ -379,8 +408,7 @@ class SmoothDomain:
     def face_radius(self, t):
         """Radius of the vertical disc {|w| < r(t)} inscribed at log|z| = t."""
         t = np.asarray(t, dtype=float)
-        slack = 1.0 - self.g(t)
-        return np.exp(self.profile.value(t)) * np.sqrt(np.maximum(slack, 0.0))
+        return _radius(self.profile.value(t), 1.0 - self.g(t))
 
     # ------------------------------------------------------------ Levi form
     def _levi_face(self, t):
@@ -392,14 +420,12 @@ class SmoothDomain:
         with F = 1 - g, r the face radius, A = -2 phi' F + g'.
         """
         t = np.asarray(t, dtype=float)
-        f = 1.0 - self.g(t)
+        g, g1, g2 = self._caps(t)
+        f = 1.0 - g
         if np.any(f <= 0.0):
             raise ValidationError("face values requested outside the face range")
-        d1 = self.profile.deriv1(t)
-        d2 = self.profile.deriv2(t)
-        g1 = self.g1(t)
-        g2 = self.g2(t)
-        r = self.face_radius(t)
+        phi, d1, d2 = self.profile.jet(t)
+        r = _radius(phi, f)
         a = -2.0 * d1 * f + g1
         num = f * (-2.0 * d2 * f * f + g2 * f + g1 * g1)
         den = (r * a) ** 2 + 4.0 * np.exp(2.0 * t) * f * f
@@ -418,14 +444,18 @@ class SmoothDomain:
         p = _as_point(p)
         if not self.contains(p):
             raise ValidationError("basepoint must lie inside the smoothed domain")
+        if resolution < 8:
+            raise ValidationError("resolution too small")
         rz, rw = p.moduli()
         lo, hi = self._axis_lo_in, self._axis_hi_in
         t = np.linspace(lo, hi, resolution + 1)
-        r = self.face_radius(t)
+        phi, d1, _ = self.profile.jet(t)
+        g, g1, _ = self._caps(t)
+        slack = 1.0 - g
+        r = _radius(phi, slack)
         phi_s = np.log(np.maximum(r, 1e-300))
         with np.errstate(divide="ignore"):
-            slack = 1.0 - self.g(t)
-            d_phi_s = self.profile.deriv1(t) - self.g1(t) / (2.0 * slack)
+            d_phi_s = d1 - g1 / (2.0 * slack)
         t0, t1 = t[:-1], t[1:]
         dt = t1 - t0
         u0, u1 = np.exp(t0), np.exp(t1)
@@ -451,6 +481,11 @@ class SmoothDomain:
                 "certified smooth boundary distance is not positive; refine the grid"
             )
         return d
+
+
+def _radius(phi, slack):
+    """Face radius from the smoothed profile value and the cap slack."""
+    return np.exp(phi) * np.sqrt(np.maximum(slack, 0.0))
 
 
 def smooth(domain: ReinhardtDomain, h=None, eps: float = 1e-5,

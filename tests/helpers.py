@@ -355,6 +355,26 @@ def dense_deriv2(prof, t):
     return out
 
 
+def dense_levi_face(sd, t):
+    """``SmoothDomain._levi_face`` on the all-kink sums, with the cap terms
+    and the face radius written out in full."""
+    t = np.asarray(t, dtype=float)
+    prof = sd.profile
+    e_plus = np.exp(sd.kappa * (t - sd.t_plus))
+    e_minus = np.exp(-sd.kappa * (t - sd.t_minus))
+    g = e_plus + e_minus
+    g1 = sd.kappa * (e_plus - e_minus)
+    g2 = sd.kappa * sd.kappa * g
+    f = 1.0 - g
+    d1 = dense_deriv1(prof, t)
+    d2 = dense_deriv2(prof, t)
+    r = np.exp(prof.base.eval_many(t) - dense_gap(prof, t)) * np.sqrt(np.maximum(f, 0.0))
+    a = -2.0 * d1 * f + g1
+    num = f * (-2.0 * d2 * f * f + g2 * f + g1 * g1)
+    den = (r * a) ** 2 + 4.0 * np.exp(2.0 * t) * f * f
+    return num / den, r
+
+
 def perturb_value(profile: RadialProfile, index: int, delta: float) -> RadialProfile:
     """Copy of ``profile`` with breakpoint height ``index`` raised by ``delta``.
 
@@ -390,6 +410,14 @@ def boundary_distance_brute(domain, p, resolution: int) -> float:
         ws = np.linspace(0.0, re, 256)
         d = min(d, float(np.min(np.hypot(abs(rz - ue), np.abs(ws - rw)))))
     return d
+
+
+def stacked_box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
+    """``domain.box_distance`` with each gap taken as the largest of three
+    stacked rows, zero first: the reference for the two-step maxima."""
+    dz = np.maximum.reduce([np.zeros_like(u0), u0 - rz, rz - u1])
+    dw = np.maximum.reduce([np.zeros_like(r_lo), r_lo - rw, rw - r_hi])
+    return float(np.min(np.hypot(dz, dw)))
 
 
 def sup_gap_bound(prof, t_lo: float, t_hi: float) -> float:

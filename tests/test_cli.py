@@ -68,6 +68,39 @@ class TestBuild:
                    for line in capsys.readouterr().err.splitlines())
 
 
+@pytest.mark.parametrize("command", ["build", "certify-smoothed", "plot-data"])
+@pytest.mark.parametrize("args", [
+    ["--grid", "0"], ["--grid", "-3"], ["--grid", "4"], ["--grid", "7"],
+    ["--margin", "abc"], ["--margin", "1/0"], ["--levels", "-1"],
+], ids=["grid0", "grid-3", "grid4", "grid7", "margin-abc", "margin-1/0", "levels-1"])
+def test_bad_override_exit2(tmp_path, capsys, command, args):
+    # command-line overrides meet the same schema as the config file
+    code = main([command, "--out", str(tmp_path / "r"), "--levels", "1"] + args)
+    assert code == EXIT_CONFIG
+    assert any(line.startswith("error: ")
+               for line in capsys.readouterr().err.splitlines())
+
+
+def test_smallest_grid_accepted(tmp_path):
+    code = main(["certify-smoothed", "--out", str(tmp_path / "r"), "--levels", "2",
+                 "--margin", "0.05", "--grid", "8"])
+    assert code in (EXIT_OK, EXIT_CERTIFICATION)
+    assert (tmp_path / "r" / "smoothed_certificate.json").exists()
+
+
+def test_override_replaces_a_bad_config_value(tmp_path):
+    config = _write_config(tmp_path, {"levels": 1, "distance_resolution": 4})
+    assert main(["build", "--config", config, "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+    assert main(["build", "--config", config, "--grid", "64",
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+
+
+def test_config_not_an_object_exit2(tmp_path):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["build", "--config", str(tmp_path / "list.json"),
+                 "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+
+
 def _write_config(tmp_path, doc):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(doc))

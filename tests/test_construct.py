@@ -187,3 +187,8 @@ def test_params_validation():
         ConstructionParams(a="2", levels=-1)
     with pytest.raises(ValidationError):
         MarginSchedule("1.5")
+    for text in ("abc", "1/0", ""):
+        with pytest.raises(ValidationError):
+            MarginSchedule(text)
+        with pytest.raises(ValidationError):
+            ConstructionParams(a=text, levels=1)

@@ -15,9 +15,10 @@ from squeeze import (
     bidisc_domain,
     annulus_model_domain,
 )
-from squeeze.domain import domain_from_doc, domain_to_doc
+from squeeze.domain import box_distance, domain_from_doc, domain_to_doc
 
-from helpers import STAIRCASES, boundary_distance_brute, perturb_value, staircase, to_point
+from helpers import (STAIRCASES, boundary_distance_brute, perturb_value, stacked_box_distance,
+                     staircase, to_point)
 
 
 def test_profile_eval_flat_region(p0):
@@ -146,6 +147,46 @@ def test_boundary_distance_refuses_degenerate():
     d = ReinhardtDomain(prof, -0.5, 0.5)
     with pytest.raises(CertificationError):
         d.boundary_distance_lower((math.exp(0.3), 0.0), resolution=64)
+
+
+def test_distance_cells_reused_across_points_and_resolutions():
+    # one domain object serves every call; each value must be the one a
+    # fresh domain computes
+    def outcome(d, p, resolution):
+        try:
+            return repr(d.boundary_distance_lower(p, resolution))
+        except CertificationError:
+            return "CertificationError"
+
+    for domain in (staircase("0.05", 3), bidisc_domain(1.0, 2.0)):
+        t_lo = domain.t_min if domain.t_min > -math.inf else domain.t_max - 3.0
+        points = [(math.exp(t), rw) for t in np.linspace(t_lo, domain.t_max, 8)[1:-1]
+                  for rw in (0.0, 0.3 * math.exp(domain.profile.eval(t)))]
+        seen = set()
+        for resolution in (2048, 16384, 2048):
+            for p in points:
+                fresh = ReinhardtDomain(domain.profile, domain.t_min, domain.t_max)
+                got = outcome(domain, p, resolution)
+                assert got == outcome(fresh, p, resolution)
+                seen.add(got)
+        assert len(seen - {"CertificationError"}) >= 6
+
+
+def test_box_distance_equals_the_stacked_maxima():
+    # points inside, on the edges of and outside the cells, where the gaps
+    # are +0, -0 or positive
+    rng = np.random.default_rng(4)
+    u0 = np.sort(rng.uniform(0.0, 2.0, 64))
+    u1 = u0 + rng.uniform(0.0, 0.1, 64)
+    r_lo = rng.uniform(0.0, 1.0, 64)
+    r_hi = r_lo + rng.uniform(0.0, 0.5, 64)
+    points = [(u0[3], r_lo[3]), (u1[9], r_hi[9]), (0.5 * (u0[5] + u1[5]), r_hi[5]),
+              (-0.0, 0.0), (3.0, 2.0)] + list(zip(rng.uniform(0.0, 2.5, 50),
+                                                   rng.uniform(0.0, 1.8, 50)))
+    for rz, rw in points:
+        for cells in ((u0, u1, r_lo, r_hi), (u0[3:4], u1[3:4], r_lo[3:4], r_hi[3:4])):
+            got = box_distance(*cells, float(rz), float(rw))
+            assert repr(got) == repr(stacked_box_distance(*cells, float(rz), float(rw)))
 
 
 def test_outer_radius_bidisc():

@@ -21,8 +21,9 @@ from squeeze.smooth import (
     default_widths,
 )
 
-from helpers import (STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, hessian_entries,
-                     levi_on_tangent, row, sample_interior, staircase, sup_gap_bound)
+from helpers import (STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, dense_levi_face,
+                     hessian_entries, levi_on_tangent, row, sample_interior, staircase,
+                     sup_gap_bound)
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -53,6 +54,57 @@ def probe_points(prof, rng):
     return np.concatenate([pts, [lo, bps[0], bps[-1], hi],
                            rng.uniform(lo, hi, 2000),
                            k[j] + w[j] * rng.uniform(-1.5, 1.5, 2000)])
+
+
+def support_edges(prof):
+    """The floats within 3 ulps of each support edge ``t_j +- h_j``: among
+    them the t with ``|t - t_j| == h_j`` exactly (where one exists) and the
+    first t inside the support."""
+    pts = []
+    for edge in np.concatenate([prof.kinks - prof.widths, prof.kinks + prof.widths]):
+        lo = hi = edge
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            pts += [lo, hi]
+        pts.append(edge)
+    return np.asarray(pts)
+
+
+def profile_pair(u, levels):
+    """The default-width profile of a staircase and the same staircase with
+    one width just below the narrowest room, where (from two levels on)
+    neighbouring supports overlap."""
+    if u is None:
+        domain, _ = build(ConstructionParams(a="2", levels=levels))
+    else:
+        domain = staircase(u, levels)
+    eps = 1e-5
+    base = domain.profile
+    default = MollifiedProfile(base, default_widths(base, eps), eps)
+    return default, MollifiedProfile(base, np.nextafter(default.room.min(), 0.0), eps)
+
+
+def assert_equals_dense(prof, t):
+    """gap, deriv1, deriv2 and jet against the all-kink sums, byte for
+    byte on float64 arrays and scalars, by value and sign on longdouble."""
+    for i in (0, t.size // 2, t.size - 1):
+        for scalar in (float(t[i]), t[i:i + 1].reshape(())):
+            for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
+                               (prof.deriv2, dense_deriv2)):
+                assert new(scalar).tobytes() == dense(prof, scalar).tobytes()
+    for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
+                       (prof.deriv2, dense_deriv2)):
+        assert new(t).tobytes() == dense(prof, t).tobytes()
+    value, d1, d2 = prof.jet(t)
+    assert value.tobytes() == (prof.base.eval_many(t) - dense_gap(prof, t)).tobytes()
+    assert d1.tobytes() == dense_deriv1(prof, t).tobytes()
+    assert d2.tobytes() == dense_deriv2(prof, t).tobytes()
+    ld = t.astype(np.longdouble) + np.longdouble(2.0) ** -60 * t
+    for got, want in ((prof.gap(ld), dense_gap(prof, ld)),
+                      (prof.value(ld), prof.base.eval_many(ld) - dense_gap(prof, ld))):
+        assert got.dtype == want.dtype == np.longdouble
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestKernel:
@@ -143,30 +195,53 @@ class TestMollifiedProfile:
 
     @pytest.mark.parametrize("u, levels", PROFILES)
     def test_near_kink_sums_equal_the_dense_sums(self, u, levels):
-        # with the default widths and with one width just below the narrowest
-        # room, where (from two levels on) neighbouring supports overlap
-        if u is None:
-            domain, _ = build(ConstructionParams(a="2", levels=levels))
-        else:
-            domain = staircase(u, levels)
-        eps = 1e-5
-        base = domain.profile
-        default = MollifiedProfile(base, default_widths(base, eps), eps)
-        overlapping = MollifiedProfile(base, np.nextafter(default.room.min(), 0.0), eps)
         rng = np.random.default_rng(levels)
-        for prof in (default, overlapping):
-            t = probe_points(prof, rng)
-            for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
-                               (prof.deriv2, dense_deriv2)):
-                assert new(t).tobytes() == dense(prof, t).tobytes()
-                assert new(t[7]).tobytes() == dense(prof, t[7]).tobytes()  # a scalar
-            # longdouble: compare values and signs, not the padding bytes
-            ld = t.astype(np.longdouble) + np.longdouble(2.0) ** -60 * t
-            for got, want in ((prof.gap(ld), dense_gap(prof, ld)),
-                              (prof.value(ld), base.eval_many(ld) - dense_gap(prof, ld))):
-                assert got.dtype == want.dtype == np.longdouble
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+        for prof in profile_pair(u, levels):
+            assert_equals_dense(prof, probe_points(prof, rng))
+
+    @pytest.mark.parametrize("u, levels", PROFILES)
+    def test_support_edges_equal_the_dense_sums(self, u, levels):
+        # the widths as chosen, and moved down so that t_j + h_j is a float
+        for prof in profile_pair(u, levels):
+            k = prof.kinks
+            up = (k + prof.widths) - k  # exact: both terms are close
+            exact = MollifiedProfile(prof.base, np.where(
+                up <= prof.widths, up, np.nextafter(k + prof.widths, -np.inf) - k), prof.eps)
+            for p in (prof, exact):
+                t = support_edges(p)
+                diffs = np.abs(t[:, None] - p.kinks)
+                # every support has a float inside it within 3 ulps of its edge
+                assert np.all(np.any((diffs < p.widths) & (diffs > p.widths - 1e-15), axis=0))
+                assert_equals_dense(p, t)
+            assert np.all(np.any(np.abs(support_edges(exact)[:, None] - k) == exact.widths,
+                                 axis=0))
+
+    def test_no_kinks_equal_the_dense_sums(self):
+        base = flat_domain(height=0.25).profile
+        prof = MollifiedProfile(base, 0.1, 1e-4)
+        assert prof.kinks.size == 0 and prof.h == 0.0
+        assert_equals_dense(prof, np.linspace(-2.0, 2.0, 101))
+
+    @pytest.mark.parametrize("u, levels", STAIRCASES)
+    def test_levi_face_equals_the_dense_face(self, u, levels):
+        sd = smooth(staircase(u, levels))
+        lo, hi = sd.axis_log_range()
+        rep = levi_verify(sd, grid_points=10000)
+        t = np.linspace(lo, hi, 10000)
+        values, r = sd._levi_face(t)
+        want_values, want_r = dense_levi_face(sd, t)
+        assert values.tobytes() == want_values.tobytes()
+        assert r.tobytes() == want_r.tobytes()
+        # the closing circles, as levi_verify appends them
+        edges = [math.exp(min(-2.0 * float(sd.profile.base.eval_many(te)
+                                            - dense_gap(sd.profile, te)), 700.0))
+                 for te in (lo, hi)]
+        all_vals = np.concatenate([want_values, edges])
+        i = int(np.argmin(all_vals))
+        assert repr(rep.min_value) == repr(float(all_vals[i]))
+        assert (rep.argmin_t, rep.argmin_w) == (
+            float(np.concatenate([t, [lo, hi]])[i]),
+            float(np.concatenate([want_r, [0.0, 0.0]])[i]))
 
     def test_widths_fit_the_gaps_next_to_their_kink(self):
         # harmonic, 4 levels: the kernels at +-t_1 are wider than the narrowest
@@ -316,6 +391,14 @@ class TestCertifySmoothed:
             assert err < prev_err or err < 1e-6
             prev_err = err
         assert prev_err < 1e-4
+
+    def test_distance_grid_too_small_rejected(self, headline_smoothed):
+        sd, _, _ = headline_smoothed
+        p = (1.0, 0.0)
+        assert sd.boundary_distance_lower(p, 8) > 0.0
+        for resolution in (7, 4, 0, -3):
+            with pytest.raises(ValidationError):
+                sd.boundary_distance_lower(p, resolution)
 
     def test_basepoint_leaves_domain_rejected(self, headline):
         _, domain, _ = headline
