@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,16 @@ def _log_moduli(z, w) -> tuple[np.ndarray, np.ndarray]:
     t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
     lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
     return t, lam
+
+
+def _positive_int(name: str, value) -> int:
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValidationError(f"{name} must be a positive integer, not {value!r}")
+    return n
 
 
 # ------------------------------------------------------------------ adapters
@@ -276,6 +287,63 @@ def _largest_feasible_tau(infeasible_at, bar: float) -> float:
     return lo
 
 
+_SEARCH_BLOCK = 256  # circle samples per block in the disc search
+_TAIL_MEMO = 4  # tail polynomials the disc search keeps, the most recently used
+
+
+class _Tail:
+    """One tail polynomial ``sum_j c_j zeta^(j+2)`` on the circle samples:
+    its coefficients, its values per block (``None`` until built) and on
+    all samples (``None`` until built)."""
+
+    __slots__ = ("coeffs", "blocks", "full")
+
+    def __init__(self, coeffs: np.ndarray, n_blocks: int):
+        self.coeffs = coeffs
+        self.blocks = [None] * n_blocks
+        self.full = None
+
+
+class _DiscTails:
+    """Tail values of the disc search on its circle samples ``zeta``.
+
+    The samples are split into contiguous blocks of ``_SEARCH_BLOCK`` (the
+    last one may be shorter), copied once.  A tail is built on a block only
+    when a check first needs that block, and the tails of the last
+    ``_TAIL_MEMO`` coefficient vectors used are kept, keyed by their bytes.
+    ``_polyval`` is elementwise in ``zeta``, so a block's values equal that
+    slice of the values on all samples bit for bit."""
+
+    def __init__(self, zeta: np.ndarray):
+        self.zeta = zeta
+        self.slices = [slice(i, min(i + _SEARCH_BLOCK, zeta.size))
+                       for i in range(0, zeta.size, _SEARCH_BLOCK)]
+        self.zeta_blocks = [zeta[s].copy() for s in self.slices]
+        self.memo: dict[bytes, _Tail] = {}
+
+    def tail(self, tail_coeffs: np.ndarray) -> _Tail:
+        """The tail with coefficients ``c_2, c_3, ...``, kept or new."""
+        key = tail_coeffs.tobytes()
+        t = self.memo.pop(key, None)
+        if t is None:
+            if len(self.memo) >= _TAIL_MEMO:
+                del self.memo[next(iter(self.memo))]  # least recently used
+            t = _Tail(np.concatenate([[0.0, 0.0], tail_coeffs]), len(self.slices))
+        self.memo[key] = t
+        return t
+
+    def block(self, t: _Tail, b: int) -> np.ndarray:
+        if t.blocks[b] is None:
+            t.blocks[b] = _polyval(t.coeffs, self.zeta_blocks[b])
+        return t.blocks[b]
+
+    def full(self, t: _Tail) -> np.ndarray:
+        if t.full is None:
+            t.full = _polyval(t.coeffs, self.zeta)
+            t.blocks = [t.full[s] for s in self.slices]
+        return t.full
+
+
 def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
                            budget: int = 150, seed: int = 0,
                            samples: int = 2048, restarts: int = 4,
@@ -284,7 +352,8 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
 
     Feasibility of a disc is enforced as ``defect <= -margin`` on ``samples``
     boundary points of the unit circle; the returned disc additionally passes
-    a 10x finer sampling (the scale backs off until it does).
+    a 10x finer sampling (the scale backs off until it does).  A NaN defect
+    fails both checks.
 
     Each proposal of the search is first tested at the incumbent scale and
     rejected with one sampled check if it is infeasible there; a proposal
@@ -295,37 +364,68 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     the full ladder on every proposal would.  On a profile domain the
     feasible scales along a disc's ray are assumed, not proven, to be an
     interval.
+
+    A sampled check first evaluates the defect on the witness block only:
+    the block of ``_SEARCH_BLOCK`` samples that held the worst sample of the
+    last check over all samples that failed (block 0 at the start).  If some
+    sample there fails, the check fails; otherwise it runs over all samples.
+    The defect and the tails are elementwise in the sample, so each sample's
+    value on a block equals its value on all samples bit for bit, and the
+    verdict is that of the check over all samples.
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
     if isinstance(domain, ReinhardtDomain) and not domain.contains(p):
         raise ValidationError("basepoint must lie in the domain")
-    if degree < 1:
-        raise ValidationError("degree must be at least 1")
+    degree = _positive_int("degree", degree)
+    budget = _positive_int("budget", budget)
+    samples = _positive_int("samples", samples)
+    restarts = _positive_int("restarts", restarts)
+    if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin > 0):
+        raise ValidationError(f"margin must be a finite number > 0, not {margin!r}")
     zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
-    n_tail = max(degree - 1, 0)
+    n_tail = degree - 1
+    tails = _DiscTails(zeta)
+    witness = 0
 
     def tail_arrays(x: np.ndarray):
         c = x.view(complex) if x.size else np.zeros(0, dtype=complex)
         return c[:n_tail], c[n_tail:]
 
-    counts = [0, 0, 0]  # objective calls, proposals rejected at the bar, defect calls
+    # objective calls, proposals rejected at the bar, defect calls,
+    # checks settled on the witness block, checks over all samples
+    counts = [0, 0, 0, 0, 0]
 
-    def max_defect(tz_val, tw_val, tau):
-        z = p.z + tau * xi.xi_z * zeta + tz_val
-        w = p.w + tau * xi.xi_w * zeta + tw_val
+    def infeasible_at(tz: _Tail, tw: _Tail, tau: float) -> bool:
+        nonlocal witness
         counts[2] += 1
-        return float(np.max(adapter.defect(z, w)))
+        zb = tails.zeta_blocks[witness]
+        z = p.z + tau * xi.xi_z * zb + tails.block(tz, witness)
+        w = p.w + tau * xi.xi_w * zb + tails.block(tw, witness)
+        d = adapter.defect(z, w)
+        if not d[d.argmax()] <= -margin:  # argmax finds a NaN first
+            counts[3] += 1
+            return True
+        if len(tails.slices) == 1:
+            counts[3] += 1  # the block holds every sample
+            return False
+        counts[2] += 1
+        counts[4] += 1
+        z = p.z + tau * xi.xi_z * zeta + tails.full(tz)
+        w = p.w + tau * xi.xi_w * zeta + tails.full(tw)
+        d = adapter.defect(z, w)
+        worst = d.argmax()
+        if d[worst] <= -margin:
+            return False
+        witness = int(worst) // _SEARCH_BLOCK
+        return True
 
     def feasible_tau(x: np.ndarray, bar: float) -> float:
-        tz, tw = tail_arrays(x)
-        tz_val = _polyval(np.concatenate([[0.0, 0.0], tz]), zeta) if n_tail else 0.0
-        tw_val = _polyval(np.concatenate([[0.0, 0.0], tw]), zeta) if n_tail else 0.0
-        before = counts[2]
-        tau = _largest_feasible_tau(
-            lambda t: max_defect(tz_val, tw_val, t) > -margin, bar)
+        tz, tw = (tails.tail(c) for c in tail_arrays(x))
+        before = counts[3] + counts[4]
+        tau = _largest_feasible_tau(lambda t: infeasible_at(tz, tw, t), bar)
         counts[0] += 1
-        if bar > _TAU_START and counts[2] - before == 1:
+        if bar > _TAU_START and counts[3] + counts[4] - before == 1:
             counts[1] += 1  # one check: the test at the bar failed
         return tau
 
@@ -373,7 +473,8 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         raise NumericalError("could not stabilize the returned disc on the fine grid")
 
     log.debug("disc search: %d objective calls, %d proposals rejected at the bar, "
-              "%d defect calls", *counts)
+              "%d defect calls, %d checks settled on the witness block, "
+              "%d checks over all samples", *counts)
     value = 1.0 / best_tau
     bound = Bound(
         quantity="kobayashi", side="upper", value=value, basepoint=p, direction=xi,
@@ -467,6 +568,9 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
+    budget = _positive_int("budget", budget)
+    if not (isinstance(safety, numbers.Real) and math.isfinite(safety) and safety >= 1):
+        raise ValidationError(f"safety must be a finite number >= 1, not {safety!r}")
     if index_set is None:
         index_set = (DEFAULT_ANNULUS_INDEXES if adapter.has_hole()
                      else DEFAULT_DISC_INDEXES)
@@ -569,16 +673,6 @@ def _int_power(base: np.ndarray, m: int) -> np.ndarray:
         b = b * b
         e >>= 1
     return out
-
-
-def _positive_int(name: str, value) -> int:
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise ValidationError(f"{name} must be a positive integer, not {value!r}")
-    return n
 
 
 def _coarse_first(samples: int) -> np.ndarray:

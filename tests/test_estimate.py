@@ -18,8 +18,9 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import (_COARSE, BallModel, PolydiscModel, _bad, _circle_samples,
-                              _coarse_first, _feasible, _largest_feasible_tau)
+from squeeze.estimate import (_COARSE, _SEARCH_BLOCK, _TAIL_MEMO, BallModel, PolydiscModel,
+                              ReinhardtAdapter, _bad, _circle_samples, _coarse_first,
+                              _DiscTails, _feasible, _largest_feasible_tau, _polyval)
 
 from helpers import (MonomialModel, coefficient_bound_check, evaluate, row,
                      single_pass_feasible, single_pass_samples, unpruned_disc_oracle,
@@ -83,6 +84,18 @@ class TestKobayashiSearch:
         zs, ws = evaluate(disc, zeta)
         assert np.all(PolydiscModel().defect(zs, ws) < 0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 3.5}, {"samples": 0}, {"degree": 2.5}, {"degree": 0},
+        {"budget": 0}, {"budget": 1.5}, {"restarts": 0}, {"restarts": "2"},
+        {"margin": -1.0}, {"margin": 0.0}, {"margin": math.nan}, {"margin": math.inf},
+        {"margin": "1e-6"},
+    ], ids=["samples3.5", "samples0", "degree2.5", "degree0", "budget0", "budget1.5",
+            "restarts0", "restarts-str", "margin-1", "margin0", "margin-nan", "margin-inf",
+            "margin-str"])
+    def test_rejects_bad_inputs(self, kwargs):
+        with pytest.raises(ValidationError):
+            kobayashi_upper_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
+
     def test_staircase_point(self, p0):
         _, domain, cert = p0
         rec = row(cert, 1)
@@ -145,26 +158,125 @@ CALIBRATION = {"bidisc": (PolydiscModel(), XI11), "ball": (BallModel(), XI11),
                "disc": (PolydiscModel(), XI10)}
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("case", sorted(CALIBRATION))
-def test_pruned_search_matches_unpruned_reference_calibration(case, seed):
+def _with_samples(cases):
+    """``cases`` at 512 circle samples (ids unchanged) and at 200 (fewer
+    than one block) and 1000 (three full blocks and a short one)."""
+    return [pytest.param(*case, samples,
+                         id="-".join(map(str, case)) + ("" if samples == 512 else f"-samples{samples}"))
+            for samples in (512, 200, 1000) for case in cases]
+
+
+@pytest.mark.parametrize("case, seed, samples",
+                         _with_samples([(case, seed) for case in sorted(CALIBRATION) for seed in (0, 7)]))
+def test_pruned_search_matches_unpruned_reference_calibration(case, seed, samples):
     model, xi = CALIBRATION[case]
-    kw = dict(seed=seed, budget=60, samples=512, return_trace=True)
+    kw = dict(seed=seed, budget=60, samples=samples, return_trace=True)
     _assert_same_search(kobayashi_upper_search(model, P0C, xi, **kw),
                         unpruned_kobayashi_upper_search(model, P0C, xi, **kw))
 
 
-@pytest.mark.parametrize("seed", [1, 31])
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_pruned_search_matches_unpruned_reference_staircase(levels, seed):
+def _staircase_calls(levels):
+    """Per level of the L-level staircase: (domain, basepoint, direction, k)."""
     domain, records = certify_levels(ConstructionParams(a="2", levels=levels))
     for rec in records:
         beta = math.exp(domain.profile.eval(math.log(rec.a_k)))
-        p = PointC2(complex(rec.a_k, 0.0), 0.0j)
-        xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
-        kw = dict(seed=seed + rec.k, budget=60, samples=512, return_trace=True)
+        yield (domain, PointC2(complex(rec.a_k, 0.0), 0.0j),
+               Direction(complex(rec.a_k, 0.0), complex(beta, 0.0)), rec.k)
+
+
+@pytest.mark.parametrize("levels, seed, samples",
+                         _with_samples([(levels, seed) for levels in (1, 2, 3) for seed in (1, 31)]))
+def test_pruned_search_matches_unpruned_reference_staircase(levels, seed, samples):
+    for domain, p, xi, k in _staircase_calls(levels):
+        kw = dict(seed=seed + k, budget=60, samples=samples, return_trace=True)
         _assert_same_search(kobayashi_upper_search(domain, p, xi, **kw),
                             unpruned_kobayashi_upper_search(domain, p, xi, **kw))
+
+
+def test_pruned_search_witness_reaches_the_short_block(monkeypatch):
+    """At 1000 samples the witness block moves off block 0, and also to the
+    short last block (samples 768-999), on a model and on a staircase."""
+    visited = set()
+    block = _DiscTails.block
+
+    def spy(self, t, b):
+        visited.add((len(self.slices), b))
+        return block(self, t, b)
+
+    monkeypatch.setattr(_DiscTails, "block", spy)
+    kobayashi_upper_search(PolydiscModel(), P0C, XI11, seed=0, budget=60, samples=1000)
+    assert visited == {(4, 0), (4, 1), (4, 2), (4, 3)}
+    visited.clear()
+    domain, p, xi, k = next(_staircase_calls(3))
+    kobayashi_upper_search(domain, p, xi, seed=1 + k, budget=60, samples=1000)
+    assert (4, 3) in visited and len(visited) > 1
+
+
+def _block_cases():
+    domain, p, xi, _k = next(_staircase_calls(3))
+    return {"staircase": (ReinhardtAdapter(domain), p, xi),
+            "polydisc": (PolydiscModel(), P0C, XI11),
+            "ball": (BallModel(), P0C, XI11)}
+
+
+@pytest.mark.parametrize("samples", [130, 200, 256, 300, 1000, 2048])
+@pytest.mark.parametrize("case", ["staircase", "polydisc", "ball"])
+def test_block_tails_and_defects_equal_full_slices(case, samples):
+    adapter, p, xi = _block_cases()[case]
+    zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
+    tails = _DiscTails(zeta)
+    sizes = [s.stop - s.start for s in tails.slices]
+    assert sum(sizes) == samples and all(n == _SEARCH_BLOCK for n in sizes[:-1])
+    rng = np.random.default_rng(samples)
+    for _ in range(3):
+        tz, tw = (0.05 * (rng.standard_normal(5) + 1j * rng.standard_normal(5)) for _ in "zw")
+        full_z = _polyval(np.concatenate([[0.0, 0.0], tz]), zeta)
+        full_w = _polyval(np.concatenate([[0.0, 0.0], tw]), zeta)
+        t_z, t_w = tails.tail(tz), tails.tail(tw)
+        # scales from well inside to well outside, so the defects change sign
+        for tau in (1e-6, 0.05, 0.3, 0.9, 3.0):
+            d = adapter.defect(p.z + tau * xi.xi_z * zeta + full_z,
+                               p.w + tau * xi.xi_w * zeta + full_w)
+            for b, s in enumerate(tails.slices):
+                bz, bw = tails.block(t_z, b), tails.block(t_w, b)
+                assert bz.tobytes() == full_z[s].tobytes()
+                assert bw.tobytes() == full_w[s].tobytes()
+                zb = tails.zeta_blocks[b]
+                assert zb.tobytes() == zeta[s].tobytes()
+                db = adapter.defect(p.z + tau * xi.xi_z * zb + bz,
+                                    p.w + tau * xi.xi_w * zb + bw)
+                assert db.tobytes() == d[s].tobytes()
+        assert tails.full(t_z).tobytes() == full_z.tobytes()
+        assert tails.full(t_w).tobytes() == full_w.tobytes()
+
+
+def test_block_tail_memo_is_exact_and_bounded():
+    zeta = np.exp(2j * math.pi * np.arange(1000) / 1000)
+    tails = _DiscTails(zeta)
+    rng = np.random.default_rng(3)
+    kept = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    t_kept = tails.tail(kept)
+    for _ in range(4 * _TAIL_MEMO):
+        # a proposal: one coefficient vector kept from the incumbent, one new
+        assert tails.tail(kept.copy()) is t_kept
+        coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        t = tails.tail(coeffs)
+        assert tails.tail(coeffs.copy()) is t
+        assert len(tails.memo) <= _TAIL_MEMO
+        fresh = _polyval(np.concatenate([[0.0, 0.0], coeffs]), zeta)
+        for b in (3, 1):
+            assert tails.block(t, b).tobytes() == fresh[tails.slices[b]].tobytes()
+        assert tails.full(t).tobytes() == fresh.tobytes()
+        assert all(tails.block(t, b).tobytes() == fresh[s].tobytes()
+                   for b, s in enumerate(tails.slices))
+    assert len(tails.memo) == _TAIL_MEMO
+    assert tails.tail(kept) is t_kept
+    # a vector not used for _TAIL_MEMO others is dropped and rebuilt
+    first = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    t_first = tails.tail(first)
+    for _ in range(_TAIL_MEMO):
+        tails.tail(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    assert tails.tail(first) is not t_first
 
 
 class TestCaratheodorySearch:
@@ -197,6 +309,14 @@ class TestCaratheodorySearch:
         assert len(cand.indices) == len(cand.coefficients)
         assert len(trace) == 3
         assert max(t[1] for t in trace) == pytest.approx(b.value, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"safety": 0}, {"safety": 0.5}, {"safety": math.nan}, {"safety": math.inf},
+        {"budget": 0}, {"budget": 2.5},
+    ], ids=["safety0", "safety0.5", "safety-nan", "safety-inf", "budget0", "budget2.5"])
+    def test_rejects_bad_inputs(self, kwargs):
+        with pytest.raises(ValidationError):
+            caratheodory_lower_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
 
     def test_laurent_rejected_at_origin(self):
         with pytest.raises(ValidationError):
