@@ -20,29 +20,32 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import estimate as est
 from .construct import (
+    ConstructionCertificate,
     ConstructionParams,
     MarginSchedule,
     HarmonicSchedule,
-    build,
+    LevelRecord,
+    build,  # re-exported: squeeze.cli.build is construct.build
+    certify_center,
     certify_levels,
 )
-from .domain import PointC2, domain_to_doc, fmt
+from .domain import PointC2, ReinhardtDomain, domain_to_doc, fmt
 from .errors import CertificationError, NumericalError, SqueezeError, ValidationError
 from .schema import validate_doc
 from .metrics import (
     Direction,
     bound_to_record,
     caratheodory_upper_slices,
-    shear_normalize,
     squeezing_lower_inclusion,
 )
-from .smooth import certify_smoothed, levi_verify, smooth
+from .smooth import SmoothDomain, certify_smoothed, levi_verify, smooth
 
 log = logging.getLogger("squeeze")
 
@@ -56,7 +59,8 @@ EXIT_NUMERICAL = 4
 class RunConfig:
     """Reproducible run configuration; round-trips through JSON bit-exactly.
 
-    Exact rationals (``a``, ``margin_u``) are stored as strings.
+    Exact rationals (``a``, ``margin_u``) are stored as strings.  The stages
+    of a run are cached properties, so ``all`` computes each of them once.
     """
 
     a: str = "2"
@@ -77,6 +81,11 @@ class RunConfig:
     est_samples: int = 2048
     seed: int = 20240501
     out: str = "run"
+
+    def __post_init__(self):
+        # the construction parameters are checked with the config, before
+        # any command creates its run directory
+        self.construction_params()
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)
@@ -104,6 +113,23 @@ class RunConfig:
             margin_guard=self.margin_guard,
             distance_resolution=self.distance_resolution,
         )
+
+    @cached_property
+    def staircase(self) -> tuple[ReinhardtDomain, tuple[LevelRecord, ...]]:
+        """The staircase domain and its certified level rows."""
+        return certify_levels(self.construction_params())
+
+    @cached_property
+    def certificate(self) -> ConstructionCertificate:
+        """The level rows with the center bound and the violation verdict."""
+        domain, levels = self.staircase
+        return certify_center(domain, levels, self.construction_params())
+
+    @cached_property
+    def smoothed(self) -> SmoothDomain:
+        """The mollified, capped inner approximation of the staircase."""
+        return smooth(self.staircase[0], h=self.smooth_h, eps=self.smooth_eps,
+                      kappa=self.smooth_kappa)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -140,9 +166,8 @@ class _RunDir:
 
 
 def cmd_build(config: RunConfig) -> int:
-    params = config.construction_params()
     with _RunDir(config.out) as out:
-        domain, cert = build(params)
+        domain, cert = config.staircase[0], config.certificate
         _write_json(out / "domain.json", validate_doc("domain", domain_to_doc(domain)))
         _write_json(out / "certificate.json",
                     validate_doc("construction-certificate", cert.to_doc()))
@@ -150,20 +175,15 @@ def cmd_build(config: RunConfig) -> int:
         for rec in cert.levels:
             log.info("level %d: C=%s n=%d s_upper=%.6g target=%s",
                      rec.k, rec.c_k, rec.n_k, rec.s_upper.value, rec.target)
-        if all(rec.target_met for rec in cert.levels):
-            return EXIT_OK
-        return EXIT_CERTIFICATION
+        return EXIT_OK  # certify_levels raises on a level that misses its target
 
 
 def cmd_certify_smoothed(config: RunConfig) -> int:
-    params = config.construction_params()
     with _RunDir(config.out) as out:
-        domain, levels = certify_levels(params)
-        sd = smooth(domain, h=config.smooth_h, eps=config.smooth_eps,
-                    kappa=config.smooth_kappa)
+        (domain, levels), sd = config.staircase, config.smoothed
         report = levi_verify(sd, grid_points=config.levi_points,
                              tolerance=config.levi_tolerance)
-        smoothed = certify_smoothed(sd, levels, params.margin_guard,
+        smoothed = certify_smoothed(sd, levels, config.margin_guard,
                                     resolution=config.distance_resolution)
         tgrid = np.linspace(domain.t_min, domain.t_max, 2001)
         rows = [["t", "phi", "phi_tilde"]]
@@ -195,8 +215,7 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
 
 
 def _estimate_payload(config: RunConfig):
-    params = config.construction_params()
-    domain, levels = certify_levels(params)
+    domain, levels = config.staircase
     points = []
     sandwich_ok = True
     trace_rows = [["point", "quantity", "restart", "objective", "feasibility_margin"]]
@@ -306,11 +325,8 @@ def cmd_estimate(config: RunConfig) -> int:
 
 
 def cmd_plotdata(config: RunConfig) -> int:
-    params = config.construction_params()
     with _RunDir(config.out) as out:
-        domain, levels = certify_levels(params)
-        sd = smooth(domain, h=config.smooth_h, eps=config.smooth_eps,
-                    kappa=config.smooth_kappa)
+        (domain, levels), sd = config.staircase, config.smoothed
         # profile rows: the level breakpoints plus the center (2K + 1 rows)
         ts = sorted({math.log(rec.a_k) for rec in levels}
                     | {-math.log(rec.a_k) for rec in levels} | {0.0})
@@ -320,9 +336,7 @@ def cmd_plotdata(config: RunConfig) -> int:
         _write_csv(out / "profile.csv", rows)
 
         for rec in levels:
-            t_k = math.log(rec.a_k)
-            idx = domain.profile.breakpoints.index(t_k)
-            image, _ = shear_normalize(domain, idx)
+            image = rec.sheared[0]
             rows = [["s", "phi_sheared"]]
             for s, v in zip(image.profile.breakpoints, image.profile.values):
                 rows.append([fmt(s), fmt(v)])

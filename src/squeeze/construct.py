@@ -106,7 +106,6 @@ class ConstructionParams:
     schedule: HarmonicSchedule | MarginSchedule = field(default_factory=HarmonicSchedule)
     margin_guard: float = 0.01
     distance_resolution: int = 2048
-    exponent_limit: int = EXPONENT_LIMIT
 
     def __post_init__(self):
         object.__setattr__(self, "a", _to_fraction(self.a))
@@ -159,10 +158,10 @@ def choose_exponent(params: ConstructionParams, k: int, c_k: Fraction, n_prev: i
     if n_prev < 0:
         raise ValidationError("previous exponent must be nonnegative")
     n_k = n_prev + params.schedule.increment(k, c_k)
-    if n_k > params.exponent_limit:
+    if n_k > EXPONENT_LIMIT:
         raise ValidationError(
-            f"exponent n_{k} = {n_k} exceeds the configured limit "
-            f"{params.exponent_limit}; relax the schedule target"
+            f"exponent n_{k} = {n_k} exceeds the limit {EXPONENT_LIMIT}; "
+            "relax the schedule target"
         )
     return n_k
 
@@ -183,6 +182,9 @@ class LevelRecord:
     s_upper_mirror: Bound
     target: Fraction
     target_met: bool
+    # shear_normalize at t_k, the (image, map) the row was certified with
+    sheared: tuple[ReinhardtDomain, AffineLogMap] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,10 @@ class ConstructionCertificate:
 def assemble_certificate(levels: tuple[LevelRecord, ...], s_lower: Bound,
                          margin_guard: float, smoothed: bool = False) -> ConstructionCertificate:
     """Violation verdict: smallest level whose circle bound is certifiably
-    below the center bound minus the margin guard."""
+    below the center bound minus the margin guard, after the sandwich check."""
+    bounds = [rec.s_upper for rec in levels] + [rec.s_upper_mirror for rec in levels]
+    check_sandwich(bounds + [s_lower], context="smoothed certificate" if smoothed
+                   else "construction certificate")
     violation_level = None
     for rec in levels:
         lhs = max(rec.s_upper.value, rec.s_upper_mirror.value)
@@ -366,19 +371,21 @@ def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[L
         a_lo = radii[k - 1] / radii[k]
         a_hi = radii[k + 1] / radii[k]
         lo_log, hi_log = _model_edges(profile, idx, k, ks, a_lo, a_hi)
+        sheared = shear_normalize(domain, idx)
         s_up = squeezing_upper_at_breakpoint(
             domain,
             idx,
             model_lo_log=lo_log,
             model_hi_log=hi_log,
             exact_model=LevelModel(c_constant=c_k, m=m_k),
+            sheared=sheared,
         )
         # the profile is symmetric, so z -> 1/z carries the bound to -t_k
         s_up_mirror = at_breakpoint(s_up.sheared, profile.breakpoints[n_bp - 1 - idx],
                                     mirrored=True)
         target = params.schedule.target(k)
-        met = s_up.value * (1.0 + GUARD_COMPARE) < float(target)
-        if not met:
+        # the certified bound is C_k / sqrt(m_k / 2): decided in exact rationals
+        if not 2 * c_k * c_k < target * target * m_k:
             raise CertificationError(
                 f"level {k}: certified upper {s_up.value!r} misses target {target} "
                 f"(n_{k} = {exponents[k - 1]})"
@@ -395,21 +402,25 @@ def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[L
             s_upper=s_up,
             s_upper_mirror=s_up_mirror,
             target=target,
-            target_met=met,
+            target_met=True,
+            sheared=sheared,
         ))
     return domain, tuple(records)
 
 
-def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCertificate]:
-    """``certify_levels``, then the certified squeezing lower bound at the
-    center ``(1, 0)``, the violation verdict and the sandwich check."""
-    domain, records = certify_levels(params)
+def certify_center(domain: ReinhardtDomain, levels: tuple[LevelRecord, ...],
+                   params: ConstructionParams) -> ConstructionCertificate:
+    """The certified squeezing lower bound at the center ``(1, 0)`` and the
+    certificate of ``levels``, the rows ``certify_levels`` returned for ``domain``."""
     p_center = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
     s_lower = squeezing_lower_inclusion(domain, p_center, params.distance_resolution)
-    cert = assemble_certificate(records, s_lower, params.margin_guard)
-    bounds = [rec.s_upper for rec in records] + [rec.s_upper_mirror for rec in records]
-    check_sandwich(bounds + [s_lower], context="construction certificate")
-    return domain, cert
+    return assemble_certificate(levels, s_lower, params.margin_guard)
+
+
+def build(params: ConstructionParams) -> tuple[ReinhardtDomain, ConstructionCertificate]:
+    """``certify_levels``, then ``certify_center``."""
+    domain, records = certify_levels(params)
+    return domain, certify_center(domain, records, params)
 
 
 def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) -> None:

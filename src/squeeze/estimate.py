@@ -205,11 +205,6 @@ class DiscCandidate:
                              np.asarray(self.tails_w, dtype=complex)])
         return cz, cw
 
-    def alpha(self) -> float:
-        if self.tau <= 0.0:
-            raise ValidationError("degenerate disc")
-        return 1.0 / self.tau
-
 
 def _polyval(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     acc = np.full_like(zeta, coeffs[-1], dtype=complex)

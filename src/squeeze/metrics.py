@@ -34,7 +34,7 @@ from .domain import (
 from .errors import CertificationError, ValidationError
 
 # Relative guard band for certified float comparisons: subtracted from lower
-# bounds, added to upper bounds, so rounding can never flip a certificate.
+# bounds, added to upper bounds, to absorb rounding errors below that size.
 GUARD_COMPARE = 1e-10
 
 
@@ -48,9 +48,6 @@ class Direction:
     def __post_init__(self):
         if abs(self.xi_z) == 0.0 and abs(self.xi_w) == 0.0:
             raise ValidationError("direction must be nonzero")
-
-    def scaled(self, c: complex) -> "Direction":
-        return Direction(c * self.xi_z, c * self.xi_w)
 
 
 _QUANTITIES = ("kobayashi", "caratheodory", "squeezing")
@@ -370,6 +367,8 @@ def squeezing_upper_at_breakpoint(
     model_lo_log: float | None = None,
     model_hi_log: float | None = None,
     exact_model: LevelModel | None = None,
+    *,
+    sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None,
 ) -> Bound:
     """Certified squeezing upper bound at the breakpoint ``t_k`` axis point.
 
@@ -383,7 +382,8 @@ def squeezing_upper_at_breakpoint(
     breakpoint ``|t_k|`` (the inversion ``z -> 1/z`` is an automorphism), so
     values at ``t_k`` and ``-t_k`` agree bit-exactly.  The model annulus
     defaults to the adjacent breakpoints; the construction passes the exact
-    schedule edges instead.
+    schedule edges instead.  ``sheared`` is ``shear_normalize`` at the
+    canonical breakpoint when the caller already has it.
     """
     profile = domain.profile
     n = len(profile.breakpoints)
@@ -394,7 +394,8 @@ def squeezing_upper_at_breakpoint(
     if mirrored:
         k = n - 1 - k
 
-    sheared = shear_normalize(domain, k)
+    if sheared is None:
+        sheared = shear_normalize(domain, k)
     image = sheared[0]
     if model_lo_log is None:
         if k == 0:

@@ -20,9 +20,10 @@ function::
     rho(z, w) = |w|^2 exp(-2 phi_tilde(log|z|)) + exp(kappa (log|z| - t_+))
                 + exp(-kappa (log|z| - t_-)) - 1,
 
-so ``{rho < 0}`` is an open, smoothly bounded, circular subdomain of the
-staircase domain.  On the boundary face the Levi form restricted to the
-complex tangent has the closed form
+with ``t_-`` and ``t_+`` the edges of the base annulus, so ``{rho < 0}``
+is an open, smoothly bounded, circular subdomain of the staircase domain.
+On the boundary face the Levi form restricted to the complex tangent has
+the closed form
 
     L = F (-2 phi_tilde'' F^2 + g'' F + g'^2) / ((r A)^2 + 4 z^2 F^2),
 
@@ -50,7 +51,7 @@ from .domain import (
     fmt,
 )
 from .errors import CertificationError, NumericalError, ValidationError
-from .metrics import Bound, check_sandwich
+from .metrics import Bound
 from .construct import (
     ConstructionCertificate,
     LevelRecord,
@@ -136,7 +137,7 @@ class MollifiedProfile:
                 )
         self.widths = widths
         self._slope0 = base.slopes()[0]
-        # deriv1 terms between kinks i - 1 and i (row i): the kinks left of
+        # slope terms between kinks i - 1 and i (row i): the kinks left of
         # t add drop * bump_cdf(1), the others drop * bump_cdf(-1)
         n = self.kinks.size
         self._d1_rows = np.where(np.arange(n) < np.arange(n + 1)[:, None],
@@ -209,15 +210,6 @@ class MollifiedProfile:
         """phi_tilde(t), in the float dtype of ``t``."""
         t = as_float(t)
         return self.base.eval_many(t) - self.gap(t)
-
-    def deriv1(self, t):
-        """phi_tilde'(t).  A kink outside its support contributes
-        ``drop * bump_cdf(+-1)``, and ``bump_cdf(-1)`` is not zero, so every
-        kink keeps its term and the sum runs over all of them in kink order."""
-        return self.jet(t)[1]
-
-    def deriv2(self, t):
-        return self.jet(t)[2]
 
     def jet(self, t):
         """``(phi_tilde, phi_tilde', phi_tilde'')`` at ``t`` as float64, from
@@ -295,8 +287,7 @@ class SmoothDomain:
     function; immutable after construction."""
 
     def __init__(self, base: ReinhardtDomain, h=None,
-                 eps: float = 1e-5, kappa: float = 50.0,
-                 t_plus: float | None = None, t_minus: float | None = None):
+                 eps: float = 1e-5, kappa: float = 50.0):
         if base.t_min == -math.inf:
             raise ValidationError("smoothing requires a finite inner annulus edge")
         self.base = base
@@ -307,12 +298,8 @@ class SmoothDomain:
             raise ValidationError("cap stiffness kappa must be positive")
         self.eps = float(eps)
         self.kappa = float(kappa)
-        self.t_plus = base.t_max if t_plus is None else float(t_plus)
-        self.t_minus = base.t_min if t_minus is None else float(t_minus)
-        if not (base.t_min <= self.t_minus < self.t_plus <= base.t_max):
-            raise ValidationError("cap centers must respect the base annulus")
 
-        mid = 0.5 * (self.t_plus + self.t_minus)
+        mid = 0.5 * (base.t_max + base.t_min)
         if not self.g(mid) < 1.0:
             raise ValidationError("caps so stiff that the smoothed domain is empty")
         self._axis_lo_in, self._axis_lo_out = self._root_bracket(left=True)
@@ -323,7 +310,7 @@ class SmoothDomain:
             if not (self._axis_lo_in < t_check < self._axis_hi_in
                     and self.g(t_check) < 1.0):
                 raise ValidationError(
-                    f"cap configuration pushes the circle at t={t_check!r} "
+                    f"cap configuration pushes the circle at t={float(t_check)!r} "
                     "out of the smoothed domain"
                 )
 
@@ -341,16 +328,11 @@ class SmoothDomain:
         """Cap term, in the float dtype of ``t``."""
         return self._caps(as_float(t))[0]
 
-    def g1(self, t):
-        return self._caps(as_float(t))[1]
-
-    def g2(self, t):
-        return self._caps(as_float(t))[2]
-
     def _caps(self, t):
-        """``(g, g', g'')`` from one evaluation of the two cap exponentials."""
-        e_plus = np.exp(self.kappa * (t - self.t_plus))
-        e_minus = np.exp(-self.kappa * (t - self.t_minus))
+        """``(g, g', g'')`` from one evaluation of the two cap exponentials,
+        centred on the annulus edges."""
+        e_plus = np.exp(self.kappa * (t - self.base.t_max))
+        e_minus = np.exp(-self.kappa * (t - self.base.t_min))
         g = e_plus + e_minus
         return g, self.kappa * (e_plus - e_minus), self.kappa * self.kappa * g
 
@@ -359,8 +341,8 @@ class SmoothDomain:
 
         Returns (inner, outer): g(inner) < 1 < g(outer), inner strictly inside.
         """
-        mid = 0.5 * (self.t_plus + self.t_minus)
-        outside = self.t_minus if left else self.t_plus
+        mid = 0.5 * (self.base.t_max + self.base.t_min)
+        outside = self.base.t_min if left else self.base.t_max
         # the cap term can underflow, leaving g(outside) == 1 exactly; beyond
         # the cap centers g > 1 structurally, so >= is the right sentinel
         if not (self.g(outside) >= 1.0 and self.g(mid) < 1.0):
@@ -469,7 +451,7 @@ class SmoothDomain:
         # closing strips: all boundary beyond the conservative face range lies
         # between the face range and the cap centers
         r_global = math.exp(self.base.max_log_height())
-        for (s_out, s_in) in ((self.t_minus, lo), (hi, self.t_plus)):
+        for (s_out, s_in) in ((self.base.t_min, lo), (hi, self.base.t_max)):
             ua, ub = math.exp(min(s_out, s_in)), math.exp(max(s_out, s_in))
             dz_strip = max(0.0, ua - rz, rz - ub)
             dw_strip = max(0.0, rw - r_global)
@@ -489,15 +471,13 @@ def _radius(phi, slack):
 
 
 def smooth(domain: ReinhardtDomain, h=None, eps: float = 1e-5,
-           kappa: float = 50.0, t_plus: float | None = None,
-           t_minus: float | None = None) -> SmoothDomain:
+           kappa: float = 50.0) -> SmoothDomain:
     """Build the mollified inner approximation of ``domain``.
 
     ``h`` is a single kernel width, a per-kink sequence, or None for the
     adaptive per-kink policy of ``default_widths``.
     """
-    return SmoothDomain(domain, h=h, eps=eps, kappa=kappa,
-                        t_plus=t_plus, t_minus=t_minus)
+    return SmoothDomain(domain, h=h, eps=eps, kappa=kappa)
 
 
 def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
@@ -543,20 +523,20 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
                      margin_guard: float,
                      resolution: int = 2048) -> ConstructionCertificate:
     """Recompute the level certificates of ``base_levels`` (the rows
-    ``construct.certify_levels`` returns for the base domain) directly on
-    the smoothed domain, and assemble their verdict against ``margin_guard``.
+    ``construct.certify_levels`` returns for ``sd.base``) directly on the
+    smoothed domain, and assemble their verdict against ``margin_guard``.
 
     Carathéodory uppers: slice bound at ``(a_k, 0)`` in the pulled-back shear
     direction ``(a_k, e^{phi(t_k)})``; the vertical radius shrinks by the
     mollification gap and the cap slack, the horizontal radius is the model
     annulus clipped by the smoothed axis range.  Kobayashi lowers transfer by
     monotonicity: the smoothed domain sits inside the base (structural
-    ``phi_tilde <= phi`` plus caps), whose shear containment is re-verified
-    exactly.  The squeezing lower at ``(1, 0)`` is the inclusion bound
-    computed on the smoothed boundary.
+    ``phi_tilde <= phi`` plus caps), whose shear containment in the model of
+    exponent ``m_k`` is re-verified exactly.  The squeezing lower at
+    ``(1, 0)`` is the inclusion bound computed on the smoothed boundary.
     """
     base = sd.base
-    if not base.profile.symmetric or sd.t_plus != -sd.t_minus:
+    if not base.profile.symmetric or base.t_max != -base.t_min:
         raise ValidationError(
             "smoothed certification mirrors by inversion symmetry and needs the "
             "symmetric setup"
@@ -573,9 +553,9 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
             raise ValidationError(
                 f"level {rec.k}: basepoint ({rec.a_k}, 0) left the smoothed domain"
             )
-        # exact re-verification of the base shear containment backing the
-        # Kobayashi transfer
-        k_low = kobayashi_lower_shear(base, idx)
+        # exact re-verification of the base shear containment behind the
+        # Kobayashi lower sqrt(m_k / 2) used below, on the row's shear
+        k_low = kobayashi_lower_shear(base, idx, m=rec.m_k, sheared=rec.sheared)
 
         slack = float(1.0 - sd.g(t_k))
         gap = float(sd.profile.gap(np.asarray(t_k)))
@@ -618,7 +598,4 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
             f"(grid {resolution}), outer radius <= {r!r} (base circumscribed box)"
         ),
     )
-    cert = assemble_certificate(tuple(records), s_lower, margin_guard, smoothed=True)
-    bounds = [r_.s_upper for r_ in records] + [r_.s_upper_mirror for r_ in records]
-    check_sandwich(bounds + [s_lower], context="smoothed certificate")
-    return cert
+    return assemble_certificate(tuple(records), s_lower, margin_guard, smoothed=True)

@@ -50,7 +50,7 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
         rw = float(sd.face_radius(t))
         rho_z, rho_w, rho_zz, rho_zw, rho_ww = hessian_entries(sd, t, rw)
         z0 = math.exp(t)
-        slope = abs(float(sd.profile.deriv1(t)))
+        slope = abs(float(sd.profile.jet(t)[1]))
         delta = np.longdouble(min(1e-5, 3e-4 / max(1.0, slope)))
 
         def fd(vz, vw):
@@ -335,7 +335,7 @@ def dense_gap(prof, t):
 
 
 def dense_deriv1(prof, t):
-    """``MollifiedProfile.deriv1`` summed over every kink."""
+    """The slope of ``MollifiedProfile.jet`` summed over every kink."""
     t = np.asarray(t, dtype=float)
     out = np.full(t.shape, prof.base.slopes()[0]) - 2.0 * prof.eps * t
     if prof.kinks.size:
@@ -345,7 +345,7 @@ def dense_deriv1(prof, t):
 
 
 def dense_deriv2(prof, t):
-    """``MollifiedProfile.deriv2`` summed over every kink."""
+    """The curvature of ``MollifiedProfile.jet`` summed over every kink."""
     t = np.asarray(t, dtype=float)
     out = np.full(t.shape, -2.0 * prof.eps)
     if prof.kinks.size:
@@ -360,8 +360,8 @@ def dense_levi_face(sd, t):
     and the face radius written out in full."""
     t = np.asarray(t, dtype=float)
     prof = sd.profile
-    e_plus = np.exp(sd.kappa * (t - sd.t_plus))
-    e_minus = np.exp(-sd.kappa * (t - sd.t_minus))
+    e_plus = np.exp(sd.kappa * (t - sd.base.t_max))
+    e_minus = np.exp(-sd.kappa * (t - sd.base.t_min))
     g = e_plus + e_minus
     g1 = sd.kappa * (e_plus - e_minus)
     g2 = sd.kappa * sd.kappa * g
@@ -433,13 +433,11 @@ def hessian_entries(sd, t: float, rw: float):
     """
     z = math.exp(t)
     phi = float(sd.profile.value(t))
-    d1 = float(sd.profile.deriv1(t))
-    d2 = float(sd.profile.deriv2(t))
+    _, d1, d2 = (float(v) for v in sd.profile.jet(t))
     u = math.exp(-2.0 * phi)
     u1 = -2.0 * d1 * u
     u2 = (4.0 * d1 * d1 - 2.0 * d2) * u
-    g1 = float(sd.g1(t))
-    g2 = float(sd.g2(t))
+    _, g1, g2 = (float(v) for v in sd._caps(np.asarray(t, dtype=float)))
     w2 = rw * rw
     rho_z = (u1 * w2 + g1) / (2.0 * z)
     rho_w = u * rw

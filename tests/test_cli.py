@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import squeeze.cli as cli
+import squeeze.construct as construct
+import squeeze.metrics as metrics
 from squeeze import CertificationError
 from squeeze.cli import (
     EXIT_CERTIFICATION,
@@ -156,6 +160,58 @@ def test_only_build_computes_the_base_center_bound(tmp_path, monkeypatch):
     assert cmd_plotdata(RunConfig(out=str(tmp_path / "p"), **HEADLINE)) == EXIT_OK
     assert main(["build", "--levels", "2", "--margin", "0.05",
                  "--out", str(tmp_path / "b")]) == EXIT_CERTIFICATION
+
+
+# a small run of every command, estimates included
+SMALL = {"levels": 2, "schedule": "margin", "margin_u": "0.05", "est_budget": 40,
+         "est_samples": 512, "est_restarts": 2, "levi_points": 2000}
+
+
+def _count_calls(monkeypatch, bindings):
+    """Count the calls made through each ``(module, name)`` binding, by name."""
+    calls = Counter()
+    for module, name in bindings:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStages:
+    def test_all_computes_each_stage_once(self, tmp_path, monkeypatch):
+        calls = _count_calls(monkeypatch, [(cli, "certify_levels"), (cli, "certify_center"),
+                                           (cli, "smooth")])
+        assert main(["all", "--config", _write_config(tmp_path, SMALL),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert calls == {"certify_levels": 1, "certify_center": 1, "smooth": 1}
+
+    @pytest.mark.parametrize("command", ["certify-smoothed", "plot-data"])
+    def test_one_shear_per_level(self, tmp_path, monkeypatch, command):
+        calls = _count_calls(monkeypatch, [(metrics, "shear_normalize"),
+                                           (construct, "shear_normalize")])
+        assert main([command, "--levels", "3", "--margin", "0.05",
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert calls == {"shear_normalize": 3}
+
+    def test_all_equals_the_single_commands(self, tmp_path):
+        config = _write_config(tmp_path, SMALL)
+        assert main(["all", "--config", config, "--out", str(tmp_path / "all")]) == EXIT_OK
+        singles = {}
+        for command in ("build", "certify-smoothed", "estimate", "plot-data"):
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+            for path in out.iterdir():
+                assert path.name not in singles
+                singles[path.name] = path.read_bytes()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()} == singles
+
+    @pytest.mark.parametrize("margin", ["0.02", "0.05"])
+    @pytest.mark.parametrize("levels", [8, 10])
+    def test_deep_staircases_certify(self, tmp_path, margin, levels):
+        for command in ("build", "certify-smoothed", "plot-data"):
+            assert main([command, "--levels", str(levels), "--margin", margin,
+                         "--out", str(tmp_path / command)]) == EXIT_OK
 
 
 class TestPlotData:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from squeeze import (
     level_constant,
     verify_model_annulus_inclusion,
 )
-from squeeze.construct import _model_edges, verify_construction
+from squeeze.construct import (_model_edges, assemble_certificate, certify_levels,
+                               verify_construction)
 from squeeze.metrics import LevelModel, bound_to_record, squeezing_upper_at_breakpoint
 
 from helpers import perturb_value, row
@@ -55,9 +57,9 @@ class TestChooseExponent:
         assert inc == 45001
 
     def test_exponent_limit(self):
+        # n_1 = floor(2 (7 / 1e-9)^2) + 1 exceeds EXPONENT_LIMIT = 2^62
         params = ConstructionParams(a="2", levels=1,
-                                    schedule=MarginSchedule("1e-9"),
-                                    exponent_limit=2**40)
+                                    schedule=MarginSchedule("1e-9"))
         with pytest.raises(ValidationError):
             choose_exponent(params, 1, Fraction(7), 0)
 
@@ -140,6 +142,50 @@ class TestBuild:
     def test_no_violation_p0(self, p0):
         _, _, cert = p0
         assert not cert.violation
+
+
+class TestLevelVerdict:
+    @pytest.mark.parametrize("u, levels", [("0.02", 8), ("0.02", 10), ("0.05", 10)])
+    def test_exact_at_depth(self, u, levels):
+        # from L8 on the relative gap ~ 1/(2 m_k) between a level bound and
+        # its target falls below 1e-10; the verdict 2 C_k^2 < u^2 m_k is exact
+        params = ConstructionParams(a="2", levels=levels, schedule=MarginSchedule(u))
+        _, records = certify_levels(params)
+        assert len(records) == levels
+        for rec in records:
+            assert rec.target_met and 2 * rec.c_k**2 < rec.target**2 * rec.m_k
+        assert any(rec.s_upper.value > float(rec.target) * (1.0 - 1e-10)
+                   for rec in records)
+
+    def test_bound_on_the_target_misses_it(self):
+        class OnTarget(MarginSchedule):
+            def increment(self, k, c_k):
+                return math.floor(2 * (c_k / self.u) ** 2)
+
+        # m_1 = 9800 puts C_1 / sqrt(m_1 / 2) = 7 / 70 exactly on the target
+        params = ConstructionParams(a="2", levels=1, schedule=OnTarget("1/10"))
+        with pytest.raises(CertificationError, match="misses target 1/10"):
+            certify_levels(params)
+
+    def test_rows_keep_their_shear(self, headline):
+        _, domain, cert = headline
+        for rec in cert.levels:
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            image, mp = rec.sheared
+            assert mp.t_shift == -domain.profile.exact_breakpoints[idx]
+            assert image.profile.exact_values[idx] == 0
+
+
+def test_assembled_certificate_runs_the_sandwich_check(headline):
+    _, _, cert = headline
+    rec = cert.levels[0]
+    # an upper at the center below the certified center lower bound
+    below = replace(rec, s_upper=replace(rec.s_upper, basepoint=cert.s_lower.basepoint,
+                                         value=cert.s_lower.value / 2))
+    with pytest.raises(CertificationError, match="sandwich violated in construction"):
+        assemble_certificate((below,), cert.s_lower, cert.margin_guard)
+    with pytest.raises(CertificationError, match="sandwich violated in smoothed"):
+        assemble_certificate((below,), cert.s_lower, cert.margin_guard, smoothed=True)
 
 
 class TestPrimeInclusion:

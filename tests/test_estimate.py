@@ -79,7 +79,7 @@ class TestKobayashiSearch:
         assert cz[0] == P0C.z and cw[0] == P0C.w
         assert cz[1] == disc.tau * XI11.xi_z
         assert cw[1] == disc.tau * XI11.xi_w
-        assert disc.alpha() == b.value
+        assert 1.0 / disc.tau == b.value
         zeta = np.exp(2j * math.pi * np.arange(64) / 64)
         zs, ws = evaluate(disc, zeta)
         assert np.all(PolydiscModel().defect(zs, ws) < 0.0)

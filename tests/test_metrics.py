@@ -50,7 +50,7 @@ class TestSliceBound:
     def test_scaling_linearity(self):
         model = annulus_model_domain(0.5, 2.0, 3)
         b1 = caratheodory_upper_slices(model, P, XI)
-        b2 = caratheodory_upper_slices(model, P, XI.scaled(2.5j))
+        b2 = caratheodory_upper_slices(model, P, Direction(2.5j * XI.xi_z, 2.5j * XI.xi_w))
         assert b2.value == pytest.approx(2.5 * b1.value, rel=1e-12)
 
     def test_rejects_off_axis(self):

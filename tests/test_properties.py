@@ -81,7 +81,7 @@ def test_direction_scaling(profile, pos, phase, xi_z, xi_w):
     xi = Direction(xi_z, xi_w)
     c = complex(math.cos(phase), math.sin(phase)) * 2.5
     b1 = caratheodory_upper_slices(d, p, xi)
-    b2 = caratheodory_upper_slices(d, p, xi.scaled(c))
+    b2 = caratheodory_upper_slices(d, p, Direction(c * xi_z, c * xi_w))
     assert abs(b2.value - abs(c) * b1.value) <= 1e-12 * max(1.0, abs(b2.value))
 
 

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from squeeze import (
+    CertificationError,
     ConstructionParams,
     RadialProfile,
     ReinhardtDomain,
@@ -85,15 +87,15 @@ def profile_pair(u, levels):
 
 
 def assert_equals_dense(prof, t):
-    """gap, deriv1, deriv2 and jet against the all-kink sums, byte for
-    byte on float64 arrays and scalars, by value and sign on longdouble."""
+    """gap and jet against the all-kink sums, byte for byte on float64
+    arrays and scalars, by value and sign on longdouble."""
+    pairs = ((prof.gap, dense_gap), (lambda x: prof.jet(x)[1], dense_deriv1),
+             (lambda x: prof.jet(x)[2], dense_deriv2))
     for i in (0, t.size // 2, t.size - 1):
         for scalar in (float(t[i]), t[i:i + 1].reshape(())):
-            for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
-                               (prof.deriv2, dense_deriv2)):
+            for new, dense in pairs:
                 assert new(scalar).tobytes() == dense(prof, scalar).tobytes()
-    for new, dense in ((prof.gap, dense_gap), (prof.deriv1, dense_deriv1),
-                       (prof.deriv2, dense_deriv2)):
+    for new, dense in pairs:
         assert new(t).tobytes() == dense(prof, t).tobytes()
     value, d1, d2 = prof.jet(t)
     assert value.tobytes() == (prof.base.eval_many(t) - dense_gap(prof, t)).tobytes()
@@ -177,8 +179,7 @@ class TestMollifiedProfile:
             dlt = 1e-6
             vm, v0, vp = (float(sd.profile.value(np.asarray(t0 + k * dlt)))
                           for k in (-1, 0, 1))
-            d1 = float(sd.profile.deriv1(np.asarray(t0)))
-            d2 = float(sd.profile.deriv2(np.asarray(t0)))
+            _, d1, d2 = (float(v) for v in sd.profile.jet(t0))
             assert (vp - vm) / (2 * dlt) == pytest.approx(d1, abs=1e-4)
             assert (vp - 2 * v0 + vm) / (dlt * dlt) == pytest.approx(d2, rel=1e-3, abs=1e-3)
 
@@ -392,6 +393,23 @@ class TestCertifySmoothed:
             prev_err = err
         assert prev_err < 1e-4
 
+    def test_raised_exponent_rejected(self, headline, headline_smoothed):
+        # sqrt(4 m_1 / 2) would halve the level-1 bound, but the base domain
+        # is not contained in the model with exponent 4 m_1
+        _, _, cert = headline
+        sd, _, _ = headline_smoothed
+        raised = tuple(replace(rec, m_k=4 * rec.m_k) if rec.k == 1 else rec
+                       for rec in cert.levels)
+        with pytest.raises(CertificationError, match="model containment violated"):
+            certify_smoothed(sd, raised, cert.margin_guard)
+
+    def test_row_without_shear_shears_again(self, headline, headline_smoothed):
+        _, _, cert = headline
+        sd, _, smoothed = headline_smoothed
+        bare = tuple(replace(rec, sheared=None) for rec in cert.levels)
+        again = certify_smoothed(sd, bare, cert.margin_guard)
+        assert again.to_doc() == smoothed.to_doc()
+
     def test_distance_grid_too_small_rejected(self, headline_smoothed):
         sd, _, _ = headline_smoothed
         p = (1.0, 0.0)
@@ -402,7 +420,7 @@ class TestCertifySmoothed:
 
     def test_basepoint_leaves_domain_rejected(self, headline):
         _, domain, _ = headline
-        # caps centered inside the last breakpoint pull (a_2, 0) out already
-        # at construction time
-        with pytest.raises(ValidationError):
-            smooth(domain, t_plus=0.5, t_minus=-0.5)
+        # caps this soft reach inside the outer kinks and pull (a_2, 0) out
+        # already at construction time
+        with pytest.raises(ValidationError, match=r"circle at t=-0\.5596\d+ out"):
+            smooth(domain, kappa=1.2)
