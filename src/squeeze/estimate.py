@@ -14,6 +14,7 @@ certificates.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -33,9 +34,15 @@ _LOG_FLOOR = -745.0  # log of the smallest positive double
 
 
 def _log_moduli(z, w) -> tuple[np.ndarray, np.ndarray]:
-    """``(log|z|, log|w|)``; ``z = 0`` maps to ``_LOG_FLOOR``, ``w = 0`` to -inf."""
+    """``(log|z|, log|w|)``; ``z = 0`` maps to ``_LOG_FLOOR``, ``w = 0`` to -inf.
+
+    The zero guards run only when some ``|z| < 1e-320`` or ``|w| = 0`` (or a
+    NaN, which fails both tests); otherwise they select ``np.log`` of every
+    modulus, so the plain logs are the same bits."""
     az = np.abs(z)
     aw = np.abs(w)
+    if az.min(initial=math.inf) >= 1e-320 and aw.min(initial=math.inf) > 0.0:
+        return np.log(az), np.log(aw)
     t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
     lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
     return t, lam
@@ -158,6 +165,17 @@ def _as_adapter(domain):
     raise ValidationError(f"cannot interpret {domain!r} as a searchable domain")
 
 
+def _check_basepoint(domain, adapter, p: PointC2) -> None:
+    """Raise unless ``p`` lies in the domain: ``contains`` on a profile
+    domain, a negative defect otherwise (a NaN defect is outside)."""
+    if isinstance(domain, ReinhardtDomain):
+        inside = domain.contains(p)
+    else:
+        inside = bool(adapter.defect(np.array([p.z]), np.array([p.w]))[0] < 0.0)
+    if not inside:
+        raise ValidationError("basepoint must lie in the domain")
+
+
 # --------------------------------------------------------------- references
 def reference_metric(model: str, p, xi) -> tuple[float, float]:
     """Classical (K, C) values for disc, polydisc (bidisc) and ball."""
@@ -245,28 +263,59 @@ def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
 _TAU_START = 1e-6  # first rung of the disc-scale ladder
 
 
+@functools.lru_cache(maxsize=64)
+def _edge_above(bar: float) -> float:
+    """The edge of ``bar >= 1e-6``: the smallest scale above ``bar`` that the
+    full ladder tests when every scale above ``bar`` fails (inf if it tests
+    none).  That ladder's path depends on ``bar`` alone, and every scale it
+    tests above ``bar`` is a failing rung or midpoint, each below the last,
+    so the edge is the last of them."""
+    edge = math.inf
+    tau = _TAU_START
+    for _ in range(80):
+        if 2.0 * tau > bar:
+            edge = 2.0 * tau
+            break
+        tau *= 2.0
+    lo, hi = tau, 2.0 * tau
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if mid > bar:
+            hi = edge = mid
+        else:
+            lo = mid
+    return edge
+
+
 def _largest_feasible_tau(infeasible_at, bar: float) -> float:
     """The disc-scale ladder: 0.0 if ``infeasible_at(1e-6)``, else double
     from 1e-6 up to the first infeasible scale (at most 80 times), bisect
     that bracket 40 times and return its feasible end.
 
     Only a result above ``bar`` matters to the caller.  For ``bar > 1e-6``
-    the scale ``bar`` is tested first, and 0.0 is returned if it is
-    infeasible.  Otherwise 1e-6 is tested as always, and each later rung
-    ``<= bar`` counts as feasible without a test: if the feasible scales form
-    an interval, it holds both 1e-6 and ``bar`` and so every scale between.
-    Under that assumption the result equals the full ladder's bit for bit
-    whenever either is above ``bar``, and is ``<= bar`` exactly when the
+    the edge of ``bar`` (``_edge_above``) is tested first, and 0.0 is
+    returned if it is infeasible.  Otherwise 1e-6 is tested as always, and
+    each later rung at or below the edge counts as feasible without a test.
+    Both steps assume that the feasible scales form an interval.  Then the
+    full ladder follows the path on which every scale above ``bar`` fails
+    until its first feasible test above ``bar``; every such test is at or
+    above the edge, so the full ladder's result is above ``bar`` exactly
+    when the edge (and 1e-6) is feasible, and the interval holds every rung
+    from 1e-6 to the edge.  So the result equals the full ladder's bit for
+    bit whenever either is above ``bar``, and is ``<= bar`` exactly when the
     full ladder's is.
     """
-    if bar > _TAU_START and infeasible_at(bar):
-        return 0.0
+    known = -math.inf  # scales up to here are feasible if 1e-6 is
+    if bar > _TAU_START:
+        known = _edge_above(bar)
+        if known == math.inf or infeasible_at(known):
+            return 0.0
     tau = _TAU_START
     if infeasible_at(tau):
         return 0.0
 
     def fails(t: float) -> bool:
-        return t > bar and infeasible_at(t)
+        return t > known and infeasible_at(t)
 
     for _ in range(80):
         if fails(2.0 * tau):
@@ -348,17 +397,18 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     Feasibility of a disc is enforced as ``defect <= -margin`` on ``samples``
     boundary points of the unit circle; the returned disc additionally passes
     a 10x finer sampling (the scale backs off until it does).  A NaN defect
-    fails both checks.
+    fails both checks.  The basepoint must lie in the domain.
 
-    Each proposal of the search is first tested at the incumbent scale and
-    rejected with one sampled check if it is infeasible there; a proposal
-    feasible there skips the ladder rungs below it
-    (``_largest_feasible_tau``).  The sampled constraints are convex in the
-    scale on ``BallModel`` and ``PolydiscModel``, whose feasible scales are
-    therefore an interval, so there the search keeps and returns exactly what
-    the full ladder on every proposal would.  On a profile domain the
-    feasible scales along a disc's ray are assumed, not proven, to be an
-    interval.
+    Each proposal of the search is first tested at the edge of the
+    incumbent scale, the smallest scale above it that the ladder would test
+    if every scale above the incumbent failed, and rejected with that one
+    sampled check if it is infeasible there; a proposal feasible there skips
+    the ladder rungs up to the edge (``_largest_feasible_tau``).  The sampled
+    constraints are convex in the scale on ``BallModel`` and
+    ``PolydiscModel``, whose feasible scales are therefore an interval, so
+    there the search keeps and returns exactly what the full ladder on every
+    proposal would.  On a profile domain the feasible scales along a disc's
+    ray are assumed, not proven, to be an interval.
 
     A sampled check first evaluates the defect on the witness block only:
     the block of ``_SEARCH_BLOCK`` samples that held the worst sample of the
@@ -370,8 +420,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
-    if isinstance(domain, ReinhardtDomain) and not domain.contains(p):
-        raise ValidationError("basepoint must lie in the domain")
+    _check_basepoint(domain, adapter, p)
     degree = _positive_int("degree", degree)
     budget = _positive_int("budget", budget)
     samples = _positive_int("samples", samples)
@@ -387,7 +436,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         c = x.view(complex) if x.size else np.zeros(0, dtype=complex)
         return c[:n_tail], c[n_tail:]
 
-    # objective calls, proposals rejected at the bar, defect calls,
+    # objective calls, proposals rejected at the edge, defect calls,
     # checks settled on the witness block, checks over all samples
     counts = [0, 0, 0, 0, 0]
 
@@ -420,8 +469,8 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         before = counts[3] + counts[4]
         tau = _largest_feasible_tau(lambda t: infeasible_at(tz, tw, t), bar)
         counts[0] += 1
-        if bar > _TAU_START and counts[3] + counts[4] - before == 1:
-            counts[1] += 1  # one check: the test at the bar failed
+        if bar > _TAU_START and counts[3] + counts[4] - before <= 1:
+            counts[1] += 1  # the test at the edge failed, or there is no edge
         return tau
 
     best_tau = 0.0
@@ -467,7 +516,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     else:
         raise NumericalError("could not stabilize the returned disc on the fine grid")
 
-    log.debug("disc search: %d objective calls, %d proposals rejected at the bar, "
+    log.debug("disc search: %d objective calls, %d proposals rejected at the edge, "
               "%d defect calls, %d checks settled on the witness block, "
               "%d checks over all samples", *counts)
     value = 1.0 / best_tau
@@ -551,6 +600,55 @@ def _monomial_grad(indices, p: PointC2, xi: Direction):
     return np.asarray(out)
 
 
+_SLACK = 1e-13  # relative slack of the witness-block bound
+
+
+def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
+    """The objective ``|d.c| / (safety * max |b @ c|)`` of the Carathéodory
+    search for ``_adaptive_search``, and its counts: objective calls,
+    proposals rejected on the witness block, evaluations over all rows.
+
+    For ``bar > 0`` the objective first computes ``v = max |b[W] @ c|`` on
+    the witness block ``W``: the ``_SEARCH_BLOCK`` contiguous rows that held
+    the worst row of the last evaluation that beat its bar, that is, of the
+    incumbent.  Summed in any order, a row's product is off by less than
+    ``slack = 1e-13 * max_{i in W} |b_i| * |c|`` (N. J. Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section
+    3.1), so the full sup is at least ``v - slack`` whichever rows BLAS
+    evaluates together.  If ``|d.c| <= bar * safety * (v - slack) * (1 -
+    1e-13)``, the full value cannot exceed ``bar`` even after its three
+    roundings, and 0.0 is returned; otherwise the value over all rows is
+    computed exactly as without the bound."""
+    blocks = [b[i:i + _SEARCH_BLOCK] for i in range(0, len(b), _SEARCH_BLOCK)]
+    block_norms = [float(np.max(np.linalg.norm(blk, axis=1))) for blk in blocks]
+    witness = 0
+    counts = [0, 0, 0]
+
+    def objective(x: np.ndarray, bar: float = -math.inf) -> float:
+        nonlocal witness
+        counts[0] += 1
+        c = x.view(complex)
+        dc = abs(np.dot(d, c))
+        if bar > 0.0:
+            v = float(np.max(np.abs(blocks[witness] @ c)))
+            slack = _SLACK * block_norms[witness] * float(np.linalg.norm(c))
+            if dc <= bar * safety * (v - slack) * (1.0 - _SLACK):
+                counts[1] += 1
+                return 0.0
+        counts[2] += 1
+        a = np.abs(b @ c)
+        worst = int(a.argmax())
+        sup = float(a[worst])
+        if sup <= 0.0:
+            return 0.0
+        value = float(dc / (safety * sup))
+        if value > bar:
+            witness = worst // _SEARCH_BLOCK
+        return value
+
+    return objective, counts
+
+
 def caratheodory_lower_search(domain, p, xi: Direction,
                               index_set: Sequence[tuple[int, int]] | None = None,
                               budget: int = 200, seed: int = 0,
@@ -559,10 +657,17 @@ def caratheodory_lower_search(domain, p, xi: Direction,
 
     Maximizes |g'(p)(xi)| / (safety * sampled sup |g|) over coefficient
     vectors; the sup is sampled on the distinguished boundary grid of the
-    adapter and inflated by ``safety``.
+    adapter and inflated by ``safety``.  The basepoint must lie in the
+    domain.
+
+    A proposal that cannot beat the incumbent is rejected on the witness
+    block alone (``_caratheodory_objective``): the bound is rigorous for any
+    summation order, so the search keeps and returns exactly what it would
+    with every proposal evaluated over all boundary samples.
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
+    _check_basepoint(domain, adapter, p)
     budget = _positive_int("budget", budget)
     if not (isinstance(safety, numbers.Real) and math.isfinite(safety) and safety >= 1):
         raise ValidationError(f"safety must be a finite number >= 1, not {safety!r}")
@@ -577,13 +682,7 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     b = _monomial_matrix(indices, zs, ws)
     b = b - _monomial_at(indices, p)[None, :]
     d = _monomial_grad(indices, p, xi)
-
-    def objective(x: np.ndarray, _bar: float = -math.inf) -> float:
-        c = x.view(complex)
-        sup = float(np.max(np.abs(b @ c)))
-        if sup <= 0.0:
-            return 0.0
-        return float(abs(np.dot(d, c)) / (safety * sup))
+    objective, counts = _caratheodory_objective(b, d, safety)
 
     # seed pool: single monomials, signed/rotated pairs, random mixtures;
     # polish the strongest seeds with the adaptive search
@@ -623,6 +722,8 @@ def caratheodory_lower_search(domain, p, xi: Direction,
         if val > best_val:
             best_val, best_c = val, x.view(complex).copy()
 
+    log.debug("function search: %d objective calls, %d proposals rejected on the "
+              "witness block, %d evaluations over all samples", *counts)
     bound = Bound(
         quantity="caratheodory", side="lower", value=best_val, basepoint=p,
         direction=xi, certified=False,

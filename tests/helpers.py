@@ -11,8 +11,10 @@ from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
 from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float)
-from squeeze.estimate import (DiscCandidate, _as_adapter, _int_power, _log_moduli,
-                              _polyval)
+from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
+                              DiscCandidate, FunctionCandidate, _as_adapter, _int_power,
+                              _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
+                              _polyval, _validate_indices)
 from squeeze.metrics import Bound, Direction
 from squeeze.smooth import bump, bump_cdf, bump_first_moment
 
@@ -312,6 +314,88 @@ def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         candidate = DiscCandidate(
             basepoint=p, direction=xi, tau=best_tau,
             tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
+        return bound, candidate, trace
+    return bound
+
+
+def guarded_log_moduli(z, w):
+    """``estimate._log_moduli`` with its zero guards always applied: the
+    reference for the unguarded path."""
+    az = np.abs(z)
+    aw = np.abs(w)
+    t = np.where(az > 0.0, np.log(np.maximum(az, 1e-320)), _LOG_FLOOR)
+    lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
+    return t, lam
+
+def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
+                                       budget: int = 200, seed: int = 0,
+                                       safety: float = 1.01, return_trace: bool = False):
+    """``caratheodory_lower_search`` evaluating every proposal over all
+    boundary samples; the pruned search must agree bit for bit."""
+    adapter = _as_adapter(domain)
+    p = _as_point(p)
+    if index_set is None:
+        index_set = (DEFAULT_ANNULUS_INDEXES if adapter.has_hole()
+                     else DEFAULT_DISC_INDEXES)
+    indices = tuple((int(i), int(j)) for i, j in index_set)
+    _validate_indices(indices, p)
+    zs, ws = adapter.boundary_samples()
+    b = _monomial_matrix(indices, zs, ws)
+    b = b - _monomial_at(indices, p)[None, :]
+    d = _monomial_grad(indices, p, xi)
+
+    def objective(x: np.ndarray) -> float:
+        c = x.view(complex)
+        sup = float(np.max(np.abs(b @ c)))
+        if sup <= 0.0:
+            return 0.0
+        return float(abs(np.dot(d, c)) / (safety * sup))
+
+    n = len(indices)
+    seeds = []
+    for j in range(n):
+        c = np.zeros(n, dtype=complex)
+        c[j] = 1.0
+        seeds.append(c)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for factor in (1.0, -1.0, 1j, -1j):
+                c = np.zeros(n, dtype=complex)
+                c[j] = 1.0
+                c[k] = factor
+                seeds.append(c)
+    rng0 = np.random.default_rng([seed, 11])
+    for _ in range(4):
+        seeds.append(rng0.standard_normal(n) + 1j * rng0.standard_normal(n))
+
+    def as_real(c):
+        out = np.empty(2 * n)
+        out[0::2] = c.real
+        out[1::2] = c.imag
+        return out
+
+    scored = sorted(((objective(as_real(c)), i) for i, c in enumerate(seeds)), reverse=True)
+    best_val = 0.0
+    best_c = np.zeros(n, dtype=complex)
+    trace = []
+    for ridx, (_, sidx) in enumerate(scored[:3]):
+        rng = np.random.default_rng([seed, 11, ridx])
+        x, val = unpruned_adaptive_search(objective, as_real(seeds[sidx]), rng, budget)
+        trace.append((ridx, val, 0.0))
+        if val > best_val:
+            best_val, best_c = val, x.view(complex).copy()
+
+    bound = Bound(
+        quantity="caratheodory", side="lower", value=best_val, basepoint=p,
+        direction=xi, certified=False,
+        provenance=(
+            f"monomial candidate search: indices={indices}, budget={budget}, "
+            f"seed={seed}, boundary samples={len(zs)}, safety={safety}"
+        ),
+    )
+    candidate = FunctionCandidate(indices=indices, coefficients=tuple(best_c.tolist()),
+                                  basepoint=p)
+    if return_trace:
         return bound, candidate, trace
     return bound
 

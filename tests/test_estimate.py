@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from squeeze import (
     ConstructionParams,
@@ -18,13 +18,17 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import (_COARSE, _SEARCH_BLOCK, _TAIL_MEMO, BallModel, PolydiscModel,
-                              ReinhardtAdapter, _bad, _circle_samples, _coarse_first,
-                              _DiscTails, _feasible, _largest_feasible_tau, _polyval)
+from squeeze.estimate import (_COARSE, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO, BallModel,
+                              DEFAULT_ANNULUS_INDEXES, PolydiscModel, ReinhardtAdapter, _bad,
+                              _caratheodory_objective, _circle_samples, _coarse_first,
+                              _DiscTails, _edge_above, _feasible, _largest_feasible_tau,
+                              _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
+                              _polyval)
 
-from helpers import (MonomialModel, coefficient_bound_check, evaluate, row,
-                     single_pass_feasible, single_pass_samples, unpruned_disc_oracle,
-                     unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
+from helpers import (MonomialModel, coefficient_bound_check, evaluate, guarded_log_moduli, row,
+                     single_pass_feasible, single_pass_samples, unpruned_caratheodory_lower_search,
+                     unpruned_disc_oracle, unpruned_kobayashi_upper_search,
+                     unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -144,6 +148,58 @@ class TestLadder:
         assert (got > bar) == (want > bar)
         if want > bar:
             assert got == want
+
+    @example(case=(1e-6, 1.0, 2.0 ** -52))
+    @given(case=st.tuples(
+        st.sampled_from([0.0, 1e-6]) | st.floats(-9.0, -6.0).map(lambda e: 10.0 ** e),
+        st.floats(-6.0, 2.0).map(lambda e: 10.0 ** e),
+        st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0, 1e3])
+        | st.integers(1, 8).map(lambda k: k * 2.0 ** -52)))
+    @settings(max_examples=300, deadline=None)
+    def test_losing_proposal_costs_one_check(self, case):
+        """With the start 1e-6 feasible, a proposal whose full ladder ends
+        at or below a bar above 1e-6 is settled by the test at the edge."""
+        a, b, rel = case
+        calls = []
+
+        def infeasible_at(t):
+            calls.append(t)
+            return not a <= t <= b
+
+        want = unpruned_largest_feasible_tau(infeasible_at)
+        bar = want * (1.0 + rel)
+        assume(bar > 1e-6)
+        calls.clear()
+        assert _largest_feasible_tau(infeasible_at, bar) == 0.0
+        assert calls == [_edge_above(bar)]
+
+
+def _ulps(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# bars across the doubling rungs, and within two ulps of each rung
+_EDGE_BARS = (st.floats(-6.0, 20.0).map(lambda e: 10.0 ** e)
+              | st.tuples(st.integers(0, 82), st.sampled_from([-2, -1, 0, 1, 2])).map(
+                  lambda n: _ulps(1e-6 * 2.0 ** n[0], n[1])))
+
+
+@example(bar=1e-6)
+@example(bar=1e-6 * 2.0 ** 81)
+@given(bar=_EDGE_BARS.filter(lambda bar: bar >= 1e-6))
+@settings(max_examples=300, deadline=None)
+def test_edge_is_the_smallest_scale_tested_above_the_bar(bar):
+    tested = []
+
+    def infeasible_at(t):
+        tested.append(t)
+        return t > bar
+
+    unpruned_largest_feasible_tau(infeasible_at)
+    above = [t for t in tested if t > bar]
+    assert _edge_above(bar) == (min(above) if above else math.inf)
 
 
 def _assert_same_search(got, want):
@@ -322,6 +378,116 @@ class TestCaratheodorySearch:
         with pytest.raises(ValidationError):
             caratheodory_lower_search(BallModel(), P0C, XI11,
                                       index_set=[(-1, 0)], seed=1)
+
+
+def _caratheodory_calls(levels):
+    """The Carathéodory searches of ``squeeze estimate`` on the L-level
+    staircase: per level and at (1, 0)."""
+    calls = [(domain, p, xi, k) for domain, p, xi, k in _staircase_calls(levels)]
+    return calls + [(calls[0][0], PointC2(1.0 + 0.0j, 0.0j), XI11, 0)]
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pruned_caratheodory_matches_unpruned_reference_calibration(case, seed):
+    model, xi = CALIBRATION[case]
+    kw = dict(seed=seed, budget=150, return_trace=True)
+    _assert_same_search(caratheodory_lower_search(model, P0C, xi, **kw),
+                        unpruned_caratheodory_lower_search(model, P0C, xi, **kw))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 31])
+def test_pruned_caratheodory_matches_unpruned_reference_staircase(levels, seed):
+    for domain, p, xi, k in _caratheodory_calls(levels):
+        kw = dict(seed=seed + k, budget=150, return_trace=True)
+        _assert_same_search(caratheodory_lower_search(domain, p, xi, **kw),
+                            unpruned_caratheodory_lower_search(domain, p, xi, **kw))
+
+
+def _caratheodory_problem(domain, p, xi):
+    """The matrix ``b`` and gradient ``d`` of the search at ``p`` with the
+    annulus index set."""
+    zs, ws = ReinhardtAdapter(domain).boundary_samples()
+    b = (_monomial_matrix(DEFAULT_ANNULUS_INDEXES, zs, ws)
+         - _monomial_at(DEFAULT_ANNULUS_INDEXES, p)[None, :])
+    return b, _monomial_grad(DEFAULT_ANNULUS_INDEXES, p, xi)
+
+
+def _coefficients(rng, n, count):
+    """Random coefficient vectors with entries over nine decades."""
+    return [(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            * 10.0 ** rng.uniform(-4.0, 5.0, n) for _ in range(count)]
+
+
+def test_witness_block_slack_covers_every_block():
+    for domain, p, xi, _k in _caratheodory_calls(3):
+        b, _d = _caratheodory_problem(domain, p, xi)
+        assert len(b) % _SEARCH_BLOCK == 0
+        for c in _coefficients(np.random.default_rng(3), b.shape[1], 20):
+            full = b @ c
+            for i in range(0, len(b), _SEARCH_BLOCK):
+                w = b[i:i + _SEARCH_BLOCK]
+                slack = _SLACK * np.max(np.linalg.norm(w, axis=1)) * np.linalg.norm(c)
+                assert np.all(np.abs(w @ c - full[i:i + _SEARCH_BLOCK]) <= slack)
+
+
+def test_witness_block_bound_never_rejects_a_winner():
+    """A proposal whose full value beats the bar by an ulp or more gets that
+    value exactly, whatever block is the witness; one at or below the bar
+    gets at most the bar."""
+    rejected = 0
+    for domain, p, xi, _k in _caratheodory_calls(3):
+        b, d = _caratheodory_problem(domain, p, xi)
+        reference, _ = _caratheodory_objective(b, d, 1.01)
+        rng = np.random.default_rng(5)
+        xs = [c.view(float) for c in _coefficients(rng, b.shape[1], 12)]
+        for x in xs:
+            full = reference(x)
+            bars = [_ulps(full, n) for n in (-4, -2, -1, 0, 1)] + [0.5 * full, 1.01 * full, 2.0 * full]
+            # the witness: the worst block of x itself (the tightest case),
+            # or of another vector
+            for incumbent in (x, xs[0], xs[-1]):
+                for bar in bars:
+                    objective, counts = _caratheodory_objective(b, d, 1.01)
+                    objective(incumbent)
+                    got = objective(x, bar)
+                    assert got == full if full > bar else got <= bar
+                    rejected += counts[1]
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("special", [None, 0.0, 1e-321, math.nan, math.inf])
+@pytest.mark.parametrize("where", ["z", "w", "both"])
+def test_log_moduli_equals_guarded_path(special, where):
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    if special is not None:
+        for arr, name in ((z, "z"), (w, "w")):
+            if where in (name, "both"):
+                arr[[0, 17, 299]] = special
+                arr[5] = complex(0.0, special)
+    for got, want in zip(_log_moduli(z, w), guarded_log_moduli(z, w)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _outside_cases():
+    domain, _records = certify_levels(ConstructionParams(a="2", levels=2))
+    return {"staircase": (domain, PointC2(5.0 + 0.0j, 0.0j)),
+            "ball": (BallModel(), PointC2(2.0 + 0.0j, 0.0j)),
+            "ball-boundary": (BallModel(), PointC2(0.6 + 0.0j, 0.8 + 0.0j)),
+            "bidisc": (PolydiscModel(), PointC2(0.0j, 1.5 + 0.0j)),
+            "bidisc-boundary": (PolydiscModel(), PointC2(1.0 + 0.0j, 0.0j))}
+
+
+@pytest.mark.parametrize("search", [kobayashi_upper_search, caratheodory_lower_search],
+                         ids=["kobayashi", "caratheodory"])
+@pytest.mark.parametrize("case", sorted(_outside_cases()))
+def test_search_rejects_basepoint_outside_domain(search, case):
+    domain, p = _outside_cases()[case]
+    with pytest.raises(ValidationError, match="basepoint must lie in the domain"):
+        search(domain, p, XI11, budget=5)
 
 
 class TestCoefficientCheck:
