@@ -165,6 +165,14 @@ class _RunDir:
         self.lock.unlink(missing_ok=True)
 
 
+def _profile_rows(domain: ReinhardtDomain, sd: SmoothDomain, ts) -> list[list[str]]:
+    """The rows ``t, phi, phi_tilde`` of the staircase and smoothed profiles
+    at the points ``ts``, evaluated as one array."""
+    ts = np.asarray(ts, dtype=float)
+    rows = zip(ts, domain.profile.eval_many(ts), sd.profile.value(ts))
+    return [["t", "phi", "phi_tilde"]] + [[fmt(x) for x in row] for row in rows]
+
+
 def cmd_build(config: RunConfig) -> int:
     with _RunDir(config.out) as out:
         domain, cert = config.staircase[0], config.certificate
@@ -185,13 +193,8 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
                              tolerance=config.levi_tolerance)
         smoothed = certify_smoothed(sd, levels, config.margin_guard,
                                     resolution=config.distance_resolution)
-        tgrid = np.linspace(domain.t_min, domain.t_max, 2001)
-        rows = [["t", "phi", "phi_tilde"]]
-        base_vals = domain.profile.eval_many(tgrid)
-        smooth_vals = sd.profile.value(tgrid)
-        for t, v, vs in zip(tgrid, base_vals, smooth_vals):
-            rows.append([fmt(t), fmt(v), fmt(vs)])
-        _write_csv(out / "smooth_profile.csv", rows)
+        _write_csv(out / "smooth_profile.csv", _profile_rows(
+            domain, sd, np.linspace(domain.t_min, domain.t_max, 2001)))
         _write_json(out / "levi_report.json",
                     validate_doc("levi-report", report.to_doc()))
         doc = smoothed.to_doc()
@@ -217,8 +220,24 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
 def _estimate_payload(config: RunConfig):
     domain, levels = config.staircase
     points = []
-    sandwich_ok = True
+    verdicts = []
     trace_rows = [["point", "quantity", "restart", "objective", "feasibility_margin"]]
+
+    def paired(label, certified, bound, trace):
+        """The entry pairing an estimate with its certified bound: a
+        Kobayashi estimate must not fall below it nor a Carathéodory one
+        rise above it, up to 1e-9 relative.  Adds the search's trace rows."""
+        quantity = bound.quantity
+        if quantity == "kobayashi":
+            ok = bound.value >= certified * (1.0 - 1e-9)
+            keys = "certified_lower", "estimate_upper"
+        else:
+            ok = bound.value <= certified * (1.0 + 1e-9)
+            keys = "certified_upper", "estimate_lower"
+        verdicts.append(ok)
+        for ridx, objv, marg in trace:
+            trace_rows.append([label, quantity, str(ridx), fmt(objv), fmt(marg)])
+        return {keys[0]: fmt(certified), keys[1]: bound_to_record(bound), "sandwich_ok": ok}
 
     for rec in levels:
         t_k = math.log(rec.a_k)
@@ -228,30 +247,16 @@ def _estimate_payload(config: RunConfig):
         if beta > 0.0:
             # direction of the certified bound, pulled back through the shear
             xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
-            k_cert_lower = math.sqrt(rec.m_k / 2.0)
             k_est, _disc, ktrace = est.kobayashi_upper_search(
                 domain, p, xi, degree=config.est_degree, budget=config.est_budget,
                 seed=config.seed + rec.k, samples=config.est_samples,
                 restarts=config.est_restarts, return_trace=True)
-            c_cert_upper = float(rec.c_k)
             c_est, _cand, ctrace = est.caratheodory_lower_search(
                 domain, p, xi, budget=config.est_budget, seed=config.seed + rec.k,
                 return_trace=True)
-            k_ok = k_est.value >= k_cert_lower * (1.0 - 1e-9)
-            c_ok = c_est.value <= c_cert_upper * (1.0 + 1e-9)
-            sandwich_ok = sandwich_ok and k_ok and c_ok
-            entry["kobayashi"] = {"certified_lower": fmt(k_cert_lower),
-                                  "estimate_upper": bound_to_record(k_est),
-                                  "sandwich_ok": k_ok}
-            entry["caratheodory"] = {"certified_upper": fmt(c_cert_upper),
-                                     "estimate_lower": bound_to_record(c_est),
-                                     "sandwich_ok": c_ok}
-            for ridx, objv, marg in ktrace:
-                trace_rows.append([f"(a_{rec.k},0)", "kobayashi", str(ridx),
-                                   fmt(objv), fmt(marg)])
-            for ridx, objv, marg in ctrace:
-                trace_rows.append([f"(a_{rec.k},0)", "caratheodory", str(ridx),
-                                   fmt(objv), fmt(marg)])
+            label = f"(a_{rec.k},0)"
+            entry["kobayashi"] = paired(label, math.sqrt(rec.m_k / 2.0), k_est, ktrace)
+            entry["caratheodory"] = paired(label, float(rec.c_k), c_est, ctrace)
         else:
             # profile so deep that exp(phi(t_k)) underflows: the pulled-back
             # direction is not representable, so no estimate is paired
@@ -266,17 +271,9 @@ def _estimate_payload(config: RunConfig):
     c_est1, _cand, ctrace1 = est.caratheodory_lower_search(
         domain, p1, xi1, budget=config.est_budget, seed=config.seed,
         return_trace=True)
-    ok1 = c_est1.value <= c_up.value * (1.0 + 1e-9)
-    sandwich_ok = sandwich_ok and ok1
-    points.append({
-        "point": "(1, 0)",
-        "caratheodory": {"certified_upper": fmt(c_up.value),
-                         "estimate_lower": bound_to_record(c_est1),
-                         "sandwich_ok": ok1},
-    })
-    for ridx, objv, marg in ctrace1:
-        trace_rows.append(["(1,0)", "caratheodory", str(ridx),
-                           fmt(objv), fmt(marg)])
+    points.append({"point": "(1, 0)",
+                   "caratheodory": paired("(1,0)", c_up.value, c_est1, ctrace1)})
+    sandwich_ok = all(verdicts)
 
     calibration = []
     cases = [
@@ -330,10 +327,7 @@ def cmd_plotdata(config: RunConfig) -> int:
         # profile rows: the level breakpoints plus the center (2K + 1 rows)
         ts = sorted({math.log(rec.a_k) for rec in levels}
                     | {-math.log(rec.a_k) for rec in levels} | {0.0})
-        rows = [["t", "phi", "phi_tilde"]]
-        for t in ts:
-            rows.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
-        _write_csv(out / "profile.csv", rows)
+        _write_csv(out / "profile.csv", _profile_rows(domain, sd, ts))
 
         for rec in levels:
             image = rec.sheared[0]

@@ -453,9 +453,13 @@ def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) 
         lo, hi = _model_edges(prof, idx, rec.k, ks,
                               Fraction(rec.a_prev) / Fraction(rec.a_k),
                               Fraction(rec.a_next) / Fraction(rec.a_k))
+        # The containment at -t_k follows from this one.  By the symmetry
+        # above, the shear image at -t_k is s -> image(-s) - D s, with D the
+        # exact slope drop at t_k (and at -t_k).  Both images are concave,
+        # vanish at 0 with slopes 0 and -D beside it, and straddle it, so
+        # each meets its node and tail-slope conditions exactly when D >= m.
         sheared = shear_normalize(domain, idx)
         kobayashi_lower_shear(domain, idx, m=rec.m_k, sheared=sheared)
-        kobayashi_lower_shear(domain, n - 1 - idx, m=rec.m_k)
         if not verify_model_annulus_inclusion(domain, idx, model_lo_log=lo,
                                              model_hi_log=hi, m=rec.m_k,
                                              sheared=sheared):

@@ -48,6 +48,11 @@ def _log_moduli(z, w) -> tuple[np.ndarray, np.ndarray]:
     return t, lam
 
 
+def _circle(n: int) -> np.ndarray:
+    """The ``n`` roots of unity ``exp(2 pi i k / n)``, ``k = 0, ..., n - 1``."""
+    return np.exp(2j * math.pi * np.arange(n) / n)
+
+
 def _positive_int(name: str, value) -> int:
     try:
         n = operator.index(value)
@@ -90,7 +95,7 @@ class ReinhardtAdapter:
         t_lo = dom.t_min if dom.t_min != -math.inf else dom.t_max - 12.0
         t = np.linspace(t_lo, dom.t_max, nt)
         r = np.exp(dom.profile.eval_many(t))
-        th = np.exp(2j * math.pi * np.arange(nphase) / nphase)
+        th = _circle(nphase)
         ones = np.ones(nphase)
         zz = (np.exp(t)[:, None, None] * th[None, :, None] * ones[None, None, :]).ravel()
         ww = (r[:, None, None] * ones[None, :, None] * th[None, None, :]).ravel()
@@ -129,7 +134,7 @@ class BallModel:
         mu = np.linspace(0.0, 1.0, nt)
         rz = self.r * np.sqrt(mu)
         rw = self.r * np.sqrt(1.0 - mu)
-        th = np.exp(2j * math.pi * np.arange(nphase) / nphase)
+        th = _circle(nphase)
         z = np.repeat((rz[:, None] * th[None, :]), nphase, axis=1).ravel()
         w = np.tile((rw[:, None] * th[None, :]), (1, nphase)).ravel()
         return z, w
@@ -151,7 +156,7 @@ class PolydiscModel:
         return False
 
     def boundary_samples(self, nt: int = 48, nphase: int = 16):
-        th = np.exp(2j * math.pi * np.arange(nphase * 4) / (nphase * 4))
+        th = _circle(nphase * 4)
         z = np.repeat(self.r_z * th, nphase * 4)
         w = np.tile(self.r_w * th, nphase * 4)
         return z, w
@@ -216,13 +221,6 @@ class DiscCandidate:
     tails_z: tuple[complex, ...]
     tails_w: tuple[complex, ...]
 
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        cz = np.concatenate([[self.basepoint.z, self.tau * self.direction.xi_z],
-                             np.asarray(self.tails_z, dtype=complex)])
-        cw = np.concatenate([[self.basepoint.w, self.tau * self.direction.xi_w],
-                             np.asarray(self.tails_w, dtype=complex)])
-        return cz, cw
-
 
 def _polyval(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     acc = np.full_like(zeta, coeffs[-1], dtype=complex)
@@ -263,34 +261,40 @@ def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
 _TAU_START = 1e-6  # first rung of the disc-scale ladder
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_above(bar: float) -> float:
-    """The edge of ``bar >= 1e-6``: the smallest scale above ``bar`` that the
-    full ladder tests when every scale above ``bar`` fails (inf if it tests
-    none).  That ladder's path depends on ``bar`` alone, and every scale it
-    tests above ``bar`` is a failing rung or midpoint, each below the last,
-    so the edge is the last of them."""
-    edge = math.inf
+def _ladder(fails) -> float:
+    """The disc-scale ladder on the predicate ``fails``: 0.0 if
+    ``fails(1e-6)``, else double from 1e-6 up to the first failing scale (at
+    most 80 times), bisect that bracket 40 times and return its feasible end."""
     tau = _TAU_START
+    if fails(tau):
+        return 0.0
     for _ in range(80):
-        if 2.0 * tau > bar:
-            edge = 2.0 * tau
+        if fails(2.0 * tau):
             break
         tau *= 2.0
     lo, hi = tau, 2.0 * tau
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if mid > bar:
-            hi = edge = mid
+        if fails(mid):
+            hi = mid
         else:
             lo = mid
-    return edge
+    return lo
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_above(bar: float) -> float:
+    """The edge of ``bar >= 1e-6``: the smallest scale above ``bar`` that the
+    full ladder tests when every scale above ``bar`` fails (inf if it tests
+    none).  That ladder's path depends on ``bar`` alone, and every scale it
+    tests above ``bar`` is a failing rung or midpoint, each below the last."""
+    tested = []
+    _ladder(lambda t: tested.append(t) or t > bar)  # record t, fail it above bar
+    return min((t for t in tested if t > bar), default=math.inf)
 
 
 def _largest_feasible_tau(infeasible_at, bar: float) -> float:
-    """The disc-scale ladder: 0.0 if ``infeasible_at(1e-6)``, else double
-    from 1e-6 up to the first infeasible scale (at most 80 times), bisect
-    that bracket 40 times and return its feasible end.
+    """The disc-scale ladder (``_ladder``) on ``infeasible_at``.
 
     Only a result above ``bar`` matters to the caller.  For ``bar > 1e-6``
     the edge of ``bar`` (``_edge_above``) is tested first, and 0.0 is
@@ -305,30 +309,12 @@ def _largest_feasible_tau(infeasible_at, bar: float) -> float:
     bit whenever either is above ``bar``, and is ``<= bar`` exactly when the
     full ladder's is.
     """
-    known = -math.inf  # scales up to here are feasible if 1e-6 is
+    edge = -math.inf  # scales up to here are feasible if 1e-6 is
     if bar > _TAU_START:
-        known = _edge_above(bar)
-        if known == math.inf or infeasible_at(known):
+        edge = _edge_above(bar)
+        if edge == math.inf or infeasible_at(edge):
             return 0.0
-    tau = _TAU_START
-    if infeasible_at(tau):
-        return 0.0
-
-    def fails(t: float) -> bool:
-        return t > known and infeasible_at(t)
-
-    for _ in range(80):
-        if fails(2.0 * tau):
-            break
-        tau *= 2.0
-    lo, hi = tau, 2.0 * tau
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _ladder(lambda t: (t == _TAU_START or t > edge) and infeasible_at(t))
 
 
 _SEARCH_BLOCK = 256  # circle samples per block in the disc search
@@ -427,37 +413,37 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     restarts = _positive_int("restarts", restarts)
     if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin > 0):
         raise ValidationError(f"margin must be a finite number > 0, not {margin!r}")
-    zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
+    zeta = _circle(samples)
     n_tail = degree - 1
     tails = _DiscTails(zeta)
     witness = 0
 
     def tail_arrays(x: np.ndarray):
-        c = x.view(complex) if x.size else np.zeros(0, dtype=complex)
+        c = x.view(complex)
         return c[:n_tail], c[n_tail:]
 
     # objective calls, proposals rejected at the edge, defect calls,
     # checks settled on the witness block, checks over all samples
     counts = [0, 0, 0, 0, 0]
 
+    def defect(tau: float, zeta: np.ndarray, tail_z: np.ndarray, tail_w: np.ndarray):
+        """The defect of the disc of scale ``tau`` on the samples ``zeta``."""
+        counts[2] += 1
+        return adapter.defect(p.z + tau * xi.xi_z * zeta + tail_z,
+                              p.w + tau * xi.xi_w * zeta + tail_w)
+
     def infeasible_at(tz: _Tail, tw: _Tail, tau: float) -> bool:
         nonlocal witness
-        counts[2] += 1
-        zb = tails.zeta_blocks[witness]
-        z = p.z + tau * xi.xi_z * zb + tails.block(tz, witness)
-        w = p.w + tau * xi.xi_w * zb + tails.block(tw, witness)
-        d = adapter.defect(z, w)
+        d = defect(tau, tails.zeta_blocks[witness], tails.block(tz, witness),
+                   tails.block(tw, witness))
         if not d[d.argmax()] <= -margin:  # argmax finds a NaN first
             counts[3] += 1
             return True
         if len(tails.slices) == 1:
             counts[3] += 1  # the block holds every sample
             return False
-        counts[2] += 1
         counts[4] += 1
-        z = p.z + tau * xi.xi_z * zeta + tails.full(tz)
-        w = p.w + tau * xi.xi_w * zeta + tails.full(tw)
-        d = adapter.defect(z, w)
+        d = defect(tau, zeta, tails.full(tz), tails.full(tw))
         worst = d.argmax()
         if d[worst] <= -margin:
             return False
@@ -482,7 +468,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
             x0 = np.zeros(4 * n_tail)
         else:
             scale = 0.05 / (1.0 + np.repeat(np.arange(2 * n_tail) % max(n_tail, 1), 2))
-            x0 = rng.standard_normal(4 * n_tail) * np.concatenate([scale, scale])[: 4 * n_tail]
+            x0 = rng.standard_normal(4 * n_tail) * scale
         x, tau = _adaptive_search(feasible_tau, x0, rng, budget)
         trace.append((ridx, 1.0 / tau if tau > 0.0 else math.inf, tau))
         if tau > best_tau:
@@ -494,22 +480,16 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
             r_h, r_v = adapter.polydisc_radii(p)
             scale = max(abs(xi.xi_z) / r_h if r_h > 0 else math.inf,
                         abs(xi.xi_w) / r_v if r_v > 0 else math.inf)
-            best_tau = 0.98 / scale
-            best_x = np.zeros(4 * n_tail)
+            best_tau = 0.98 / scale  # best_x is still the zero tail
             fallback = True
         except Exception as exc:
             raise NumericalError("no feasible disc found and no polydisc fallback") from exc
 
     # honesty pass: the returned disc must clear a 10x finer sampling
-    zeta_fine = np.exp(2j * math.pi * np.arange(10 * samples) / (10 * samples))
-    tz, tw = tail_arrays(best_x)
-    cz_t = np.concatenate([[0.0, 0.0], tz]) if n_tail else np.asarray([0.0, 0.0])
-    cw_t = np.concatenate([[0.0, 0.0], tw]) if n_tail else np.asarray([0.0, 0.0])
+    zeta_fine = _circle(10 * samples)
+    fine_z, fine_w = (_polyval(tails.tail(c).coeffs, zeta_fine) for c in tail_arrays(best_x))
     for _ in range(200):
-        z = p.z + best_tau * xi.xi_z * zeta_fine + _polyval(cz_t, zeta_fine)
-        w = p.w + best_tau * xi.xi_w * zeta_fine + _polyval(cw_t, zeta_fine)
-        fine_defect = float(np.max(adapter.defect(z, w)))
-        counts[2] += 1
+        fine_defect = float(np.max(defect(best_tau, zeta_fine, fine_z, fine_w)))
         if fine_defect <= -0.5 * margin:
             break
         best_tau *= 0.999
@@ -703,21 +683,15 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     for _ in range(4):
         seeds.append(rng0.standard_normal(n) + 1j * rng0.standard_normal(n))
 
-    def as_real(c):
-        out = np.empty(2 * n)
-        out[0::2] = c.real
-        out[1::2] = c.imag
-        return out
-
     scored = sorted(
-        ((objective(as_real(c)), i) for i, c in enumerate(seeds)), reverse=True
+        ((objective(c.view(float)), i) for i, c in enumerate(seeds)), reverse=True
     )
     best_val = 0.0
     best_c = np.zeros(n, dtype=complex)
     trace = []
     for ridx, (_, sidx) in enumerate(scored[:3]):
         rng = np.random.default_rng([seed, 11, ridx])
-        x, val = _adaptive_search(objective, as_real(seeds[sidx]), rng, budget)
+        x, val = _adaptive_search(objective, seeds[sidx].view(float), rng, budget)
         trace.append((ridx, val, 0.0))
         if val > best_val:
             best_val, best_c = val, x.view(complex).copy()
@@ -886,7 +860,7 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     thr = 1.0 - math.pi * d_eff / samples
     if thr <= 0.0:
         raise ValidationError("not enough circle samples for the Bernstein margin")
-    zeta = np.exp(2j * math.pi * np.arange(samples) / samples).astype(np.complex64)
+    zeta = _circle(samples).astype(np.complex64)
     zeta = zeta[_coarse_first(samples)]
     chunk = max(256, (1 << 21) // samples)
     # float32 evaluation: the Bernstein margin is ~0.2-0.8, so a 1e-4 relative

@@ -387,11 +387,6 @@ class SmoothDomain:
             return False
         return bool(self.rho_moduli(rz, rw) < 0.0)
 
-    def face_radius(self, t):
-        """Radius of the vertical disc {|w| < r(t)} inscribed at log|z| = t."""
-        t = np.asarray(t, dtype=float)
-        return _radius(self.profile.value(t), 1.0 - self.g(t))
-
     # ------------------------------------------------------------ Levi form
     def _levi_face(self, t):
         """``(L, r)`` along the boundary face: the Levi form on the complex

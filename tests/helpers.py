@@ -16,7 +16,7 @@ from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_
                               _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
                               _polyval, _validate_indices)
 from squeeze.metrics import Bound, Direction
-from squeeze.smooth import bump, bump_cdf, bump_first_moment
+from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
 
 # (margin u, levels) of the margin-schedule staircases the benchmark builds
 STAIRCASES = [(u, levels) for u in ("0.02", "0.05", "0.1") for levels in range(1, 7)]
@@ -49,7 +49,7 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
             continue
         if kinks.size and np.any(np.abs(t - kinks) < 5.0 * widths):
             continue
-        rw = float(sd.face_radius(t))
+        rw = float(face_radius(sd, t))
         rho_z, rho_w, rho_zz, rho_zw, rho_ww = hessian_entries(sd, t, rw)
         z0 = math.exp(t)
         slope = abs(float(sd.profile.jet(t)[1]))
@@ -545,6 +545,12 @@ def levi_on_tangent(rho_z, rho_w, rho_zz, rho_zw, rho_ww) -> float:
     return float(raw / norm2)
 
 
+def face_radius(sd, t):
+    """Radius of the vertical disc {|w| < r(t)} inscribed at log|z| = t."""
+    t = np.asarray(t, dtype=float)
+    return _radius(sd.profile.value(t), 1.0 - sd.g(t))
+
+
 def sample_interior(sd, n: int, rng: np.random.Generator):
     """n random points of {rho < 0} (moduli sampled, phases uniform).
 
@@ -555,7 +561,7 @@ def sample_interior(sd, n: int, rng: np.random.Generator):
     lo, hi = sd.axis_log_range()
     t = rng.uniform(lo, hi, n)
     frac = rng.uniform(0.0, 1.0, n)
-    r_v = sd.face_radius(t)
+    r_v = face_radius(sd, t)
     rw = np.where(r_v < 1e-300, 0.0, frac * r_v * (1.0 - 1e-12))
     if not np.all(sd.rho_moduli(np.exp(t), rw) < 0.0):
         raise NumericalError("interior sampler produced a boundary point")
@@ -644,8 +650,17 @@ def coefficient_bound_check(samples: np.ndarray, r: float,
     )
 
 
+def disc_coefficients(disc) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor coefficients of a ``DiscCandidate`` in z and in w."""
+    cz = np.concatenate([[disc.basepoint.z, disc.tau * disc.direction.xi_z],
+                         np.asarray(disc.tails_z, dtype=complex)])
+    cw = np.concatenate([[disc.basepoint.w, disc.tau * disc.direction.xi_w],
+                         np.asarray(disc.tails_w, dtype=complex)])
+    return cz, cw
+
+
 def evaluate(disc, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cz, cw = disc.coefficients()
+    cz, cw = disc_coefficients(disc)
     return _polyval(cz, zeta), _polyval(cw, zeta)
 
 

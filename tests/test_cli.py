@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 
 import squeeze.cli as cli
 import squeeze.construct as construct
+import squeeze.estimate as est
 import squeeze.metrics as metrics
 from squeeze import CertificationError
 from squeeze.cli import (
@@ -20,6 +22,7 @@ from squeeze.cli import (
     cmd_plotdata,
     main,
 )
+from squeeze.domain import fmt
 
 
 def read_csv(path: Path):
@@ -229,6 +232,51 @@ class TestPlotData:
         lowers = {float(r[0]): float(r[2]) for r in curve[1:] if r[1] == "s_lower"}
         t2 = math.log(1.75)
         assert uppers[t2] < max(lowers.values())
+
+    @pytest.mark.parametrize("doc", [HEADLINE, {"levels": 4}], ids=["headline", "harmonic-L4"])
+    def test_profile_rows_match_the_scalar_path(self, tmp_path, doc):
+        """profile.csv, evaluated as one array, equals the rows of the
+        scalar ``eval`` and ``value`` called once per point."""
+        cfg = RunConfig(out=str(tmp_path / "r"), **doc)
+        assert cmd_plotdata(cfg) == EXIT_OK
+        (domain, levels), sd = cfg.staircase, cfg.smoothed
+        ts = sorted({math.log(rec.a_k) for rec in levels}
+                    | {-math.log(rec.a_k) for rec in levels} | {0.0})
+        want = [["t", "phi", "phi_tilde"]]
+        for t in ts:
+            want.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
+        assert read_csv(tmp_path / "r" / "profile.csv") == want
+
+
+# a tiny estimate run: one level, short searches
+TINY_ESTIMATE = {"levels": 1, "est_budget": 20, "est_restarts": 1, "est_samples": 256}
+
+
+@pytest.mark.parametrize("search, quantity, factor", [
+    ("caratheodory_lower_search", "caratheodory", 1e6),
+    ("kobayashi_upper_search", "kobayashi", 1e-6),
+], ids=["caratheodory", "kobayashi"])
+def test_estimate_on_the_wrong_side_exit3(tmp_path, monkeypatch, search, quantity, factor):
+    """An estimate on the wrong side of its certified bound fails its entry,
+    the run's sandwich_ok and the exit code."""
+    real = getattr(est, search)
+
+    def wrong_side(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not kwargs.get("return_trace"):
+            return out  # a calibration row, outside the sandwich
+        bound, candidate, trace = out
+        return dataclasses.replace(bound, value=bound.value * factor), candidate, trace
+
+    monkeypatch.setattr(est, search, wrong_side)
+    out = tmp_path / "r"
+    assert main(["estimate", "--config", _write_config(tmp_path, TINY_ESTIMATE),
+                 "--out", str(out)]) == EXIT_CERTIFICATION
+    doc = json.loads((out / "estimates.json").read_text())
+    assert doc["sandwich_ok"] is False
+    verdicts = {(pt["point"], q): pt[q]["sandwich_ok"]
+                for pt in doc["points"] for q in ("kobayashi", "caratheodory") if q in pt}
+    assert verdicts and all(ok == (q != quantity) for (_, q), ok in verdicts.items())
 
 
 class TestDeterminism:

@@ -18,7 +18,8 @@ from squeeze import (
 )
 from squeeze.construct import (_model_edges, assemble_certificate, certify_levels,
                                verify_construction)
-from squeeze.metrics import LevelModel, bound_to_record, squeezing_upper_at_breakpoint
+from squeeze.metrics import (LevelModel, bound_to_record, kobayashi_lower_shear,
+                             squeezing_upper_at_breakpoint)
 
 from helpers import perturb_value, row
 
@@ -218,6 +219,32 @@ class TestVerifyConstruction:
                                   domain.t_min, domain.t_max)
             with pytest.raises(CertificationError):
                 verify_construction(bad, cert)
+
+    @pytest.mark.parametrize("fixture", ["p0", "headline"])
+    def test_mirror_shear_decided_by_the_direct_one(self, fixture, request):
+        """verify_construction shears each level at t_k only: under exact
+        inversion symmetry the containment at -t_k holds exactly when the
+        one at t_k does.  Checked on every symmetric 1e-6 perturbation."""
+        _, domain, cert = request.getfixturevalue(fixture)
+        n = len(domain.profile.breakpoints)
+        outcomes = set()
+        for rec in cert.levels:
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            for i in range((n + 1) // 2):
+                prof = perturb_value(domain.profile, i, 1e-6)
+                if n - 1 - i != i:
+                    prof = perturb_value(prof, n - 1 - i, 1e-6)
+                bad = ReinhardtDomain(prof, domain.t_min, domain.t_max)
+                raised = []
+                for k in (idx, n - 1 - idx):
+                    try:
+                        kobayashi_lower_shear(bad, k, m=rec.m_k)
+                        raised.append(False)
+                    except (CertificationError, ValidationError):
+                        raised.append(True)
+                assert raised[0] == raised[1], (rec.k, i)
+                outcomes.add(raised[0])
+        assert outcomes == {True, False}
 
 
 def test_default_sequence_matches_acceptance_schedule():

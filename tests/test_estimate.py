@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,14 +22,14 @@ from squeeze.construct import certify_levels
 from squeeze.estimate import (_COARSE, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO, BallModel,
                               DEFAULT_ANNULUS_INDEXES, PolydiscModel, ReinhardtAdapter, _bad,
                               _caratheodory_objective, _circle_samples, _coarse_first,
-                              _DiscTails, _edge_above, _feasible, _largest_feasible_tau,
+                              _DiscTails, _edge_above, _feasible, _ladder, _largest_feasible_tau,
                               _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
                               _polyval)
 
-from helpers import (MonomialModel, coefficient_bound_check, evaluate, guarded_log_moduli, row,
-                     single_pass_feasible, single_pass_samples, unpruned_caratheodory_lower_search,
-                     unpruned_disc_oracle, unpruned_kobayashi_upper_search,
-                     unpruned_largest_feasible_tau)
+from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
+                     guarded_log_moduli, row, single_pass_feasible, single_pass_samples,
+                     unpruned_caratheodory_lower_search, unpruned_disc_oracle,
+                     unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
 XI11 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -78,7 +79,7 @@ class TestKobayashiSearch:
     def test_candidate_disc_structure(self):
         b, disc, _trace = kobayashi_upper_search(
             PolydiscModel(), P0C, XI11, seed=1, return_trace=True)
-        cz, cw = disc.coefficients()
+        cz, cw = disc_coefficients(disc)
         # f(0) = p and f'(0) = tau * xi hold exactly by construction
         assert cz[0] == P0C.z and cw[0] == P0C.w
         assert cz[1] == disc.tau * XI11.xi_z
@@ -200,6 +201,33 @@ def test_edge_is_the_smallest_scale_tested_above_the_bar(bar):
     unpruned_largest_feasible_tau(infeasible_at)
     above = [t for t in tested if t > bar]
     assert _edge_above(bar) == (min(above) if above else math.inf)
+
+
+@st.composite
+def failing_scales(draw):
+    """A predicate on disc scales: a union of intervals, its complement, or
+    scattered scales, so the feasible scales need not form an interval."""
+    kind = draw(st.sampled_from(["union", "complement", "scattered"]))
+    if kind == "scattered":
+        salt, share = draw(st.integers(0, 2**32)), draw(st.floats(0.0, 1.0))
+        return lambda t: random.Random(f"{salt}:{t!r}").random() < share
+    ends = st.sampled_from([1e-6, 2e-6]) | st.floats(-9.0, 3.0).map(lambda e: 10.0 ** e)
+    spans = [sorted(pair) for pair in draw(st.lists(st.tuples(ends, ends), max_size=4))]
+
+    def inside(t):
+        return any(a <= t <= b for a, b in spans)
+
+    return inside if kind == "union" else (lambda t: not inside(t))
+
+
+@given(fails=failing_scales())
+@settings(max_examples=300, deadline=None)
+def test_ladder_is_the_unpruned_ladder(fails):
+    tested, tested_ref = [], []
+    got = _ladder(lambda t: tested.append(t) or fails(t))
+    want = unpruned_largest_feasible_tau(lambda t: tested_ref.append(t) or fails(t))
+    assert got == want
+    assert tested == tested_ref
 
 
 def _assert_same_search(got, want):
