@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -141,6 +142,29 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _write_floats(path: Path, header: tuple[str, ...], columns) -> None:
+    """A csv table of float columns, written in one piece.
+
+    Each column is turned into float64, as ``fmt``'s ``float(x)`` does, and
+    the whole table is formatted in one ``%.17g`` pass, the routine behind
+    ``fmt``'s ``format(x, ".17g")``, so every field is the text of ``fmt``.
+    No field holds a comma or a quote, so none needs csv quoting, and lines
+    end in ``\\n`` on every platform, as ``_write_csv``'s do.
+
+    The values come from ``tolist()`` as one list per row, not as one flat
+    list.  A list per row, as the per-value writer also held, keeps the
+    cyclic collector running as often as before; with a flat list it ran a
+    quarter as often, and what only its full collections free (free lists,
+    garbage promoted to the oldest generation) raised the peak RSS of a
+    long certify run by about 1.5 MB.
+    """
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    values = tuple(itertools.chain.from_iterable(table.tolist()))
+    path.write_text(",".join(header) + "\n" + (row * table.shape[0]) % values,
+                    newline="")
+
+
 class _RunDir:
     """Output directory with a lock file preventing concurrent runs."""
 
@@ -165,12 +189,12 @@ class _RunDir:
         self.lock.unlink(missing_ok=True)
 
 
-def _profile_rows(domain: ReinhardtDomain, sd: SmoothDomain, ts) -> list[list[str]]:
-    """The rows ``t, phi, phi_tilde`` of the staircase and smoothed profiles
+def _write_profile(path: Path, domain: ReinhardtDomain, sd: SmoothDomain, ts) -> None:
+    """The table ``t, phi, phi_tilde`` of the staircase and smoothed profiles
     at the points ``ts``, evaluated as one array."""
     ts = np.asarray(ts, dtype=float)
-    rows = zip(ts, domain.profile.eval_many(ts), sd.profile.value(ts))
-    return [["t", "phi", "phi_tilde"]] + [[fmt(x) for x in row] for row in rows]
+    _write_floats(path, ("t", "phi", "phi_tilde"),
+                  (ts, domain.profile.eval_many(ts), sd.profile.value(ts)))
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -193,8 +217,8 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
                              tolerance=config.levi_tolerance)
         smoothed = certify_smoothed(sd, levels, config.margin_guard,
                                     resolution=config.distance_resolution)
-        _write_csv(out / "smooth_profile.csv", _profile_rows(
-            domain, sd, np.linspace(domain.t_min, domain.t_max, 2001)))
+        _write_profile(out / "smooth_profile.csv", domain, sd,
+                       np.linspace(domain.t_min, domain.t_max, 2001))
         _write_json(out / "levi_report.json",
                     validate_doc("levi-report", report.to_doc()))
         doc = smoothed.to_doc()
@@ -327,14 +351,12 @@ def cmd_plotdata(config: RunConfig) -> int:
         # profile rows: the level breakpoints plus the center (2K + 1 rows)
         ts = sorted({math.log(rec.a_k) for rec in levels}
                     | {-math.log(rec.a_k) for rec in levels} | {0.0})
-        _write_csv(out / "profile.csv", _profile_rows(domain, sd, ts))
+        _write_profile(out / "profile.csv", domain, sd, ts)
 
         for rec in levels:
-            image = rec.sheared[0]
-            rows = [["s", "phi_sheared"]]
-            for s, v in zip(image.profile.breakpoints, image.profile.values):
-                rows.append([fmt(s), fmt(v)])
-            _write_csv(out / f"sheared_profile_level{rec.k}.csv", rows)
+            image = rec.sheared[0].profile
+            _write_floats(out / f"sheared_profile_level{rec.k}.csv",
+                          ("s", "phi_sheared"), (image.breakpoints, image.values))
 
         rows = [["t", "kind", "value"]]
         for rec in levels:

@@ -146,7 +146,11 @@ def level_constant(params: ConstructionParams, k: int) -> Fraction:
     """Exact slice constant C_k = 1/min(1 - a_{k-1}/a_k, a_{k+1}/a_k - 1) + 1."""
     if not 1 <= k <= params.levels:
         raise ValidationError(f"level {k} out of range 1..{params.levels}")
-    radii = params.radii()
+    return _level_constant(params.radii(), k)
+
+
+def _level_constant(radii: list[Fraction], k: int) -> Fraction:
+    """``level_constant`` from the validated radii ``[a_0, ..., a_{K+1}]``."""
     gap = min(1 - radii[k - 1] / radii[k], radii[k + 1] / radii[k] - 1)
     if not gap > 0:
         raise ValidationError(f"degenerate model annulus at level {k}")
@@ -299,7 +303,8 @@ def _model_edges(profile: RadialProfile, idx: int, k: int, ks: int,
     return lo, hi
 
 
-def _staircase_profile(params: ConstructionParams, exponents: list[int]) -> RadialProfile:
+def _staircase_profile(params: ConstructionParams, radii: list[Fraction],
+                       exponents: list[int]) -> RadialProfile:
     """Symmetric staircase profile with exact dyadic heights.
 
     Breakpoints are ``-t_max, -t_K, ..., -t_1, t_1, ..., t_K, t_max`` with
@@ -309,7 +314,6 @@ def _staircase_profile(params: ConstructionParams, exponents: list[int]) -> Radi
     """
     a_float = float(params.a)
     t_max = math.log(a_float)
-    radii = params.radii()
     ks = params.levels
     if ks == 0:
         return RadialProfile(
@@ -351,13 +355,13 @@ def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[L
     exponents: list[int] = []
     n_prev = 0
     for k in range(1, ks + 1):
-        c_k = level_constant(params, k)
+        c_k = _level_constant(radii, k)
         n_k = choose_exponent(params, k, c_k, n_prev)
         constants.append(c_k)
         exponents.append(n_k)
         n_prev = n_k
 
-    profile = _staircase_profile(params, exponents)
+    profile = _staircase_profile(params, radii, exponents)
     t_max = math.log(float(params.a))
     domain = ReinhardtDomain(profile, -t_max, t_max)
 

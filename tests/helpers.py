@@ -1,6 +1,8 @@
 """Shared test oracles."""
 
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -10,7 +12,7 @@ import numpy as np
 from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import NumericalError, ValidationError
 from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
-                            _as_point, as_float)
+                            _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _int_power,
                               _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
@@ -690,3 +692,14 @@ def row(cert, k: int):
         if rec.k == k:
             return rec
     raise KeyError(f"no level {k} in certificate")
+
+
+def fmt_csv_table(header, columns) -> bytes:
+    """A float table written value by value: ``fmt`` on each value of the
+    columns, rows through ``csv.writer``; the reference for the one-pass
+    float table writer."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(x) for x in row] for row in zip(*columns))
+    return fh.getvalue().encode()

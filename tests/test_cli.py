@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squeeze.cli as cli
@@ -23,6 +24,8 @@ from squeeze.cli import (
     main,
 )
 from squeeze.domain import fmt
+
+from helpers import fmt_csv_table
 
 
 def read_csv(path: Path):
@@ -246,6 +249,61 @@ class TestPlotData:
         for t in ts:
             want.append([fmt(t), fmt(domain.profile.eval(t)), fmt(sd.profile.value(t))])
         assert read_csv(tmp_path / "r" / "profile.csv") == want
+
+    @pytest.mark.parametrize("doc, code", [
+        (HEADLINE, EXIT_OK),
+        # the harmonic staircase shows no violation once smoothed
+        ({"levels": 4}, EXIT_CERTIFICATION),
+        ({"levels": 6, "schedule": "margin", "margin_u": "0.02",
+          "distance_resolution": 16384, "levi_points": 40000}, EXIT_OK),
+    ], ids=["headline", "harmonic-L4", "u0.02-L6-fine"])
+    def test_float_profile_tables_equal_the_fmt_reference(self, tmp_path, doc, code):
+        """smooth_profile.csv, profile.csv and every sheared profile equal,
+        byte for byte, the same arrays written one ``fmt`` call per value
+        through ``csv.writer``."""
+        cfg = RunConfig(out=str(tmp_path / "r"), **doc)
+        assert cmd_certify_smoothed(cfg) == code
+        (tmp_path / "r" / ".lock").unlink(missing_ok=True)
+        assert cmd_plotdata(cfg) == EXIT_OK
+        (domain, levels), sd = cfg.staircase, cfg.smoothed
+        header = ("t", "phi", "phi_tilde")
+        want = {}
+        for name, ts in [
+            ("smooth_profile.csv", np.linspace(domain.t_min, domain.t_max, 2001)),
+            ("profile.csv", np.array(sorted({math.log(rec.a_k) for rec in levels}
+                                            | {-math.log(rec.a_k) for rec in levels}
+                                            | {0.0}))),
+        ]:
+            want[name] = fmt_csv_table(
+                header, (ts, domain.profile.eval_many(ts), sd.profile.value(ts)))
+        for rec in levels:
+            image = rec.sheared[0].profile
+            want[f"sheared_profile_level{rec.k}.csv"] = fmt_csv_table(
+                ("s", "phi_sheared"), (image.breakpoints, image.values))
+        assert len(want) == 2 + len(levels)
+        for name, text in want.items():
+            assert (tmp_path / "r" / name).read_bytes() == text, name
+
+
+def test_float_profile_writer_text_is_fmt(tmp_path):
+    """Every field of the float table writer is ``fmt`` of its value, also
+    for signed zeros, infinities, nan, subnormals, 17-digit boundaries, and
+    for float32 and int columns, which become float64 as ``float(x)`` does."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+              2.2250738585072014e-308, 1e16, 1e17, 0.1, 1 / 3, -1e-300,
+              1.7976931348623157e308]
+    with np.errstate(over="ignore"):
+        singles = np.array(values).astype(np.float32)
+    ints = np.array([0, -1, 7, 2**53 + 1, -(2**53 + 1), 10**16, 10**17 + 1,
+                     2**62 + 2**9, -12345678901234567, 3, 2**63 - 1, -2**63, 99],
+                    dtype=np.int64)
+    columns = (values, singles, ints)
+    path = tmp_path / "table.csv"
+    cli._write_floats(path, ("x", "x32", "n"), columns)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "x,x32,n" and lines[-1] == ""
+    assert [line.split(",") for line in lines[1:-1]] == [
+        [fmt(x) for x in row] for row in zip(*columns)]
 
 
 # a tiny estimate run: one level, short searches
