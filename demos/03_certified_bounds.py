@@ -35,10 +35,10 @@ c_up = caratheodory_upper_slices(model, p, xi)
 print(f"C(p, xi) <= {c_up.value:.6f}   [expected 1/0.5 + 1 = 3]")
 
 ############################################################
-# Kobayashi lower at the model's corner: the slope drop is m = 6,
-# and containment in {|w| < 1, |w| < |z|^-6} is checked exactly
-# on dyadic rationals, including the segment that rides the model
-# boundary with exact equality.
+# Kobayashi lower at the model's corner: the exact slope drop is
+# m = 6. The sheared profile is concave and vanishes at the corner,
+# so it lies below its supporting lines 0 and -6 s there, and the
+# containment in {|w| < 1, |w| < |z|^-6} follows exactly.
 
 k_low = kobayashi_lower_shear(model, 1)
 print(f"K(p, xi) >= {k_low.value:.6f}   [expected sqrt(6/2) = {math.sqrt(3):.6f}]")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -44,6 +45,7 @@ from .metrics import (
     Direction,
     bound_to_record,
     caratheodory_upper_slices,
+    shear_normalize,
     squeezing_lower_inclusion,
 )
 from .smooth import SmoothDomain, certify_smoothed, levi_verify, smooth
@@ -354,7 +356,8 @@ def cmd_plotdata(config: RunConfig) -> int:
         _write_profile(out / "profile.csv", domain, sd, ts)
 
         for rec in levels:
-            image = rec.sheared[0].profile
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            image = shear_normalize(domain, idx)[0].profile
             _write_floats(out / f"sheared_profile_level{rec.k}.csv",
                           ("s", "phi_sheared"), (image.breakpoints, image.values))
 
@@ -426,7 +429,9 @@ def configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="squeeze",
         description=(
@@ -443,7 +448,11 @@ def main(argv=None) -> int:
                         help="margin schedule target u (switches the schedule)")
     parser.add_argument("--grid", type=int, default=None,
                         help="certified distance grid resolution")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     configure_logging()
     try:

@@ -25,7 +25,6 @@ from typing import Sequence
 from .domain import RadialProfile, ReinhardtDomain, PointC2, fmt
 from .errors import CertificationError, ValidationError
 from .metrics import (
-    AffineLogMap,
     Bound,
     GUARD_COMPARE,
     LevelModel,
@@ -33,7 +32,7 @@ from .metrics import (
     bound_to_record,
     check_sandwich,
     kobayashi_lower_shear,
-    shear_normalize,
+    shear_edges,
     squeezing_lower_inclusion,
     squeezing_upper_at_breakpoint,
 )
@@ -186,9 +185,6 @@ class LevelRecord:
     s_upper_mirror: Bound
     target: Fraction
     target_met: bool
-    # shear_normalize at t_k, the (image, map) the row was certified with
-    sheared: tuple[ReinhardtDomain, AffineLogMap] | None = field(
-        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -279,28 +275,20 @@ def assemble_certificate(levels: tuple[LevelRecord, ...], s_lower: Bound,
     )
 
 
-def _model_edges(profile: RadialProfile, idx: int, k: int, ks: int,
-                 a_lo: Fraction, a_hi: Fraction) -> tuple[float, float]:
+def _model_edges(k: int, ks: int, a_lo: Fraction,
+                 a_hi: Fraction) -> tuple[float | None, float | None]:
     """Float representatives of the level-k model annulus edges in sheared
-    coordinates.
+    coordinates, None where the edge is the adjacent profile breakpoint.
 
-    Where the edge coincides with a profile breakpoint the exact breakpoint
-    difference is used (a log-of-ratio float can land a hair past the
-    breakpoint, outside the segment the model relies on); the remaining
-    edges (a_0 = 1 on the left of level 1, the schedule continuation on the
-    right of the last level) fall strictly inside a segment, where ulp-level
-    placement cannot matter.
+    None selects the default edge of ``squeezing_upper_at_breakpoint`` and
+    ``verify_model_annulus_inclusion``, the exact breakpoint difference (a
+    log-of-ratio float can land a hair past the breakpoint, outside the
+    segment the model relies on); the remaining edges (a_0 = 1 on the left
+    of level 1, the schedule continuation on the right of the last level)
+    fall strictly inside a segment, where ulp-level placement cannot matter.
     """
-    t_k = profile.exact_breakpoints[idx]
-    if k >= 2:
-        lo = float(profile.exact_breakpoints[idx - 1] - t_k)
-    else:
-        lo = math.log(float(a_lo))
-    if k <= ks - 1:
-        hi = float(profile.exact_breakpoints[idx + 1] - t_k)
-    else:
-        hi = math.log(float(a_hi))
-    return lo, hi
+    return (math.log(float(a_lo)) if k < 2 else None,
+            math.log(float(a_hi)) if k >= ks else None)
 
 
 def _staircase_profile(params: ConstructionParams, radii: list[Fraction],
@@ -372,17 +360,14 @@ def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[L
         idx = 1 + ks + (k - 1)
         c_k = constants[k - 1]
         m_k = exponents[k - 1] - (exponents[k - 2] if k >= 2 else 0)
-        a_lo = radii[k - 1] / radii[k]
-        a_hi = radii[k + 1] / radii[k]
-        lo_log, hi_log = _model_edges(profile, idx, k, ks, a_lo, a_hi)
-        sheared = shear_normalize(domain, idx)
+        lo_log, hi_log = _model_edges(k, ks, radii[k - 1] / radii[k],
+                                      radii[k + 1] / radii[k])
         s_up = squeezing_upper_at_breakpoint(
             domain,
             idx,
             model_lo_log=lo_log,
             model_hi_log=hi_log,
             exact_model=LevelModel(c_constant=c_k, m=m_k),
-            sheared=sheared,
         )
         # the profile is symmetric, so z -> 1/z carries the bound to -t_k
         s_up_mirror = at_breakpoint(s_up.sheared, profile.breakpoints[n_bp - 1 - idx],
@@ -407,7 +392,6 @@ def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[L
             s_upper_mirror=s_up_mirror,
             target=target,
             target_met=True,
-            sheared=sheared,
         ))
     return domain, tuple(records)
 
@@ -454,19 +438,13 @@ def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) 
             idx = prof.breakpoints.index(t_k)
         except ValueError:
             raise CertificationError(f"level {rec.k}: breakpoint t={t_k!r} missing")
-        lo, hi = _model_edges(prof, idx, rec.k, ks,
-                              Fraction(rec.a_prev) / Fraction(rec.a_k),
+        lo, hi = _model_edges(rec.k, ks, Fraction(rec.a_prev) / Fraction(rec.a_k),
                               Fraction(rec.a_next) / Fraction(rec.a_k))
-        # The containment at -t_k follows from this one.  By the symmetry
-        # above, the shear image at -t_k is s -> image(-s) - D s, with D the
-        # exact slope drop at t_k (and at -t_k).  Both images are concave,
-        # vanish at 0 with slopes 0 and -D beside it, and straddle it, so
-        # each meets its node and tail-slope conditions exactly when D >= m.
-        sheared = shear_normalize(domain, idx)
-        kobayashi_lower_shear(domain, idx, m=rec.m_k, sheared=sheared)
+        # The containment is the exact D >= m, D the slope drop at t_k (see
+        # kobayashi_lower_shear); by the symmetry above, -t_k has the same D.
+        kobayashi_lower_shear(domain, idx, m=rec.m_k)
         if not verify_model_annulus_inclusion(domain, idx, model_lo_log=lo,
-                                             model_hi_log=hi, m=rec.m_k,
-                                             sheared=sheared):
+                                             model_hi_log=hi, m=rec.m_k):
             raise CertificationError(
                 f"level {rec.k}: model annulus escapes the sheared domain"
             )
@@ -474,33 +452,34 @@ def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) 
 
 def verify_model_annulus_inclusion(
         domain: ReinhardtDomain, k: int, model_lo_log: float | None = None,
-        model_hi_log: float | None = None, m: int | None = None, *,
-        sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None) -> bool:
-    """Check (exactly, at breakpoints) that the flat-then-monomial model annulus
-    sits inside the sheared domain.
+        model_hi_log: float | None = None, m: int | None = None) -> bool:
+    """Check (exactly) that the flat-then-monomial model annulus sits inside
+    the domain sheared at breakpoint ``k``.
 
     The model profile is ``min(0, -m s)`` restricted to ``(lo, hi)``; the
-    sheared profile must dominate it there.  Both are piecewise linear, so
-    the comparison at the union of their breakpoints is equivalent to the
-    comparison everywhere on the range.  ``sheared`` is
-    ``shear_normalize(domain, k)`` when the caller already has it.
+    sheared profile ``psi(s) = phi(t_k + s) - phi(t_k) - s_left s`` must
+    dominate it there.  ``psi`` is concave with ``psi(0) = 0``, so ``psi`` and
+    ``psi + m s`` take their minima over ``[lo, 0]`` and ``[0, hi]`` at the
+    ends: the inclusion holds exactly when ``psi(lo) >= 0`` and
+    ``psi(hi) >= -m hi``.  A profile that is not concave is not verified.
     """
     profile = domain.profile
-    image = (shear_normalize(domain, k) if sheared is None else sheared)[0]
+    eb = profile.exact_breakpoints
+    if not 0 <= k < len(eb):
+        raise ValidationError(f"breakpoint index {k} out of range (profile has {len(eb)})")
+    t_k = eb[k]
+    t_lo, t_hi = shear_edges(domain, t_k)
     if model_lo_log is None:
-        model_lo_log = image.profile.breakpoints[k - 1] if k > 0 else image.t_min
+        model_lo_log = float(eb[k - 1] - t_k) if k > 0 else t_lo
     if model_hi_log is None:
-        model_hi_log = (image.profile.breakpoints[k + 1]
-                        if k + 1 < len(profile.breakpoints) else image.t_max)
+        model_hi_log = float(eb[k + 1] - t_k) if k + 1 < len(eb) else t_hi
     if m is None:
         m = profile.slope_drop(k)
-    lo_e, hi_e = Fraction(model_lo_log), Fraction(model_hi_log)
-    if not (Fraction(image.t_min) <= lo_e < 0 < hi_e <= Fraction(image.t_max)):
+    if not (t_lo <= model_lo_log < 0 < model_hi_log <= t_hi
+            and math.isfinite(model_lo_log) and profile.is_concave()):
         return False
-    check_pts = [lo_e, Fraction(0), hi_e]
-    check_pts += [s for s in image.profile.exact_breakpoints if lo_e < s < hi_e]
-    for s in check_pts:
-        model_val = min(Fraction(0), -m * s)
-        if image.profile.eval_exact(s) < model_val:
-            return False
-    return True
+    s_left, _ = profile.adjacent_slopes(k)
+    v_k = profile.exact_values[k]
+    lo, hi = Fraction(model_lo_log), Fraction(model_hi_log)
+    return (profile.eval_exact(t_k + lo) - v_k - s_left * lo >= 0
+            and profile.eval_exact(t_k + hi) - v_k - s_left * hi >= -m * hi)

@@ -5,8 +5,8 @@ Three mechanisms produce certified bounds at points of the ``w = 0`` axis:
 * a Schwarz-lemma slice bound gives Carathéodory uppers from the radii of the
   largest horizontal and vertical discs through the basepoint;
 * a shear normalization (affine in log coordinates) places a profile
-  breakpoint at the origin; exact containment of the sheared domain in the
-  model ``{|w| < 1, |w| < |z|^-m}`` yields the Kobayashi lower ``sqrt(m/2)``,
+  breakpoint at the origin; containment of the sheared domain in the model
+  ``{|w| < 1, |w| < |z|^-m}`` yields the Kobayashi lower ``sqrt(m/2)``,
   where ``m`` is the slope drop at the breakpoint;
 * the quotient of a Carathéodory upper by a Kobayashi lower bounds the
   squeezing function from above, and an inclusion argument (domain between
@@ -14,7 +14,10 @@ Three mechanisms produce certified bounds at points of the ``w = 0`` axis:
 
 Certified comparisons never trust raw float comparisons: values produced by
 float arithmetic are compared under a relative guard band, while structural
-checks (shear containment) run on exact dyadic rationals.
+checks run on exact dyadic rationals without building the shear image: it
+is concave, vanishes at the origin and has slopes ``0`` and ``-D`` beside
+it, ``D`` the exact slope drop, so containment is ``D >= m`` and the image
+over a model annulus is known from its two edge values.
 """
 
 from __future__ import annotations
@@ -133,14 +136,17 @@ def caratheodory_upper_slices(domain: ReinhardtDomain, p, xi: Direction) -> Boun
         raise ValidationError("slice bound requires a basepoint on the w = 0 axis")
     if not domain.contains(p):
         raise ValidationError("basepoint must lie in the domain")
-    r_h, r_v = domain.slice_radii(p.z)
+    return _slice_bound(p, xi, *domain.slice_radii(p.z))
+
+
+def _slice_bound(p: PointC2, xi: Direction, r_h: float, r_v: float) -> Bound:
+    """``|xi_z|/r_h + |xi_w|/r_v`` at ``p``, from its slice disc radii."""
     if not (r_h > 0.0 and r_v > 0.0):
         raise ValidationError("degenerate slice radii")
-    value = abs(xi.xi_z) / r_h + abs(xi.xi_w) / r_v
     return Bound(
         quantity="caratheodory",
         side="upper",
-        value=value,
+        value=abs(xi.xi_z) / r_h + abs(xi.xi_w) / r_v,
         basepoint=p,
         direction=xi,
         certified=True,
@@ -192,50 +198,30 @@ def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, A
         exact_breakpoints=eb,
         exact_values=ev,
     )
+    return ReinhardtDomain(image, *shear_edges(domain, t_k)), mp
+
+
+def shear_edges(domain: ReinhardtDomain, t_k: Fraction) -> tuple[float, float]:
+    """The annulus edges ``(t_min, t_max)`` of ``domain`` sheared at ``t_k``."""
     t_min = float(Fraction(domain.t_min) - t_k) if domain.t_min != -math.inf else -math.inf
-    t_max = float(Fraction(domain.t_max) - t_k)
-    return ReinhardtDomain(image, t_min, t_max), mp
-
-
-def _restrict_to_annulus(domain: ReinhardtDomain, lo: float, hi: float) -> ReinhardtDomain:
-    """Sub-domain over ``lo < t < hi`` (profile trimmed, heights kept exact)."""
-    if not (domain.t_min <= lo < hi <= domain.t_max):
-        raise ValidationError("restriction range must lie within the annulus")
-    prof = domain.profile
-    lo_e, hi_e = Fraction(lo), Fraction(hi)
-    eb = [lo_e]
-    ev = [prof.eval_exact(lo_e)]
-    for t, v in zip(prof.exact_breakpoints, prof.exact_values):
-        if lo_e < t < hi_e:
-            eb.append(t)
-            ev.append(v)
-    eb.append(hi_e)
-    ev.append(prof.eval_exact(hi_e))
-    trimmed = RadialProfile(
-        breakpoints=tuple(float(t) for t in eb),
-        values=tuple(float(v) for v in ev),
-        exact_breakpoints=tuple(eb),
-        exact_values=tuple(ev),
-    )
-    return ReinhardtDomain(trimmed, lo, hi)
+    return t_min, float(Fraction(domain.t_max) - t_k)
 
 
 # ----------------------------------------------------- Kobayashi lower bound
 def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
-                          m: int | None = None, *,
-                          sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None) -> Bound:
+                          m: int | None = None) -> Bound:
     """Certified ``K >= sqrt(m/2)`` at ``(1, 0)``, direction ``(1, 1)``, of the
     sheared domain, where ``m`` is the integer slope drop at breakpoint ``k``
     (or a caller-pinned model exponent, e.g. from a certificate being
     re-verified).
 
-    The sheared profile must satisfy ``phi'(s) <= min(0, -m s)`` everywhere,
-    i.e. the image lies in the model ``{|w| < 1, |w| < |z|^-m}``.  Both sides
-    are piecewise linear and concave, so the inequality holds everywhere iff
-    it holds at every breakpoint of both functions; the check runs on exact
-    rationals (equality-riding segments are decided exactly), plus exact slope
-    conditions for the two linear tails.  ``sheared`` is
-    ``shear_normalize(domain, k)`` when the caller already has it.
+    The sheared profile ``psi`` must satisfy ``psi(s) <= min(0, -m s)``
+    everywhere, i.e. the image lies in the model ``{|w| < 1, |w| < |z|^-m}``.
+    ``psi`` is concave with ``psi(0) = 0`` and slopes ``0`` and ``-D`` beside
+    the origin, ``D`` the exact slope drop, so it lies below both supporting
+    lines there: ``psi(s) <= min(0, -D s)``, with equality out to the
+    neighbouring breakpoints.  When ``k`` is interior, the inequality holds
+    exactly when ``D >= m``.
     """
     profile = domain.profile
     if not profile.is_concave():
@@ -246,24 +232,14 @@ def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
         raise ValidationError(
             f"slope drop at breakpoint {k} gives model exponent {m}; need m >= 1"
         )
-    image, mp = shear_normalize(domain, k) if sheared is None else sheared
-    prof = image.profile
-    # node check: phi'(s_j) <= min(0, -m s_j), exact
-    for j, (s, v) in enumerate(zip(prof.exact_breakpoints, prof.exact_values)):
-        h = min(Fraction(0), -m * s)
-        if v > h:
-            raise CertificationError(
-                f"model containment violated at breakpoint index {j} "
-                f"(s = {float(s)!r}): phi'={float(v)!r} > {float(h)!r}"
-            )
-    # tail checks: left tail stays <= 0, right tail stays <= -m s
-    img_slopes = prof.exact_slopes()
-    if prof.exact_breakpoints[0] >= 0 or prof.exact_breakpoints[-1] <= 0:
+    if not 0 < k < len(profile.breakpoints) - 1:
         raise CertificationError("sheared breakpoints must straddle the origin")
-    if img_slopes[0] < 0:
-        raise CertificationError("left tail of sheared profile increases leftwards")
-    if img_slopes[-1] > -m:
-        raise CertificationError("right tail of sheared profile is shallower than the model")
+    s_left, s_right = profile.adjacent_slopes(k)
+    if not s_left - s_right >= m:
+        raise CertificationError(
+            f"model containment violated at breakpoint {k}: exact slope drop "
+            f"{float(s_left - s_right)!r} < m = {m}"
+        )
     value = math.sqrt(m / 2.0)
     return Bound(
         quantity="kobayashi",
@@ -273,7 +249,7 @@ def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
         direction=Direction(1.0 + 0.0j, 1.0 + 0.0j),
         certified=True,
         provenance=(
-            f"shear at breakpoint {k} (shear slope {float(mp.shear)!r}); exact "
+            f"shear at breakpoint {k} (shear slope {float(-s_left)!r}); exact "
             f"containment in {{|w|<1, |w|<|z|^-{m}}}; coefficient bound "
             f"sqrt(m/2), m={m}"
         ),
@@ -367,8 +343,6 @@ def squeezing_upper_at_breakpoint(
     model_lo_log: float | None = None,
     model_hi_log: float | None = None,
     exact_model: LevelModel | None = None,
-    *,
-    sheared: tuple[ReinhardtDomain, AffineLogMap] | None = None,
 ) -> Bound:
     """Certified squeezing upper bound at the breakpoint ``t_k`` axis point.
 
@@ -377,13 +351,14 @@ def squeezing_upper_at_breakpoint(
     upper at ``(1, 0)``, direction ``(1, 1)``; certify the Kobayashi lower by
     model containment; combine; report at ``(exp(t_k), 0)`` of the source
     domain, valid by biholomorphic invariance of the squeezing function.
+    The shear sends ``(t_k, phi(t_k))`` to the origin, so no image is built:
+    the slice radii are ``min(1 - e^lo, e^hi - 1)`` and ``e^0 = 1``.
 
     For symmetric profiles the computation canonicalizes to the mirror
     breakpoint ``|t_k|`` (the inversion ``z -> 1/z`` is an automorphism), so
     values at ``t_k`` and ``-t_k`` agree bit-exactly.  The model annulus
-    defaults to the adjacent breakpoints; the construction passes the exact
-    schedule edges instead.  ``sheared`` is ``shear_normalize`` at the
-    canonical breakpoint when the caller already has it.
+    defaults to the adjacent breakpoints, as exact differences; the
+    construction passes the exact schedule edges where they differ.
     """
     profile = domain.profile
     n = len(profile.breakpoints)
@@ -394,26 +369,23 @@ def squeezing_upper_at_breakpoint(
     if mirrored:
         k = n - 1 - k
 
-    if sheared is None:
-        sheared = shear_normalize(domain, k)
-    image = sheared[0]
+    eb = profile.exact_breakpoints
+    t_lo, t_hi = shear_edges(domain, eb[k])
     if model_lo_log is None:
         if k == 0:
             raise ValidationError("no breakpoint left of the peak; pass model_lo_log")
-        model_lo_log = image.profile.breakpoints[k - 1]
+        model_lo_log = float(eb[k - 1] - eb[k])
     if model_hi_log is None:
-        if k + 1 >= n:
-            model_hi_log = image.t_max
-        else:
-            model_hi_log = image.profile.breakpoints[k + 1]
+        model_hi_log = t_hi if k + 1 >= n else float(eb[k + 1] - eb[k])
     if not model_lo_log < 0.0 < model_hi_log:
         raise ValidationError("model annulus must contain the peak")
+    if not t_lo <= model_lo_log < model_hi_log <= t_hi:
+        raise ValidationError("restriction range must lie within the annulus")
 
-    restriction = _restrict_to_annulus(image, model_lo_log, model_hi_log)
-    p_sheared = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
-    xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)
-    c_slice = caratheodory_upper_slices(restriction, p_sheared, xi)
-    k_low = kobayashi_lower_shear(domain, k, sheared=sheared)
+    r_h = min(1.0 - math.exp(model_lo_log), math.exp(model_hi_log) - 1.0)
+    c_slice = _slice_bound(PointC2(1.0 + 0.0j, 0.0 + 0.0j),
+                           Direction(1.0 + 0.0j, 1.0 + 0.0j), r_h, 1.0)
+    k_low = kobayashi_lower_shear(domain, k)
 
     if exact_model is not None:
         c_exact = float(exact_model.c_constant)

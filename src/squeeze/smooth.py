@@ -527,8 +527,9 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
     annulus clipped by the smoothed axis range.  Kobayashi lowers transfer by
     monotonicity: the smoothed domain sits inside the base (structural
     ``phi_tilde <= phi`` plus caps), whose shear containment in the model of
-    exponent ``m_k`` is re-verified exactly.  The squeezing lower at
-    ``(1, 0)`` is the inclusion bound computed on the smoothed boundary.
+    exponent ``m_k`` is re-verified from the exact slope drop at ``t_k``.
+    The squeezing lower at ``(1, 0)`` is the inclusion bound computed on the
+    smoothed boundary.
     """
     base = sd.base
     if not base.profile.symmetric or base.t_max != -base.t_min:
@@ -549,8 +550,8 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
                 f"level {rec.k}: basepoint ({rec.a_k}, 0) left the smoothed domain"
             )
         # exact re-verification of the base shear containment behind the
-        # Kobayashi lower sqrt(m_k / 2) used below, on the row's shear
-        k_low = kobayashi_lower_shear(base, idx, m=rec.m_k, sheared=rec.sheared)
+        # Kobayashi lower sqrt(m_k / 2) used below, from the exact slope drop
+        k_low = kobayashi_lower_shear(base, idx, m=rec.m_k)
 
         slack = float(1.0 - sd.g(t_k))
         gap = float(sd.profile.gap(np.asarray(t_k)))

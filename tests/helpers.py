@@ -10,14 +10,15 @@ from fractions import Fraction
 import numpy as np
 
 from squeeze import ConstructionParams, MarginSchedule, build
-from squeeze.errors import NumericalError, ValidationError
+from squeeze.errors import CertificationError, NumericalError, ValidationError
 from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _int_power,
                               _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
                               _polyval, _validate_indices)
-from squeeze.metrics import Bound, Direction
+from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
+                             shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
 
 # (margin u, levels) of the margin-schedule staircases the benchmark builds
@@ -703,3 +704,121 @@ def fmt_csv_table(header, columns) -> bytes:
     writer.writerow(header)
     writer.writerows([fmt(x) for x in row] for row in zip(*columns))
     return fh.getvalue().encode()
+
+
+# ----------------------------------------------- shear-image references
+# The node-wise checks on the full shear image that the slope-drop and
+# edge-value decisions of ``kobayashi_lower_shear``,
+# ``verify_model_annulus_inclusion`` and ``squeezing_upper_at_breakpoint``
+# replace; the equivalence tests compare the two.
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type of the certification or validation
+    error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (CertificationError, ValidationError) as exc:
+        return type(exc)
+
+
+def kobayashi_lower_shear_nodes(domain, k: int, m=None):
+    """``kobayashi_lower_shear`` by the node loop and the two tail slopes of
+    the image from ``shear_normalize``."""
+    profile = domain.profile
+    if not profile.is_concave():
+        raise ValidationError("profile must be pseudoconvex (nonincreasing slopes)")
+    if m is None:
+        m = profile.slope_drop(k)
+    if m < 1:
+        raise ValidationError(f"slope drop at breakpoint {k} gives model exponent {m}")
+    image, mp = shear_normalize(domain, k)
+    prof = image.profile
+    for j, (s, v) in enumerate(zip(prof.exact_breakpoints, prof.exact_values)):
+        if v > min(Fraction(0), -m * s):
+            raise CertificationError(f"model containment violated at breakpoint index {j}")
+    img_slopes = prof.exact_slopes()
+    if prof.exact_breakpoints[0] >= 0 or prof.exact_breakpoints[-1] <= 0:
+        raise CertificationError("sheared breakpoints must straddle the origin")
+    if img_slopes[0] < 0:
+        raise CertificationError("left tail of sheared profile increases leftwards")
+    if img_slopes[-1] > -m:
+        raise CertificationError("right tail of sheared profile is shallower than the model")
+    return Bound(
+        quantity="kobayashi", side="lower", value=math.sqrt(m / 2.0),
+        basepoint=PointC2(1.0 + 0.0j, 0.0 + 0.0j),
+        direction=Direction(1.0 + 0.0j, 1.0 + 0.0j), certified=True,
+        provenance=(
+            f"shear at breakpoint {k} (shear slope {float(mp.shear)!r}); exact "
+            f"containment in {{|w|<1, |w|<|z|^-{m}}}; coefficient bound "
+            f"sqrt(m/2), m={m}"
+        ),
+    )
+
+
+def model_annulus_inclusion_nodes(domain, k: int, model_lo_log=None,
+                                  model_hi_log=None, m=None) -> bool:
+    """``verify_model_annulus_inclusion`` by comparing the image from
+    ``shear_normalize`` with the model at the edges, the origin and every
+    image breakpoint between the edges."""
+    image = shear_normalize(domain, k)[0]
+    n = len(domain.profile.breakpoints)
+    if model_lo_log is None:
+        model_lo_log = image.profile.breakpoints[k - 1] if k > 0 else image.t_min
+    if model_hi_log is None:
+        model_hi_log = image.profile.breakpoints[k + 1] if k + 1 < n else image.t_max
+    if m is None:
+        m = domain.profile.slope_drop(k)
+    lo_e, hi_e = Fraction(model_lo_log), Fraction(model_hi_log)
+    if not (Fraction(image.t_min) <= lo_e < 0 < hi_e <= Fraction(image.t_max)):
+        return False
+    check_pts = [lo_e, Fraction(0), hi_e]
+    check_pts += [s for s in image.profile.exact_breakpoints if lo_e < s < hi_e]
+    return all(image.profile.eval_exact(s) >= min(Fraction(0), -m * s)
+               for s in check_pts)
+
+
+def restrict_to_annulus(domain, lo: float, hi: float):
+    """Sub-domain over ``lo < t < hi`` (profile trimmed, heights kept exact)."""
+    if not (domain.t_min <= lo < hi <= domain.t_max):
+        raise ValidationError("restriction range must lie within the annulus")
+    prof = domain.profile
+    lo_e, hi_e = Fraction(lo), Fraction(hi)
+    eb, ev = [lo_e], [prof.eval_exact(lo_e)]
+    for t, v in zip(prof.exact_breakpoints, prof.exact_values):
+        if lo_e < t < hi_e:
+            eb.append(t)
+            ev.append(v)
+    eb.append(hi_e)
+    ev.append(prof.eval_exact(hi_e))
+    trimmed = RadialProfile(
+        breakpoints=tuple(float(t) for t in eb), values=tuple(float(v) for v in ev),
+        exact_breakpoints=tuple(eb), exact_values=tuple(ev),
+    )
+    return ReinhardtDomain(trimmed, lo, hi)
+
+
+def squeezing_upper_slice_path(domain, k: int, model_lo_log=None, model_hi_log=None,
+                               exact_model=None):
+    """``squeezing_upper_at_breakpoint`` through the full image: the slice
+    bound of the image restricted to the model annulus, and the node-wise
+    containment.  The consistency checks against ``exact_model`` are left
+    out; its constant is substituted as there."""
+    profile = domain.profile
+    n = len(profile.breakpoints)
+    t_k = profile.breakpoints[k]
+    mirrored = profile.symmetric and t_k < 0.0
+    if mirrored:
+        k = n - 1 - k
+    image = shear_normalize(domain, k)[0]
+    if model_lo_log is None:
+        model_lo_log = image.profile.breakpoints[k - 1]
+    if model_hi_log is None:
+        model_hi_log = image.t_max if k + 1 >= n else image.profile.breakpoints[k + 1]
+    restriction = restrict_to_annulus(image, model_lo_log, model_hi_log)
+    xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)
+    c_slice = caratheodory_upper_slices(restriction, PointC2(1.0 + 0.0j, 0.0 + 0.0j), xi)
+    k_low = kobayashi_lower_shear_nodes(domain, k)
+    if exact_model is not None:
+        c_slice = replace(
+            c_slice, value=float(exact_model.c_constant),
+            provenance=c_slice.provenance + "; exact rational slice constant substituted")
+    return at_breakpoint(squeezing_upper_quotient(c_slice, k_low), t_k, mirrored)

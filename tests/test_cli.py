@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -111,6 +112,30 @@ def test_config_not_an_object_exit2(tmp_path):
                  "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
 
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    """main builds its argument parser once; an unknown command still exits
+    2 through argparse, and a malformed config through the config check."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == EXIT_CONFIG
+        (tmp_path / "bad.json").write_text('{"levels": 2,')
+        assert main(["build", "--config", str(tmp_path / "bad.json"),
+                     "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def _write_config(tmp_path, doc):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(doc))
@@ -192,13 +217,23 @@ class TestStages:
                      "--out", str(tmp_path / "r")]) == EXIT_OK
         assert calls == {"certify_levels": 1, "certify_center": 1, "smooth": 1}
 
-    @pytest.mark.parametrize("command", ["certify-smoothed", "plot-data"])
-    def test_one_shear_per_level(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command, shears", [
+        ("build", 0), ("certify-smoothed", 0), ("plot-data", 3)],
+        ids=["build", "certify-smoothed", "plot-data"])
+    def test_only_plot_data_shears(self, tmp_path, monkeypatch, command, shears):
+        """The certified checks work from the exact slopes; only the sheared
+        profile tables of plot-data build the shear images, one per level."""
         calls = _count_calls(monkeypatch, [(metrics, "shear_normalize"),
-                                           (construct, "shear_normalize")])
+                                           (cli, "shear_normalize")])
         assert main([command, "--levels", "3", "--margin", "0.05",
                      "--out", str(tmp_path / "r")]) == EXIT_OK
-        assert calls == {"shear_normalize": 3}
+        assert sum(calls.values()) == shears
+
+    def test_recheck_does_not_shear(self, monkeypatch):
+        config = RunConfig(levels=3, schedule="margin")
+        calls = _count_calls(monkeypatch, [(metrics, "shear_normalize")])
+        construct.verify_construction(config.staircase[0], config.certificate)
+        assert sum(calls.values()) == 0
 
     def test_all_equals_the_single_commands(self, tmp_path):
         config = _write_config(tmp_path, SMALL)
@@ -277,7 +312,8 @@ class TestPlotData:
             want[name] = fmt_csv_table(
                 header, (ts, domain.profile.eval_many(ts), sd.profile.value(ts)))
         for rec in levels:
-            image = rec.sheared[0].profile
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            image = metrics.shear_normalize(domain, idx)[0].profile
             want[f"sheared_profile_level{rec.k}.csv"] = fmt_csv_table(
                 ("s", "phi_sheared"), (image.breakpoints, image.values))
         assert len(want) == 2 + len(levels)

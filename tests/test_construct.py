@@ -100,8 +100,8 @@ class TestBuild:
         for rec in cert.levels:
             k = rec.k
             idx = domain.profile.breakpoints.index(math.log(rec.a_k))
-            lo, hi = _model_edges(domain.profile, idx, k, levels,
-                                  radii[k - 1] / radii[k], radii[k + 1] / radii[k])
+            lo, hi = _model_edges(k, levels, radii[k - 1] / radii[k],
+                                  radii[k + 1] / radii[k])
             mirror = squeezing_upper_at_breakpoint(
                 domain, n - 1 - idx, lo, hi, exact_model=LevelModel(rec.c_k, rec.m_k))
             assert bound_to_record(rec.s_upper_mirror) == bound_to_record(mirror)
@@ -167,14 +167,6 @@ class TestLevelVerdict:
         params = ConstructionParams(a="2", levels=1, schedule=OnTarget("1/10"))
         with pytest.raises(CertificationError, match="misses target 1/10"):
             certify_levels(params)
-
-    def test_rows_keep_their_shear(self, headline):
-        _, domain, cert = headline
-        for rec in cert.levels:
-            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
-            image, mp = rec.sheared
-            assert mp.t_shift == -domain.profile.exact_breakpoints[idx]
-            assert image.profile.exact_values[idx] == 0
 
 
 def test_assembled_certificate_runs_the_sandwich_check(headline):

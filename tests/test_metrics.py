@@ -20,10 +20,12 @@ from squeeze import (
     squeezing_upper_quotient,
     bidisc_domain,
 )
-from squeeze.construct import _model_edges
+from squeeze.construct import _model_edges, verify_model_annulus_inclusion
 from squeeze.metrics import Bound, LevelModel
 
-from helpers import apply, apply_exact, invert_exact, perturb_value, row
+from helpers import (apply, apply_exact, invert_exact, kobayashi_lower_shear_nodes,
+                     model_annulus_inclusion_nodes, outcome, perturb_value, row,
+                     staircase, squeezing_upper_slice_path)
 
 P = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
 XI = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -148,6 +150,58 @@ class TestKobayashiLower:
         assert "breakpoint" in str(err.value)
 
 
+class TestAgainstTheShearImage:
+    """The slope-drop and edge-value decisions equal the node-wise checks on
+    the full shear image (``tests/helpers.py``)."""
+
+    @pytest.mark.parametrize("fixture", ["p0", "headline", "u0.02-L6"])
+    def test_mutation_sweep(self, fixture, request):
+        """Every single-height +-1e-6 perturbation, at every breakpoint index,
+        with m one below, at and one above the slope drop there."""
+        if fixture == "u0.02-L6":
+            domain = staircase("0.02", 6)
+        else:
+            domain = request.getfixturevalue(fixture)[1]
+        n = len(domain.profile.breakpoints)
+        seen = set()
+        for i in range(n):
+            for delta in (1e-6, -1e-6):
+                bad = ReinhardtDomain(perturb_value(domain.profile, i, delta),
+                                      domain.t_min, domain.t_max)
+                for k in range(n):
+                    drop = domain.profile.slope_drop(k)
+                    for m in (drop - 1, drop, drop + 1):
+                        got = outcome(kobayashi_lower_shear, bad, k, m)
+                        want = outcome(kobayashi_lower_shear_nodes, bad, k, m)
+                        assert got == want, (i, delta, k, m)
+                        inside = verify_model_annulus_inclusion(bad, k, m=m)
+                        assert inside == model_annulus_inclusion_nodes(bad, k, m=m)
+                        seen.add((isinstance(got, Bound), inside))
+        assert {kind for kind, _ in seen} == {True, False}
+        assert {inside for _, inside in seen} == {True, False}
+
+    @pytest.mark.parametrize("fixture", ["p0", "headline"])
+    def test_slice_path(self, fixture, request):
+        """Value and provenance at every interior breakpoint, mirrored ones
+        included, with the default and with the exact model edges."""
+        params, domain, cert = request.getfixturevalue(fixture)
+        n = len(domain.profile.breakpoints)
+        for k in range(1, n - 1):
+            got = squeezing_upper_at_breakpoint(domain, k)
+            want = squeezing_upper_slice_path(domain, k)
+            assert (got.value, got.provenance) == (want.value, want.provenance)
+        radii = params.radii()
+        for rec in cert.levels:
+            idx = domain.profile.breakpoints.index(math.log(rec.a_k))
+            edges = _model_edges(rec.k, len(cert.levels), radii[rec.k - 1] / radii[rec.k],
+                                 radii[rec.k + 1] / radii[rec.k])
+            model = LevelModel(rec.c_k, rec.m_k)
+            for k in (idx, n - 1 - idx):
+                got = squeezing_upper_at_breakpoint(domain, k, *edges, exact_model=model)
+                want = squeezing_upper_slice_path(domain, k, *edges, exact_model=model)
+                assert (got.value, got.provenance) == (want.value, want.provenance)
+
+
 class TestQuotientBound:
     def test_level1_composition(self):
         c = Bound("caratheodory", "upper", 7.0, P, XI, True, "slices")
@@ -202,8 +256,8 @@ class TestSqueezingUpperAtBreakpoint:
         rec = row(cert, 1)
         radii = params.radii()
         idx = domain.profile.breakpoints.index(math.log(rec.a_k))
-        lo, hi = _model_edges(domain.profile, idx, 1, len(cert.levels),
-                              radii[0] / radii[1], radii[2] / radii[1])
+        lo, hi = _model_edges(1, len(cert.levels), radii[0] / radii[1],
+                              radii[2] / radii[1])
         for model, message in ((LevelModel(rec.c_k + 1, rec.m_k), "slice constant"),
                                (LevelModel(rec.c_k, rec.m_k - 1), "slope drop")):
             with pytest.raises(CertificationError, match=message):

@@ -11,8 +11,11 @@ from squeeze import (
     RadialProfile,
     ReinhardtDomain,
     caratheodory_upper_slices,
+    kobayashi_lower_shear,
 )
 from squeeze.domain import domain_from_doc, domain_to_doc
+
+from helpers import kobayashi_lower_shear_nodes, outcome
 
 
 @st.composite
@@ -98,6 +101,17 @@ def test_symmetrized_profile_eval(profile):
     )
     for t in prof2.breakpoints:
         assert prof2.eval(-t) == prof2.eval(t)
+
+
+@given(concave_profiles())
+@settings(max_examples=100, deadline=None)
+def test_containment_by_slope_drop_equals_the_node_check(profile):
+    # every interior breakpoint, m from 1 to one past the slope drop
+    d = domain_of(profile)
+    for k in range(1, len(profile.breakpoints) - 1):
+        for m in range(1, profile.slope_drop(k) + 2):
+            assert (outcome(kobayashi_lower_shear, d, k, m)
+                    == outcome(kobayashi_lower_shear_nodes, d, k, m)), (k, m)
 
 
 @given(concave_profiles(), st.floats(0.01, 0.5))

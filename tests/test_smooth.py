@@ -403,13 +403,6 @@ class TestCertifySmoothed:
         with pytest.raises(CertificationError, match="model containment violated"):
             certify_smoothed(sd, raised, cert.margin_guard)
 
-    def test_row_without_shear_shears_again(self, headline, headline_smoothed):
-        _, _, cert = headline
-        sd, _, smoothed = headline_smoothed
-        bare = tuple(replace(rec, sheared=None) for rec in cert.levels)
-        again = certify_smoothed(sd, bare, cert.margin_guard)
-        assert again.to_doc() == smoothed.to_doc()
-
     def test_distance_grid_too_small_rejected(self, headline_smoothed):
         sd, _, _ = headline_smoothed
         p = (1.0, 0.0)
