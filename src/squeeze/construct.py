@@ -415,20 +415,16 @@ def verify_construction(domain: ReinhardtDomain, cert: ConstructionCertificate) 
     """Re-run every exact structural check backing a certificate.
 
     Raises CertificationError on the first failure.  Checks: exact mirror
-    symmetry of breakpoints and heights, strict concavity, and for each
-    level the shear containment against the certificate's pinned exponent
-    plus the model-annulus inclusion.  A 1e-6 perturbation of any single
-    height fails at least one of these.
+    symmetry of breakpoints and heights and strict concavity, each decided
+    once per profile; then per level, from the two exact slopes beside
+    ``t_k``, the shear containment against the certificate's pinned exponent
+    and the model-annulus inclusion; so the recheck is linear in the levels.
+    A 1e-6 perturbation of any single height fails at least one of these.
     """
     prof = domain.profile
-    n = len(prof.breakpoints)
-    for i in range(n):
-        j = n - 1 - i
-        if (prof.exact_breakpoints[i] != -prof.exact_breakpoints[j]
-                or prof.exact_values[i] != prof.exact_values[j]):
-            raise CertificationError(
-                f"inversion symmetry broken at breakpoint index {i}"
-            )
+    if prof._asymmetry is not None:
+        raise CertificationError(
+            f"inversion symmetry broken at breakpoint index {prof._asymmetry[0]}")
     if not prof.is_concave(strict=True):
         raise CertificationError("profile is not strictly concave")
     ks = len(cert.levels)
@@ -458,28 +454,31 @@ def verify_model_annulus_inclusion(
 
     The model profile is ``min(0, -m s)`` restricted to ``(lo, hi)``; the
     sheared profile ``psi(s) = phi(t_k + s) - phi(t_k) - s_left s`` must
-    dominate it there.  ``psi`` is concave with ``psi(0) = 0``, so ``psi`` and
-    ``psi + m s`` take their minima over ``[lo, 0]`` and ``[0, hi]`` at the
-    ends: the inclusion holds exactly when ``psi(lo) >= 0`` and
-    ``psi(hi) >= -m hi``.  A profile that is not concave is not verified.
+    dominate it there.  On the two segments beside ``t_k`` (on into the end
+    extensions beside an end breakpoint) ``psi`` is exactly ``0`` on the left
+    and ``-D s`` on the right, ``D`` the exact slope drop from
+    ``adjacent_slopes(k)``; with both edges in them, the inclusion holds
+    exactly when ``D <= m``.  An edge past an adjacent interior breakpoint
+    (``_model_edges`` never gives one) and a profile that is not concave are
+    not verified: the result is False.
     """
     profile = domain.profile
     eb = profile.exact_breakpoints
-    if not 0 <= k < len(eb):
-        raise ValidationError(f"breakpoint index {k} out of range (profile has {len(eb)})")
+    n = len(eb)
+    if not 0 <= k < n:
+        raise ValidationError(f"breakpoint index {k} out of range (profile has {n})")
     t_k = eb[k]
     t_lo, t_hi = shear_edges(domain, t_k)
     if model_lo_log is None:
         model_lo_log = float(eb[k - 1] - t_k) if k > 0 else t_lo
     if model_hi_log is None:
-        model_hi_log = float(eb[k + 1] - t_k) if k + 1 < len(eb) else t_hi
+        model_hi_log = float(eb[k + 1] - t_k) if k + 1 < n else t_hi
     if m is None:
         m = profile.slope_drop(k)
     if not (t_lo <= model_lo_log < 0 < model_hi_log <= t_hi
             and math.isfinite(model_lo_log) and profile.is_concave()):
         return False
-    s_left, _ = profile.adjacent_slopes(k)
-    v_k = profile.exact_values[k]
-    lo, hi = Fraction(model_lo_log), Fraction(model_hi_log)
-    return (profile.eval_exact(t_k + lo) - v_k - s_left * lo >= 0
-            and profile.eval_exact(t_k + hi) - v_k - s_left * hi >= -m * hi)
+    s_left, s_right = profile.adjacent_slopes(k)
+    return ((k < 2 or Fraction(model_lo_log) >= eb[k - 1] - t_k)
+            and (k > n - 3 or Fraction(model_hi_log) <= eb[k + 1] - t_k)
+            and s_left - s_right <= m)

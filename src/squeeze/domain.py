@@ -114,6 +114,7 @@ class RadialProfile:
             raise ValidationError("profile needs at least two breakpoints")
         if len(bps) != len(vals):
             raise ValidationError("breakpoints and values length mismatch")
+        _require_finite(bps, vals)
         if self.exact_breakpoints is None:
             object.__setattr__(
                 self, "exact_breakpoints", tuple(Fraction(t) for t in bps)
@@ -131,23 +132,10 @@ class RadialProfile:
         for a, b in zip(self.exact_breakpoints, self.exact_breakpoints[1:]):
             if not a < b:
                 raise ValidationError("breakpoints must be strictly increasing")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError("profile values must be finite")
-        if self.pseudoconvex:
-            slopes = self.exact_slopes()
-            for s0, s1 in zip(slopes, slopes[1:]):
-                if not s1 < s0:
-                    raise ValidationError(
-                        "pseudoconvex flag requires strictly decreasing slopes"
-                    )
-        if self.symmetric:
-            n = len(bps)
-            for i in range(n):
-                j = n - 1 - i
-                if self.exact_breakpoints[i] != -self.exact_breakpoints[j]:
-                    raise ValidationError("symmetric flag requires mirrored breakpoints")
-                if self.exact_values[i] != self.exact_values[j]:
-                    raise ValidationError("symmetric flag requires mirrored values")
+        if self.pseudoconvex and not self.is_concave(strict=True):
+            raise ValidationError("pseudoconvex flag requires strictly decreasing slopes")
+        if self.symmetric and self._asymmetry is not None:
+            raise ValidationError(f"symmetric flag requires mirrored {self._asymmetry[1]}")
 
     # equality is on the observable double-precision content; exact mirrors
     # follow from it up to anchoring and are certification aids
@@ -247,24 +235,28 @@ class RadialProfile:
         s_left, s_right = self.adjacent_slopes(k)
         return math.floor(s_left - s_right)
 
-    def eval_exact(self, t: Fraction) -> Fraction:
-        """Exact piecewise-linear evaluation on the dyadic mirrors."""
-        bs, vs = self.exact_breakpoints, self.exact_values
-        slopes = self.exact_slopes()
-        if t <= bs[0]:
-            return vs[0] + slopes[0] * (t - bs[0])
-        if t >= bs[-1]:
-            return vs[-1] + slopes[-1] * (t - bs[-1])
-        for i in range(len(bs) - 1):
-            if t <= bs[i + 1]:
-                return vs[i] + slopes[i] * (t - bs[i])
-        raise AssertionError("unreachable")
-
     def is_concave(self, strict: bool = False) -> bool:
-        slopes = self.exact_slopes()
-        if strict:
-            return all(b < a for a, b in zip(slopes, slopes[1:]))
-        return all(b <= a for a, b in zip(slopes, slopes[1:]))
+        """Nonincreasing exact slopes (decreasing if ``strict``), decided once per profile."""
+        return self._concavity[strict]
+
+    @cached_property
+    def _concavity(self) -> tuple[bool, bool]:
+        """(concave, strictly concave), each exact slope against its left neighbour."""
+        s = self.exact_slopes()
+        strict = all(b < a for a, b in zip(s, s[1:]))
+        return strict or all(b <= a for a, b in zip(s, s[1:])), strict
+
+    @cached_property
+    def _asymmetry(self) -> tuple[int, str] | None:
+        """First index ``i`` whose exact breakpoint (checked first) or height is
+        not the mirror of index ``n - 1 - i``'s, and which; None if symmetric."""
+        eb, ev = self.exact_breakpoints, self.exact_values
+        for i, (t, v, t_mirror, v_mirror) in enumerate(zip(eb, ev, eb[::-1], ev[::-1])):
+            if t != -t_mirror:
+                return i, "breakpoints"
+            if v != v_mirror:
+                return i, "values"
+        return None
 
 
 @dataclass(frozen=True)
@@ -417,6 +409,12 @@ class ReinhardtDomain:
 
 
 # ------------------------------------------------------------------ module ops
+def _require_finite(bps, vals) -> None:
+    """Reject non-finite profile data before any exact mirror is built."""
+    if not all(map(math.isfinite, (*bps, *vals))):
+        raise ValidationError("profile breakpoints and values must be finite")
+
+
 def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
     """Smallest Euclidean distance from the moduli point ``(rz, rw)`` to the
     cells ``[u0, u1] x [r_lo, r_hi]`` (arrays, one entry per cell)."""
@@ -521,6 +519,7 @@ def domain_from_doc(doc: dict) -> ReinhardtDomain:
     bps = tuple(float(pair[0]) for pair in doc["breakpoints"])
     vals = tuple(float(pair[1]) for pair in doc["breakpoints"])
     flags = doc.get("flags", {})
+    _require_finite(bps, vals)
     eb, ev = _snap_exact_values(bps, vals) or (None, None)
     profile = RadialProfile(
         bps, vals,

@@ -16,8 +16,8 @@ Certified comparisons never trust raw float comparisons: values produced by
 float arithmetic are compared under a relative guard band, while structural
 checks run on exact dyadic rationals without building the shear image: it
 is concave, vanishes at the origin and has slopes ``0`` and ``-D`` beside
-it, ``D`` the exact slope drop, so containment is ``D >= m`` and the image
-over a model annulus is known from its two edge values.
+it, ``D`` the exact slope drop, so containment is ``D >= m``, and on a
+model annulus inside the segments beside the origin it is ``-D max(s, 0)``.
 """
 
 from __future__ import annotations

@@ -255,6 +255,19 @@ class TestStages:
                          "--out", str(tmp_path / command)]) == EXIT_OK
 
 
+    def test_polynomial_radii_certify_at_l60(self, tmp_path):
+        """The radius rule a_k = 2 - 1/(k + 1) through the three certifying
+        commands at 60 levels, where halving radii stop at 22."""
+        config = _write_config(tmp_path, {
+            "levels": 60, "schedule": "margin", "margin_u": "0.05",
+            "sequence": [f"{2 * k + 1}/{k + 1}" for k in range(1, 61)]})
+        for command in ("build", "certify-smoothed", "plot-data"):
+            assert main([command, "--config", config,
+                         "--out", str(tmp_path / command)]) == EXIT_OK
+        assert len(read_csv(tmp_path / "build" / "certificate.csv")) == 61
+        assert len(read_csv(tmp_path / "plot-data" / "sheared_profile_level60.csv")) == 123
+
+
 class TestPlotData:
     def test_files_and_shapes(self, tmp_path):
         cfg = RunConfig(out=str(tmp_path / "r"), **HEADLINE)

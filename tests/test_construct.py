@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from squeeze import (
     ConstructionParams,
     HarmonicSchedule,
     MarginSchedule,
+    RadialProfile,
     ReinhardtDomain,
     ValidationError,
     build,
@@ -21,7 +23,7 @@ from squeeze.construct import (_model_edges, assemble_certificate, certify_level
 from squeeze.metrics import (LevelModel, bound_to_record, kobayashi_lower_shear,
                              squeezing_upper_at_breakpoint)
 
-from helpers import perturb_value, row
+from helpers import model_annulus_inclusion_nodes, perturb_value, row
 
 
 class TestLevelConstant:
@@ -197,6 +199,34 @@ class TestPrimeInclusion:
         # below the model's monomial line
         assert not verify_model_annulus_inclusion(bad, idx, m=row(cert, 1).m_k)
 
+    def test_edge_past_the_adjacent_breakpoint_is_not_verified(self, p0):
+        """The documented contract: an edge past an adjacent interior
+        breakpoint returns False, even where the node-wise check on the shear
+        image holds because the slope does not change there."""
+        _, domain, cert = p0
+        idx = domain.profile.breakpoints.index(math.log(row(cert, 2).a_k))
+        eb = domain.profile.exact_breakpoints
+        lo, hi = float(eb[idx - 1] - eb[idx]), float(eb[idx + 1] - eb[idx])
+        m = row(cert, 2).m_k
+        assert verify_model_annulus_inclusion(domain, idx, lo, hi, m=m)
+        assert not verify_model_annulus_inclusion(domain, idx, 1.5 * lo, hi, m=m)
+        assert not verify_model_annulus_inclusion(domain, idx, lo, 1.5 * hi, m=m)
+        # slopes 0, 0, -5, -5: psi is 0 and -5 s out to both annulus edges
+        flat = RadialProfile((-2.0, -1.0, 0.0, 1.0, 2.0), (0.0, 0.0, 0.0, -5.0, -10.0))
+        d = ReinhardtDomain(flat, -3.0, 3.0)
+        assert verify_model_annulus_inclusion(d, 2, -1.0, 1.0, m=5)
+        for lo, hi in ((-1.5, 1.0), (-1.0, 1.5)):
+            assert model_annulus_inclusion_nodes(d, 2, lo, hi, m=5)
+            assert not verify_model_annulus_inclusion(d, 2, lo, hi, m=5)
+
+
+def _polynomial_staircase(levels: int):
+    """The u = 0.05 staircase with radii a_k = 2 - 1/(k + 1)."""
+    params = ConstructionParams(a="2", levels=levels, schedule=MarginSchedule("0.05"),
+                                a_sequence=[Fraction(2 * k + 1, k + 1)
+                                            for k in range(1, levels + 1)])
+    return build(params)
+
 
 class TestVerifyConstruction:
     def test_passes_clean(self, p0):
@@ -211,6 +241,37 @@ class TestVerifyConstruction:
                                   domain.t_min, domain.t_max)
             with pytest.raises(CertificationError):
                 verify_construction(bad, cert)
+
+    def test_polynomial_radii_at_depth(self):
+        # radii a_k = 2 - 1/(k + 1) certify 60 levels, where halving radii
+        # stop at 22; every single-height change still fails the recheck
+        domain, cert = _polynomial_staircase(60)
+        assert len(cert.levels) == 60
+        verify_construction(domain, cert)
+        for idx in range(len(domain.profile.breakpoints)):
+            bad = ReinhardtDomain(perturb_value(domain.profile, idx, 1e-6),
+                                  domain.t_min, domain.t_max)
+            with pytest.raises(CertificationError):
+                verify_construction(bad, cert)
+
+    def test_decides_concavity_and_symmetry_once_per_profile(self, monkeypatch):
+        """build, then verify_construction: every profile object decides its
+        concavity and its mirror symmetry at most once, and the staircase's
+        profile decides both."""
+        calls = Counter()
+        profiles = []  # keeps each counted profile alive, so ids stay unique
+        for name in ("_concavity", "_asymmetry"):
+            prop = RadialProfile.__dict__[name]
+            def counted(profile, _decide=prop.func, _name=name):
+                calls[_name, id(profile)] += 1
+                profiles.append(profile)
+                return _decide(profile)
+            monkeypatch.setattr(prop, "func", counted)
+        domain, cert = _polynomial_staircase(8)
+        verify_construction(domain, cert)
+        assert set(calls.values()) == {1}
+        assert {("_concavity", id(domain.profile)),
+                ("_asymmetry", id(domain.profile))} <= set(calls)
 
     @pytest.mark.parametrize("fixture", ["p0", "headline"])
     def test_mirror_shear_decided_by_the_direct_one(self, fixture, request):

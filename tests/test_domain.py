@@ -16,6 +16,7 @@ from squeeze import (
     annulus_model_domain,
 )
 from squeeze.domain import box_distance, domain_from_doc, domain_to_doc
+from squeeze.schema import validate_doc
 
 from helpers import (STAIRCASES, boundary_distance_brute, perturb_value, stacked_box_distance,
                      staircase, to_point)
@@ -267,6 +268,22 @@ def test_profile_validation():
         RadialProfile((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), pseudoconvex=True)
     with pytest.raises(ValidationError):
         RadialProfile((0.0, 1.0), (0.0, -1.0), symmetric=True)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_profile_data_rejected(p0, bad):
+    # checked before the exact mirrors are built: Fraction raises ValueError
+    # on nan and OverflowError on an infinity
+    for bps, vals in (((0.0, 1.0), (0.0, float(bad))), ((0.0, float(bad)), (0.0, 0.0))):
+        with pytest.raises(ValidationError, match="must be finite"):
+            RadialProfile(bps, vals)
+    _, domain, _ = p0
+    for column in (0, 1):
+        doc = json.loads(json.dumps(domain_to_doc(domain)))
+        doc["breakpoints"][3][column] = bad
+        validate_doc("domain", doc)  # the schema only asks for strings
+        with pytest.raises(ValidationError, match="must be finite"):
+            domain_from_doc(doc)
 
 
 def test_domain_validation():

@@ -5,7 +5,9 @@ import pytest
 
 from squeeze import (
     CertificationError,
+    ConstructionParams,
     Direction,
+    MarginSchedule,
     PointC2,
     RadialProfile,
     ReinhardtDomain,
@@ -23,9 +25,9 @@ from squeeze import (
 from squeeze.construct import _model_edges, verify_model_annulus_inclusion
 from squeeze.metrics import Bound, LevelModel
 
-from helpers import (apply, apply_exact, invert_exact, kobayashi_lower_shear_nodes,
-                     model_annulus_inclusion_nodes, outcome, perturb_value, row,
-                     staircase, squeezing_upper_slice_path)
+from helpers import (apply, apply_exact, eval_exact, invert_exact,
+                     kobayashi_lower_shear_nodes, model_annulus_inclusion_nodes, outcome,
+                     perturb_value, row, staircase, squeezing_upper_slice_path)
 
 P = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
 XI = Direction(1.0 + 0.0j, 1.0 + 0.0j)
@@ -109,7 +111,7 @@ class TestShear:
         for tb, vb in zip(domain.profile.exact_breakpoints,
                           domain.profile.exact_values):
             ti, vi = apply_exact(mp, tb, vb)
-            assert image.profile.eval_exact(ti) == vi
+            assert eval_exact(image.profile, ti) == vi
 
 
 class TestKobayashiLower:
@@ -151,19 +153,29 @@ class TestKobayashiLower:
 
 
 class TestAgainstTheShearImage:
-    """The slope-drop and edge-value decisions equal the node-wise checks on
-    the full shear image (``tests/helpers.py``)."""
+    """The slope-drop decisions equal the node-wise checks on the full shear
+    image (``tests/helpers.py``)."""
 
     @pytest.mark.parametrize("fixture", ["p0", "headline", "u0.02-L6"])
     def test_mutation_sweep(self, fixture, request):
         """Every single-height +-1e-6 perturbation, at every breakpoint index,
-        with m one below, at and one above the slope drop there."""
+        with m one below, at and one above the slope drop there; and the
+        inclusion with each level's own model edges at t_k and -t_k."""
         if fixture == "u0.02-L6":
+            params = ConstructionParams(a="2", levels=6, schedule=MarginSchedule("0.02"))
             domain = staircase("0.02", 6)
         else:
-            domain = request.getfixturevalue(fixture)[1]
+            params, domain, _ = request.getfixturevalue(fixture)
         n = len(domain.profile.breakpoints)
+        radii = params.radii()
+        level_edges = []
+        for k in range(1, params.levels + 1):
+            idx = domain.profile.breakpoints.index(math.log(float(radii[k])))
+            edges = _model_edges(k, params.levels, radii[k - 1] / radii[k],
+                                 radii[k + 1] / radii[k])
+            level_edges += [(idx, edges), (n - 1 - idx, edges)]
         seen = set()
+        seen_edges = set()
         for i in range(n):
             for delta in (1e-6, -1e-6):
                 bad = ReinhardtDomain(perturb_value(domain.profile, i, delta),
@@ -177,8 +189,16 @@ class TestAgainstTheShearImage:
                         inside = verify_model_annulus_inclusion(bad, k, m=m)
                         assert inside == model_annulus_inclusion_nodes(bad, k, m=m)
                         seen.add((isinstance(got, Bound), inside))
+                for k, edges in level_edges:
+                    drop = domain.profile.slope_drop(k)
+                    for m in (drop - 1, drop, drop + 1):
+                        inside = verify_model_annulus_inclusion(bad, k, *edges, m=m)
+                        assert inside == model_annulus_inclusion_nodes(bad, k, *edges, m=m), (
+                            i, delta, k, m)
+                        seen_edges.add(inside)
         assert {kind for kind, _ in seen} == {True, False}
         assert {inside for _, inside in seen} == {True, False}
+        assert seen_edges == {True, False}
 
     @pytest.mark.parametrize("fixture", ["p0", "headline"])
     def test_slice_path(self, fixture, request):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,9 +14,11 @@ from squeeze import (
     caratheodory_upper_slices,
     kobayashi_lower_shear,
 )
+from squeeze.construct import verify_model_annulus_inclusion
 from squeeze.domain import domain_from_doc, domain_to_doc
 
-from helpers import kobayashi_lower_shear_nodes, outcome
+from helpers import (eval_exact, kobayashi_lower_shear_nodes, model_annulus_inclusion_nodes,
+                     outcome)
 
 
 @st.composite
@@ -105,13 +108,25 @@ def test_symmetrized_profile_eval(profile):
 
 @given(concave_profiles())
 @settings(max_examples=100, deadline=None)
+# at breakpoint 2 the default right edge, float(0.6 - 0.1), rounds past 0.6
+@example(RadialProfile((-0.5, 0.0, 0.1, 0.6, 1.6), (0.0, 0.0, -0.1, -1.1, -4.1)))
 def test_containment_by_slope_drop_equals_the_node_check(profile):
-    # every interior breakpoint, m from 1 to one past the slope drop
+    # every interior breakpoint, m from 1 to one past the slope drop; the
+    # model-annulus inclusion at the default edges, too.  A default edge is
+    # the float of an exact breakpoint difference and can round past that
+    # breakpoint; the inclusion is then False by contract, while the node
+    # check evaluates the image one rounding step into the next segment
     d = domain_of(profile)
+    eb = profile.exact_breakpoints
     for k in range(1, len(profile.breakpoints) - 1):
+        lo, hi = eb[k - 1] - eb[k], eb[k + 1] - eb[k]
+        rounds_past = Fraction(float(lo)) < lo or Fraction(float(hi)) > hi
         for m in range(1, profile.slope_drop(k) + 2):
             assert (outcome(kobayashi_lower_shear, d, k, m)
                     == outcome(kobayashi_lower_shear_nodes, d, k, m)), (k, m)
+            inside = verify_model_annulus_inclusion(d, k, m=m)
+            assert (inside == model_annulus_inclusion_nodes(d, k, m=m)
+                    or rounds_past and not inside), (k, m)
 
 
 @given(concave_profiles(), st.floats(0.01, 0.5))
@@ -140,9 +155,7 @@ def test_serialization_roundtrip(profile):
 def test_eval_within_ulps_of_exact(profile, t):
     # slope * (t - t_i) + phi(t_i) rounds a handful of times, each by at most
     # one ulp of the largest term
-    from fractions import Fraction
-
-    exact = float(profile.eval_exact(Fraction(t)))
+    exact = float(eval_exact(profile, Fraction(t)))
     scale = (max(abs(v) for v in profile.values)
              + max(abs(s) for s in profile.slopes())
              * max(abs(t - b) for b in profile.breakpoints))
@@ -152,8 +165,6 @@ def test_eval_within_ulps_of_exact(profile, t):
 @given(concave_profiles(), st.floats(-4.0, 4.0))
 @settings(max_examples=150, deadline=None)
 def test_eval_between_fraction_and_float(profile, t):
-    from fractions import Fraction
-
-    exact = float(profile.eval_exact(Fraction(t)))
+    exact = float(eval_exact(profile, Fraction(t)))
     approx = profile.eval(t)
     assert math.isclose(exact, approx, rel_tol=1e-9, abs_tol=1e-9)
