@@ -28,6 +28,7 @@ from .metrics import (
     Bound,
     GUARD_COMPARE,
     LevelModel,
+    adjacent_edge,
     at_breakpoint,
     bound_to_record,
     check_sandwich,
@@ -281,11 +282,12 @@ def _model_edges(k: int, ks: int, a_lo: Fraction,
     coordinates, None where the edge is the adjacent profile breakpoint.
 
     None selects the default edge of ``squeezing_upper_at_breakpoint`` and
-    ``verify_model_annulus_inclusion``, the exact breakpoint difference (a
-    log-of-ratio float can land a hair past the breakpoint, outside the
-    segment the model relies on); the remaining edges (a_0 = 1 on the left
-    of level 1, the schedule continuation on the right of the last level)
-    fall strictly inside a segment, where ulp-level placement cannot matter.
+    ``verify_model_annulus_inclusion``: the exact breakpoint difference
+    rounded toward ``t_k`` (``adjacent_edge``), where a log-of-ratio float
+    can land a hair past the breakpoint, outside the segment the model
+    relies on.  The remaining edges (a_0 = 1 on the left of level 1, the
+    schedule continuation on the right of the last level) fall strictly
+    inside a segment, where ulp-level placement cannot matter.
     """
     return (math.log(float(a_lo)) if k < 2 else None,
             math.log(float(a_hi)) if k >= ks else None)
@@ -459,8 +461,8 @@ def verify_model_annulus_inclusion(
     and ``-D s`` on the right, ``D`` the exact slope drop from
     ``adjacent_slopes(k)``; with both edges in them, the inclusion holds
     exactly when ``D <= m``.  An edge past an adjacent interior breakpoint
-    (``_model_edges`` never gives one) and a profile that is not concave are
-    not verified: the result is False.
+    (neither ``_model_edges`` nor the default ``adjacent_edge`` gives one)
+    and a profile that is not concave are not verified: the result is False.
     """
     profile = domain.profile
     eb = profile.exact_breakpoints
@@ -470,9 +472,9 @@ def verify_model_annulus_inclusion(
     t_k = eb[k]
     t_lo, t_hi = shear_edges(domain, t_k)
     if model_lo_log is None:
-        model_lo_log = float(eb[k - 1] - t_k) if k > 0 else t_lo
+        model_lo_log = adjacent_edge(profile, k, k - 1) if k > 0 else t_lo
     if model_hi_log is None:
-        model_hi_log = float(eb[k + 1] - t_k) if k + 1 < n else t_hi
+        model_hi_log = adjacent_edge(profile, k, k + 1) if k + 1 < n else t_hi
     if m is None:
         m = profile.slope_drop(k)
     if not (t_lo <= model_lo_log < 0 < model_hi_log <= t_hi

@@ -158,7 +158,10 @@ class RadialProfile:
 
     @cached_property
     def _float_slopes(self) -> tuple[float, ...]:
-        return tuple(float(s) for s in self.exact_slopes())
+        try:
+            return tuple(float(s) for s in self.exact_slopes())
+        except OverflowError:
+            raise ValidationError("profile slope overflows a double") from None
 
     @cached_property
     def _pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -496,6 +499,8 @@ def _snap_exact_values(bps: tuple[float, ...], vals: tuple[float, ...]):
     slopes = []
     for i in range(len(bps) - 1):
         s = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+        if not math.isfinite(s):
+            return None
         si = round(s)
         if abs(s - si) > 1e-9 * max(1.0, abs(s)):
             return None
@@ -527,4 +532,5 @@ def domain_from_doc(doc: dict) -> ReinhardtDomain:
         pseudoconvex=bool(flags.get("pseudoconvex", False)),
         exact_breakpoints=eb, exact_values=ev,
     )
+    profile.slopes()  # a slope that overflows a double raises ValidationError
     return ReinhardtDomain(profile, float(doc["t_min"]), float(doc["t_max"]))

@@ -293,28 +293,110 @@ def _edge_above(bar: float) -> float:
     return min((t for t in tested if t > bar), default=math.inf)
 
 
-def _largest_feasible_tau(infeasible_at, bar: float) -> float:
-    """The disc-scale ladder (``_ladder``) on ``infeasible_at``.
+def _false_position(lo: float, f_lo: float, hi: float, f_hi: float):
+    """The regula-falsi point ``lo + s (hi - lo)``, ``s = -f_lo / (f_hi -
+    f_lo)``, of the bracket ``(lo, hi)`` whose excesses are ``f_lo <= 0 <
+    f_hi``; a point that rounds onto an end moves to the adjacent float
+    inside.  None if a value is NaN or infinite, the denominator is zero,
+    ``s`` is 0 (the point is ``lo``) or no float lies strictly inside."""
+    den = f_hi - f_lo
+    if not (den > 0.0 and math.isfinite(den)):
+        return None
+    s = -f_lo / den
+    if not s > 0.0:
+        return None
+    c = min(max(lo + (hi - lo) * s, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    return c if lo < c < hi else None
+
+
+def _largest_feasible_tau(excess, bar: float, counts: list | None = None) -> float:
+    """The disc-scale ladder (``_ladder``) on the verdict ``excess(t) > 0``.
+
+    ``excess(t)`` is the worst sampled defect of the disc of scale ``t``
+    plus the margin: exact when it is ``<= 0`` (feasible), otherwise any
+    value above 0, NaN and +inf included.  Everything below assumes that
+    the feasible scales form an interval.  That is proven on ``BallModel``
+    and ``PolydiscModel``, whose sampled constraints are convex in the
+    scale, and assumed, not proven, on a profile domain.
 
     Only a result above ``bar`` matters to the caller.  For ``bar > 1e-6``
     the edge of ``bar`` (``_edge_above``) is tested first, and 0.0 is
-    returned if it is infeasible.  Otherwise 1e-6 is tested as always, and
-    each later rung at or below the edge counts as feasible without a test.
-    Both steps assume that the feasible scales form an interval.  Then the
-    full ladder follows the path on which every scale above ``bar`` fails
-    until its first feasible test above ``bar``; every such test is at or
-    above the edge, so the full ladder's result is above ``bar`` exactly
-    when the edge (and 1e-6) is feasible, and the interval holds every rung
-    from 1e-6 to the edge.  So the result equals the full ladder's bit for
-    bit whenever either is above ``bar``, and is ``<= bar`` exactly when the
-    full ladder's is.
+    returned if it is infeasible: the full ladder follows the path on which
+    every scale above ``bar`` fails until its first feasible test above
+    ``bar``, every such test is at or above the edge, so its result is above
+    ``bar`` exactly when the edge (and 1e-6) is feasible.  Then 1e-6 is
+    tested as always.  From there on the function keeps a bracket: the
+    largest scale tested feasible and the smallest tested infeasible.  The
+    interval holds 1e-6 and the feasible end, so a ladder query at or below
+    that end is feasible and one at or above the infeasible end is not,
+    without a test.  A query inside the bracket narrows it by Illinois
+    regula falsi on the excess (``_false_position``; Dowell & Jarratt,
+    BIT 11, 1971) until the query is decided.  The query itself, the
+    ladder's own midpoint, is tested instead (a midpoint step) when there is
+    no regula-falsi point, after two regula-falsi steps in a row that each
+    failed to halve the bracket, and when one more step could bring the
+    checks above two per ladder query so far.  The Illinois state carries
+    over a midpoint step.
+
+    So each answer is the one its test would give: the result equals the
+    full ladder's bit for bit whenever either is above ``bar`` (and is
+    ``<= bar`` exactly when the full ladder's is), with at most twice the
+    full ladder's checks.  ``counts``, if given, gains the ladder queries
+    answered from the bracket, with or without regula-falsi steps, at index
+    0 and the regula-falsi steps at index 1.
     """
-    edge = -math.inf  # scales up to here are feasible if 1e-6 is
+    lo, f_lo = -math.inf, -math.inf  # the largest scale tested feasible
+    hi, f_hi = math.inf, math.inf  # the smallest scale tested infeasible
+    tests = queries = answered = steps = 0
+    moved = 0  # the end the last regula-falsi step moved: -1 lo, 1 hi
+    stalls = 0  # regula-falsi steps in a row that failed to halve the bracket
+
+    def test(t: float) -> bool:
+        nonlocal lo, f_lo, hi, f_hi, tests
+        v = excess(t)
+        tests += 1
+        if v <= 0.0:
+            if t > lo:
+                lo, f_lo = t, v
+            return False
+        if t < hi:
+            hi, f_hi = t, v
+        return True
+
+    def fails(t: float) -> bool:
+        nonlocal queries, answered, steps, moved, stalls, f_lo, f_hi
+        queries += 1
+        if t == _TAU_START:
+            return test(t)
+        while lo < t < hi:
+            c = None
+            if stalls < 2 and tests + 2 <= 2 * queries:
+                c = _false_position(lo, f_lo, hi, f_hi)
+            if c is None:  # the midpoint step
+                stalls = 0
+                return test(t)
+            width = hi - lo
+            side = 1 if test(c) else -1
+            steps += 1
+            if side == moved:  # Illinois: halve the excess of the end kept twice
+                if side > 0:
+                    f_lo *= 0.5
+                else:
+                    f_hi *= 0.5
+            moved = side
+            stalls = stalls + 1 if hi - lo > 0.5 * width else 0
+        answered += 1
+        return t >= hi
+
     if bar > _TAU_START:
         edge = _edge_above(bar)
-        if edge == math.inf or infeasible_at(edge):
+        if edge == math.inf or test(edge):
             return 0.0
-    return _ladder(lambda t: (t == _TAU_START or t > edge) and infeasible_at(t))
+    tau = _ladder(fails)
+    if counts is not None:
+        counts[0] += answered
+        counts[1] += steps
+    return tau
 
 
 _SEARCH_BLOCK = 256  # circle samples per block in the disc search
@@ -388,13 +470,16 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     Each proposal of the search is first tested at the edge of the
     incumbent scale, the smallest scale above it that the ladder would test
     if every scale above the incumbent failed, and rejected with that one
-    sampled check if it is infeasible there; a proposal feasible there skips
-    the ladder rungs up to the edge (``_largest_feasible_tau``).  The sampled
-    constraints are convex in the scale on ``BallModel`` and
-    ``PolydiscModel``, whose feasible scales are therefore an interval, so
-    there the search keeps and returns exactly what the full ladder on every
-    proposal would.  On a profile domain the feasible scales along a disc's
-    ray are assumed, not proven, to be an interval.
+    sampled check if it is infeasible there.  For a proposal feasible there
+    the ladder answers each query outside the bracket of scales tested so
+    far without a check, and narrows the bracket by regula falsi on the
+    excess (the worst sampled defect plus the margin) to decide a query
+    inside it (``_largest_feasible_tau``).  Both assume that the feasible
+    scales along a disc's ray form an interval.  The sampled constraints
+    are convex in the scale on ``BallModel`` and ``PolydiscModel``, so
+    there this is proven and the search keeps and returns exactly what the
+    full ladder on every proposal would; on a profile domain it is assumed,
+    not proven.
 
     A sampled check first evaluates the defect on the witness block only:
     the block of ``_SEARCH_BLOCK`` samples that held the worst sample of the
@@ -425,6 +510,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     # objective calls, proposals rejected at the edge, defect calls,
     # checks settled on the witness block, checks over all samples
     counts = [0, 0, 0, 0, 0]
+    ladder_counts = [0, 0]  # ladder queries answered from the bracket, regula-falsi steps
 
     def defect(tau: float, zeta: np.ndarray, tail_z: np.ndarray, tail_w: np.ndarray):
         """The defect of the disc of scale ``tau`` on the samples ``zeta``."""
@@ -432,28 +518,30 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         return adapter.defect(p.z + tau * xi.xi_z * zeta + tail_z,
                               p.w + tau * xi.xi_w * zeta + tail_w)
 
-    def infeasible_at(tz: _Tail, tw: _Tail, tau: float) -> bool:
+    def excess(tz: _Tail, tw: _Tail, tau: float) -> float:
+        """The worst sampled defect plus the margin; a lower bound if the
+        witness block fails.  A float sum is 0 only when the exact sum is,
+        and keeps its sign, so ``excess <= 0`` exactly when the worst
+        defect is ``<= -margin``."""
         nonlocal witness
         d = defect(tau, tails.zeta_blocks[witness], tails.block(tz, witness),
                    tails.block(tw, witness))
-        if not d[d.argmax()] <= -margin:  # argmax finds a NaN first
-            counts[3] += 1
-            return True
-        if len(tails.slices) == 1:
-            counts[3] += 1  # the block holds every sample
-            return False
+        worst = float(d[d.argmax()]) + margin  # argmax finds a NaN first
+        if not worst <= 0.0 or len(tails.slices) == 1:
+            counts[3] += 1  # the block fails, or it holds every sample
+            return worst
         counts[4] += 1
         d = defect(tau, zeta, tails.full(tz), tails.full(tw))
-        worst = d.argmax()
-        if d[worst] <= -margin:
-            return False
-        witness = int(worst) // _SEARCH_BLOCK
-        return True
+        i = d.argmax()
+        worst = float(d[i]) + margin
+        if not worst <= 0.0:
+            witness = int(i) // _SEARCH_BLOCK
+        return worst
 
     def feasible_tau(x: np.ndarray, bar: float) -> float:
         tz, tw = (tails.tail(c) for c in tail_arrays(x))
         before = counts[3] + counts[4]
-        tau = _largest_feasible_tau(lambda t: infeasible_at(tz, tw, t), bar)
+        tau = _largest_feasible_tau(lambda t: excess(tz, tw, t), bar, ladder_counts)
         counts[0] += 1
         if bar > _TAU_START and counts[3] + counts[4] - before <= 1:
             counts[1] += 1  # the test at the edge failed, or there is no edge
@@ -498,7 +586,8 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
 
     log.debug("disc search: %d objective calls, %d proposals rejected at the edge, "
               "%d defect calls, %d checks settled on the witness block, "
-              "%d checks over all samples", *counts)
+              "%d checks over all samples, %d ladder queries answered from the "
+              "bracket, %d regula-falsi steps", *counts, *ladder_counts)
     value = 1.0 / best_tau
     bound = Bound(
         quantity="kobayashi", side="upper", value=value, basepoint=p, direction=xi,

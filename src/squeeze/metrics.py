@@ -207,6 +207,16 @@ def shear_edges(domain: ReinhardtDomain, t_k: Fraction) -> tuple[float, float]:
     return t_min, float(Fraction(domain.t_max) - t_k)
 
 
+def adjacent_edge(profile: RadialProfile, k: int, j: int) -> float:
+    """The default model edge of breakpoint ``k`` at its neighbour ``j``: the
+    exact difference ``t_j - t_k`` as a float rounded toward 0, so that it
+    never lies past ``t_j``."""
+    eb = profile.exact_breakpoints
+    gap = eb[j] - eb[k]
+    edge = float(gap)
+    return math.nextafter(edge, 0.0) if abs(Fraction(edge)) > abs(gap) else edge
+
+
 # ----------------------------------------------------- Kobayashi lower bound
 def kobayashi_lower_shear(domain: ReinhardtDomain, k: int,
                           m: int | None = None) -> Bound:
@@ -357,8 +367,9 @@ def squeezing_upper_at_breakpoint(
     For symmetric profiles the computation canonicalizes to the mirror
     breakpoint ``|t_k|`` (the inversion ``z -> 1/z`` is an automorphism), so
     values at ``t_k`` and ``-t_k`` agree bit-exactly.  The model annulus
-    defaults to the adjacent breakpoints, as exact differences; the
-    construction passes the exact schedule edges where they differ.
+    defaults to the adjacent breakpoints (``adjacent_edge``), their exact
+    differences rounded toward ``t_k``; the construction passes the exact
+    schedule edges where they differ.
     """
     profile = domain.profile
     n = len(profile.breakpoints)
@@ -374,9 +385,9 @@ def squeezing_upper_at_breakpoint(
     if model_lo_log is None:
         if k == 0:
             raise ValidationError("no breakpoint left of the peak; pass model_lo_log")
-        model_lo_log = float(eb[k - 1] - eb[k])
+        model_lo_log = adjacent_edge(profile, k, k - 1)
     if model_hi_log is None:
-        model_hi_log = t_hi if k + 1 >= n else float(eb[k + 1] - eb[k])
+        model_hi_log = t_hi if k + 1 >= n else adjacent_edge(profile, k, k + 1)
     if not model_lo_log < 0.0 < model_hi_log:
         raise ValidationError("model annulus must contain the peak")
     if not t_lo <= model_lo_log < model_hi_log <= t_hi:

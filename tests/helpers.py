@@ -772,13 +772,21 @@ def model_annulus_inclusion_nodes(domain, k: int, model_lo_log=None,
                                   model_hi_log=None, m=None) -> bool:
     """``verify_model_annulus_inclusion`` by comparing the image from
     ``shear_normalize`` with the model at the edges, the origin and every
-    image breakpoint between the edges."""
+    image breakpoint between the edges.  A default edge is the image's
+    adjacent breakpoint, the float next to it on the side of 0 if it is
+    not a double."""
     image = shear_normalize(domain, k)[0]
-    n = len(domain.profile.breakpoints)
+    eb = image.profile.exact_breakpoints
+    n = len(eb)
+
+    def inner_float(s: Fraction) -> float:
+        x = float(s)
+        return x if abs(Fraction(x)) <= abs(s) else math.nextafter(x, 0.0)
+
     if model_lo_log is None:
-        model_lo_log = image.profile.breakpoints[k - 1] if k > 0 else image.t_min
+        model_lo_log = inner_float(eb[k - 1]) if k > 0 else image.t_min
     if model_hi_log is None:
-        model_hi_log = image.profile.breakpoints[k + 1] if k + 1 < n else image.t_max
+        model_hi_log = inner_float(eb[k + 1]) if k + 1 < n else image.t_max
     if m is None:
         m = domain.profile.slope_drop(k)
     lo_e, hi_e = Fraction(model_lo_log), Fraction(model_hi_log)

@@ -286,6 +286,20 @@ def test_non_finite_profile_data_rejected(p0, bad):
             domain_from_doc(doc)
 
 
+def test_overflowing_slope_rejected_by_the_profile():
+    # finite data whose exact slope is too large for a double
+    with pytest.raises(ValidationError, match="overflows a double"):
+        RadialProfile((0.0, 1e-300), (1e300, -1e300)).slopes()
+
+
+def test_overflowing_slope_rejected_by_domain_from_doc():
+    doc = {"version": 1, "breakpoints": [["0", "1e308"], ["0.5", "-1e308"]],
+           "t_min": "-1", "t_max": "1", "flags": {"symmetric": False, "pseudoconvex": False}}
+    validate_doc("domain", doc)  # finite decimal strings pass the schema
+    with pytest.raises(ValidationError, match="overflows a double"):
+        domain_from_doc(doc)
+
+
 def test_domain_validation():
     prof = RadialProfile((0.0, 1.0), (0.0, -1.0))
     with pytest.raises(ValidationError):

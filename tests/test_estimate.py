@@ -129,6 +129,45 @@ def ladder_cases(draw):
     return a, b, bar
 
 
+def excess_function(a, b, kind, scale, power, above=(), below=()):
+    """An excess whose feasible scales are ``[a, b]`` (see ``excess_cases``)."""
+    def excess(t):
+        if above and t > above[1]:
+            return math.nan if above[0] == "nan" else math.inf
+        if below and a <= t <= below[1]:
+            return -math.inf if below[0] == "-inf" else -0.0
+        d = max(a - t, t - b)  # above 0 exactly outside [a, b]
+        if kind == "flat":
+            return scale if d > 0.0 else -1.0 / scale
+        v = d * scale * (1.0 + min(t / b, 1e6) ** power)  # |v| >= |d|: no underflow
+        if kind == "smooth":
+            return v
+        u = random.Random(f"{t!r}:{scale!r}").random()
+        if kind == "noisy":
+            return v * (1.0 + 9.0 * u)
+        return max(v * u, 5e-324) if v > 0.0 else v  # "lower": any value in (0, v]
+    return excess
+
+
+@st.composite
+def excess_cases(draw):
+    """``ladder_cases`` with an excess on the feasible interval ``[a, b]``:
+    smooth (the signed distance to ``[a, b]`` times ``scale`` and a power of
+    ``t``), noisy within its sign, only a lower bound above 0, or flat
+    (``-1 / scale`` and ``scale``); and optionally NaN or +inf above some scale
+    ``>= b``, and -inf or -0.0 on ``[a, s]`` for some ``s`` in ``[a, b]``."""
+    a, b, bar = draw(ladder_cases())
+    kind = draw(st.sampled_from(["smooth", "noisy", "lower", "flat"]))
+    scale = draw(st.floats(0.0, 6.0).map(lambda e: 10.0 ** e))
+    power = draw(st.floats(0.0, 4.0))
+    fraction = st.floats(0.0, 1.0)
+    above = draw(st.just(()) | st.tuples(st.sampled_from(["nan", "inf"]),
+                                         fraction.map(lambda f: b * (1.0 + f))))
+    below = draw(st.just(()) | st.tuples(st.sampled_from(["-inf", "-0.0"]),
+                                         fraction.map(lambda f: min(b, a + (b - a) * f))))
+    return a, b, bar, kind, scale, power, above, below
+
+
 class TestLadder:
     # each example separates one faulty pruning from the full ladder: no test
     # of the start (interval off the start); a probe just above the bar, and
@@ -173,6 +212,34 @@ class TestLadder:
         calls.clear()
         assert _largest_feasible_tau(infeasible_at, bar) == 0.0
         assert calls == [_edge_above(bar)]
+
+    # a smooth excess, a flat one with a bar, and a flat one that is NaN
+    # above 0.5 (where it is infeasible) and -0.0 on [1e-6, 0.5]
+    @example(case=(1e-6, 0.9276101963282215, -math.inf, "smooth", 1.0, 1.0, (), ()))
+    @example(case=(1e-6, 0.5, 0.25, "flat", 1.0, 1.0, (), ()))
+    @example(case=(1e-6, 0.5, -math.inf, "flat", 1.0, 1.0, ("nan", 0.5), ("-0.0", 0.5)))
+    @given(case=excess_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_bracket_matches_full_ladder_within_twice_its_checks(self, case):
+        a, b, bar = case[:3]
+        excess = excess_function(a, b, *case[3:])
+        calls, calls_ref = [], []
+        got = _largest_feasible_tau(lambda t: calls.append(t) or excess(t), bar)
+        want = unpruned_largest_feasible_tau(lambda t: calls_ref.append(t) or not excess(t) <= 0.0)
+        assert (got > bar) == (want > bar)
+        if want > bar:
+            assert got.hex() == want.hex()
+        assert len(calls) <= 2 * len(calls_ref)
+
+    def test_bracket_answers_queries_and_counts_them(self):
+        """A smooth excess: the bracket answers most of the 40 bisection
+        queries, and the counts say how many and how many regula-falsi
+        steps it took."""
+        calls, calls_ref, counts = [], [], [0, 0]
+        got = _largest_feasible_tau(lambda t: calls.append(t) or t * t - 0.1, 0.0, counts)
+        assert got == unpruned_largest_feasible_tau(lambda t: calls_ref.append(t) or t * t > 0.1)
+        assert counts[0] >= 30 and counts[1] >= 1
+        assert len(calls) == len(calls_ref) - counts[0] + counts[1]
 
 
 def _ulps(x: float, n: int) -> float:
@@ -257,6 +324,19 @@ def test_pruned_search_matches_unpruned_reference_calibration(case, seed, sample
     kw = dict(seed=seed, budget=60, samples=samples, return_trace=True)
     _assert_same_search(kobayashi_upper_search(model, P0C, xi, **kw),
                         unpruned_kobayashi_upper_search(model, P0C, xi, **kw))
+
+
+@pytest.mark.parametrize("case, most", [("ball", 2000), ("bidisc", 1300)])
+def test_pruned_search_defect_calls_on_the_calibration_models(case, most):
+    """The bracket keeps the calibration searches (seed 0, budget 60, 512
+    samples) under these counts of adapter ``defect`` calls; the full
+    ladder behind the edge test made 3885 and 2547."""
+    model = type(CALIBRATION[case][0])()
+    calls = []
+    defect = model.defect
+    model.defect = lambda z, w: calls.append(1) or defect(z, w)
+    kobayashi_upper_search(model, P0C, CALIBRATION[case][1], seed=0, budget=60, samples=512)
+    assert len(calls) <= most
 
 
 def _staircase_calls(levels):

@@ -112,21 +112,15 @@ def test_symmetrized_profile_eval(profile):
 @example(RadialProfile((-0.5, 0.0, 0.1, 0.6, 1.6), (0.0, 0.0, -0.1, -1.1, -4.1)))
 def test_containment_by_slope_drop_equals_the_node_check(profile):
     # every interior breakpoint, m from 1 to one past the slope drop; the
-    # model-annulus inclusion at the default edges, too.  A default edge is
-    # the float of an exact breakpoint difference and can round past that
-    # breakpoint; the inclusion is then False by contract, while the node
-    # check evaluates the image one rounding step into the next segment
+    # model-annulus inclusion at the default edges, too, which round each
+    # exact breakpoint difference toward t_k and so never pass the breakpoint
     d = domain_of(profile)
-    eb = profile.exact_breakpoints
     for k in range(1, len(profile.breakpoints) - 1):
-        lo, hi = eb[k - 1] - eb[k], eb[k + 1] - eb[k]
-        rounds_past = Fraction(float(lo)) < lo or Fraction(float(hi)) > hi
         for m in range(1, profile.slope_drop(k) + 2):
             assert (outcome(kobayashi_lower_shear, d, k, m)
                     == outcome(kobayashi_lower_shear_nodes, d, k, m)), (k, m)
-            inside = verify_model_annulus_inclusion(d, k, m=m)
-            assert (inside == model_annulus_inclusion_nodes(d, k, m=m)
-                    or rounds_past and not inside), (k, m)
+            assert (verify_model_annulus_inclusion(d, k, m=m)
+                    == model_annulus_inclusion_nodes(d, k, m=m)), (k, m)
 
 
 @given(concave_profiles(), st.floats(0.01, 0.5))
