@@ -86,9 +86,10 @@ class RunConfig:
     out: str = "run"
 
     def __post_init__(self):
-        # the construction parameters are checked with the config, before
-        # any command creates its run directory
+        # the construction parameters and the seed are checked with the
+        # config, before any command creates its run directory
         self.construction_params()
+        est._int_at_least("seed", self.seed, 0)
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)

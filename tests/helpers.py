@@ -14,9 +14,9 @@ from squeeze.errors import CertificationError, NumericalError, ValidationError
 from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
-                              DiscCandidate, FunctionCandidate, _as_adapter, _int_power,
-                              _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
-                              _polyval, _validate_indices)
+                              DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
+                              _coarse_first, _int_power, _log_moduli, _monomial_at, _monomial_grad,
+                              _monomial_matrix, _polyval, _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
@@ -79,18 +79,19 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     return worst
 
 
-def single_pass_samples(zeta, az, bw):
-    """The disc oracle's circle samples ``(base_z, base_w)``, built over the
-    whole chunk at once as before the blocked build."""
-    b, samples = az.shape[0], zeta.size
-    base_z = np.broadcast_to(zeta, (b, samples)).astype(np.complex64)
-    base_w = base_z.copy()
-    pw = zeta.copy()
-    for j in range(az.shape[1]):
-        pw = pw * zeta
-        base_z = base_z + az[:, j:j + 1].astype(np.complex64) * pw
-        base_w = base_w + bw[:, j:j + 1].astype(np.complex64) * pw
-    return base_z, base_w
+def single_pass_samples(az, bw, samples: int):
+    """The disc oracle's circle samples ``(base_z, base_w)``, the float32
+    planes of ``_circle_samples`` joined into complex64, in natural order.
+
+    They are built in the oracle's ``_coarse_first`` column order and put
+    back: with some BLAS kernels (OpenBLAS Haswell, Prescott) a sample's last
+    bit depends on its column in the matrix product, so a natural-order build
+    need not hold the oracle's samples."""
+    order = _coarse_first(samples)
+    s = _circle_samples(order, az, bw, np.empty((4, len(az), samples), dtype=np.float32))
+    base = np.empty((2, len(az), samples), dtype=np.complex64)
+    base.real[:, :, order], base.imag[:, :, order] = s[0::2], s[1::2]
+    return base[0], base[1]
 
 
 def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
@@ -123,10 +124,7 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     thr = 1.0 - math.pi * d_eff / samples
     if thr <= 0.0:
         raise ValidationError("not enough circle samples for the Bernstein margin")
-    zeta = np.exp(2j * math.pi * np.arange(samples) / samples).astype(np.complex64)
     chunk = max(256, (1 << 21) // samples)
-    # float32 evaluation: the Bernstein margin is ~0.2-0.8, so a 1e-4 relative
-    # haircut swallows single-precision rounding with orders to spare
     thr2 = np.float32((thr * (1.0 - 1e-4)) ** 2)
 
     best_tau = 0.0
@@ -139,29 +137,12 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
         az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
         bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
 
-        base_z = np.broadcast_to(zeta, (b, samples)).astype(np.complex64)
-        base_w = base_z.copy()
-        pw = zeta.copy()
-        for j in range(degree - 1):
-            pw = pw * zeta
-            base_z = base_z + az[:, j:j + 1].astype(np.complex64) * pw
-            base_w = base_w + bw[:, j:j + 1].astype(np.complex64) * pw
-
-        def feasible(c):
-            with np.errstate(over="ignore", invalid="ignore"):
-                cc = c.astype(np.float32)[:, None]
-                w = cc * base_w
-                z = 1.0 + cc * base_z
-                aw2 = w.real**2 + w.imag**2
-                az2 = z.real**2 + z.imag**2
-                bad = np.maximum(aw2, aw2 * _int_power(az2, m)) > thr2
-                return ~np.any(bad, axis=1)
-
+        base_z, base_w = single_pass_samples(az, bw, samples)
         lo = np.zeros(b)
         hi = np.full(b, np.inf)
         c = np.full(b, math.sqrt(2.0 / m))
         for _ in range(30):
-            ok = feasible(c)
+            ok = single_pass_feasible(c, base_z, base_w, m, thr2)
             lo = np.where(ok, np.maximum(lo, c), lo)
             hi = np.where(ok, hi, np.minimum(hi, c))
             c = np.where(np.isinf(hi), 4.0 * c, 0.5 * (lo + hi))

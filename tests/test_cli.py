@@ -13,7 +13,7 @@ import squeeze.cli as cli
 import squeeze.construct as construct
 import squeeze.estimate as est
 import squeeze.metrics as metrics
-from squeeze import CertificationError
+from squeeze import CertificationError, ValidationError
 from squeeze.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -90,6 +90,16 @@ def test_bad_override_exit2(tmp_path, capsys, command, args):
     assert code == EXIT_CONFIG
     assert any(line.startswith("error: ")
                for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("command", ["estimate", "all"])
+def test_negative_seed_exit2_before_the_run_directory(tmp_path, capsys, command):
+    out = tmp_path / "r"
+    assert main([command, "--seed", "-5", "--levels", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValidationError):
+        RunConfig(seed=-1)
 
 
 def test_smallest_grid_accepted(tmp_path):

@@ -19,12 +19,13 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import (_COARSE, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO, BallModel,
-                              DEFAULT_ANNULUS_INDEXES, PolydiscModel, ReinhardtAdapter, _bad,
+from squeeze.estimate import (_COARSE, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO,
+                              BallModel, DEFAULT_ANNULUS_INDEXES, PolydiscModel,
+                              ReinhardtAdapter, _bad,
                               _caratheodory_objective, _circle_samples, _coarse_first,
-                              _DiscTails, _edge_above, _feasible, _ladder, _largest_feasible_tau,
-                              _log_moduli, _monomial_at, _monomial_grad, _monomial_matrix,
-                              _polyval)
+                              _DiscTails, _edge_above, _feasible, _int_power, _ladder,
+                              _largest_feasible_tau, _log_moduli, _monomial_at, _monomial_grad,
+                              _monomial_matrix, _polyval)
 
 from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
                      guarded_log_moduli, row, single_pass_feasible, single_pass_samples,
@@ -93,10 +94,10 @@ class TestKobayashiSearch:
         {"samples": 3.5}, {"samples": 0}, {"degree": 2.5}, {"degree": 0},
         {"budget": 0}, {"budget": 1.5}, {"restarts": 0}, {"restarts": "2"},
         {"margin": -1.0}, {"margin": 0.0}, {"margin": math.nan}, {"margin": math.inf},
-        {"margin": "1e-6"},
+        {"margin": "1e-6"}, {"seed": -1}, {"seed": 1.5},
     ], ids=["samples3.5", "samples0", "degree2.5", "degree0", "budget0", "budget1.5",
             "restarts0", "restarts-str", "margin-1", "margin0", "margin-nan", "margin-inf",
-            "margin-str"])
+            "margin-str", "seed-1", "seed1.5"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             kobayashi_upper_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
@@ -476,8 +477,9 @@ class TestCaratheodorySearch:
 
     @pytest.mark.parametrize("kwargs", [
         {"safety": 0}, {"safety": 0.5}, {"safety": math.nan}, {"safety": math.inf},
-        {"budget": 0}, {"budget": 2.5},
-    ], ids=["safety0", "safety0.5", "safety-nan", "safety-inf", "budget0", "budget2.5"])
+        {"budget": 0}, {"budget": 2.5}, {"seed": -1}, {"seed": 1.5},
+    ], ids=["safety0", "safety0.5", "safety-nan", "safety-inf", "budget0", "budget2.5",
+            "seed-1", "seed1.5"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             caratheodory_lower_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
@@ -654,22 +656,22 @@ class TestOracle:
     @pytest.mark.parametrize("kwargs", [
         {"count": 0}, {"count": -5}, {"degree": 0}, {"degree": -1},
         {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"samples": 0}, {"samples": 256.0},
+        {"seed": -1}, {"seed": 1.5},
     ], ids=["count0", "count-5", "degree0", "degree-1", "m2.5", "m2.0", "m-str",
-            "samples0", "samples-float"])
+            "samples0", "samples-float", "seed-1", "seed1.5"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             monomial_disc_oracle(**{"m": 2, "count": 300, **kwargs})
 
     @staticmethod
     def _discs(m, degree, b, seed, samples=None):
-        """Circle samples, coefficients and threshold as the oracle draws
-        them for its first chunk."""
+        """Sample count, coefficients, Bernstein threshold and margined float32
+        threshold as the oracle draws them for its first chunk."""
         d_eff = degree * (m + 1)
         if samples is None:
             samples = 128
             while samples < 5 * d_eff:
                 samples *= 2
-        zeta = np.exp(2j * math.pi * np.arange(samples) / samples).astype(np.complex64)
         rng = np.random.default_rng([seed, m, 0])
         scales = 0.35 / (np.arange(2, degree + 1) ** 2)
 
@@ -679,32 +681,84 @@ class TestOracle:
 
         az = draw()
         bw = draw()
-        thr2 = np.float32(((1.0 - math.pi * d_eff / samples) * (1.0 - 1e-4)) ** 2)
-        return zeta, az, bw, thr2
+        thr = 1.0 - math.pi * d_eff / samples
+        return samples, az, bw, thr, np.float32((thr * (1.0 - _HAIRCUT)) ** 2)
 
     @staticmethod
-    def _samples(zeta, az, bw):
-        return _circle_samples(zeta, az, bw, np.empty((4, len(az), zeta.size), np.float32))
+    def _samples(order, az, bw):
+        return _circle_samples(order, az, bw, np.empty((4, len(az), order.size), np.float32))
+
+    @staticmethod
+    def _exact(az, bw, samples):
+        """``zeta + sum_j a_j zeta^(j+2)`` per disc in float64, at the roots
+        of unity of index ``(j+2) k mod samples``: the disc's (z, w) samples
+        in natural order."""
+        k = np.arange(samples)
+        powers = np.exp(2j * math.pi * (np.outer(np.arange(2, az.shape[1] + 2), k) % samples)
+                        / samples)
+        zeta = np.exp(2j * math.pi * k / samples)
+        return zeta + az @ powers, zeta + bw @ powers
 
     @pytest.mark.parametrize("m, degree, b, samples", [
         (1, 1, 10, None), (2, 6, 150, None), (8, 3, 64, None), (32, 6, 129, None),
         (2, 6, 70, 130), (2, 6, 70, 200),
     ])
     def test_blocked_build_matches_single_pass(self, m, degree, b, samples):
-        zeta, az, bw, _ = self._discs(m, degree, b, 5, samples)
-        s = self._samples(zeta, az, bw)
-        for plane, base in zip((0, 2), single_pass_samples(zeta, az, bw)):
-            built = np.empty_like(base)
-            built.real, built.imag = s[plane], s[plane + 1]
-            assert built.tobytes() == base.tobytes()
-        perm = _coarse_first(zeta.size)
-        assert sorted(perm[:-(-zeta.size // _COARSE)]) == list(range(0, zeta.size, _COARSE))
-        assert self._samples(zeta[perm], az, bw).tobytes() == s[:, :, perm].tobytes()
+        """Built in natural order and in the oracle's coarse-first order, each
+        sample is within the float32 bound of its float64 value at the exact
+        root.  (Not bit for bit across orders: with OpenBLAS's Haswell and
+        Prescott kernels a sample's last bit depends on its column.)
+
+        The bound: a dot product of ``K = 2 degree - 1`` float32 terms, each a
+        product of two rounded inputs, is off by at most ``(K + 2) u`` times
+        the sum of the terms' moduli, ``u = 2^-24``; that sum is at most
+        ``1 + sum_j (|Re a_j| + |Im a_j|)``."""
+        samples, az, bw, _, _ = self._discs(m, degree, b, 5, samples)
+        perm = _coarse_first(samples)
+        assert sorted(perm[:-(-samples // _COARSE)]) == list(range(0, samples, _COARSE))
+        exact = self._exact(az, bw, samples)
+        for order in (np.arange(samples), perm):
+            s = self._samples(order, az, bw)
+            for plane, coeffs, ex in zip((0, 2), (az, bw), exact):
+                terms = 1.0 + np.abs(coeffs.real).sum(axis=1) + np.abs(coeffs.imag).sum(axis=1)
+                bound = (2 * degree + 1) * 2.0**-24 * 1.001 * terms[:, None]
+                assert np.all(np.abs(s[plane] - ex.real[:, order]) <= bound)
+                assert np.all(np.abs(s[plane + 1] - ex.imag[:, order]) <= bound)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32])
+    def test_haircut_covers_float32_error(self, m):
+        """The oracle accepts a (disc, scale) when the float32 value of
+        ``max(|cw|^2, |cw|^2 |1 + cz|^(2m))`` over the samples is within the
+        margined threshold ``(thr (1 - _HAIRCUT))^2``; the Bernstein argument
+        needs the exact value at the exact roots within ``thr^2``.  Bisected
+        to each disc's float32 feasibility edge, every accepted scale meets
+        that, and the float32 value is within 5e-5 relative of the float64
+        one, against the 2e-4 the haircut leaves."""
+        samples, az, bw, thr, thr2 = self._discs(m, 6, 200, 17)
+        order = _coarse_first(samples)
+        s = self._samples(order, az, bw)
+        z64, w64 = (x[:, order] for x in self._exact(az, bw, samples))
+        lo, hi = np.zeros(len(az)), np.full(len(az), 4.0)
+        assert np.all(_bad(hi, s, m, thr2))
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ok = ~_bad(mid, s, m, thr2)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            c = mid[ok, None]
+            cc = c.astype(np.float32)
+            aw2 = (cc * s[2, ok])**2 + (cc * s[3, ok])**2
+            az2 = (1.0 + cc * s[0, ok])**2 + (cc * s[1, ok])**2
+            v32 = np.max(np.maximum(aw2, aw2 * _int_power(az2, m)), axis=1).astype(float)
+            aw2 = np.abs(c * w64[ok])**2
+            v64 = np.max(np.maximum(aw2, aw2 * np.abs(1.0 + c * z64[ok])**(2 * m)), axis=1)
+            assert np.all(v64 <= thr**2)
+            assert np.all(np.abs(v32 - v64) <= 5e-5 * v64)
+        assert np.all(lo > 0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 8, 32])
     def test_two_stage_verdict_matches_single_pass(self, m):
-        zeta, az, bw, thr2 = self._discs(m, 6, 60, 5)
-        base_z, base_w = single_pass_samples(zeta, az, bw)
+        samples, az, bw, _, thr2 = self._discs(m, 6, 60, 5)
+        base_z, base_w = single_pass_samples(az, bw, samples)
         # per disc, a scale at the edge of feasibility on the coarse samples
         # alone: most of these pass the coarse stage and fail the full one
         lo, hi = np.zeros(len(az)), np.full(len(az), 1e3)
@@ -719,10 +773,10 @@ class TestOracle:
         c = np.concatenate([lo, np.tile(grid, len(az))])
 
         want = single_pass_feasible(c, base_z[rows], base_w[rows], m, thr2)
-        s = self._samples(zeta[_coarse_first(zeta.size)], az, bw)
+        s = self._samples(_coarse_first(samples), az, bw)
         got, n_full = _feasible(c, s, rows, m, thr2)
         assert np.array_equal(got, want)
-        coarse_ok = ~_bad(c, s[:, rows, :-(-zeta.size // _COARSE)], m, thr2)
+        coarse_ok = ~_bad(c, s[:, rows, :-(-samples // _COARSE)], m, thr2)
         assert n_full == np.count_nonzero(coarse_ok)
         assert np.any(coarse_ok & ~want)
         assert np.any(want) and not np.any(want[c > 1e19])
