@@ -14,7 +14,8 @@ import math
 from squeeze import (
     Direction,
     PointC2,
-    bidisc_domain,
+    RadialProfile,
+    ReinhardtDomain,
     caratheodory_upper_slices,
     kobayashi_lower_shear,
     annulus_model_domain,
@@ -58,9 +59,12 @@ print(f"S(p)     >= {s_low.value:.6f}")
 print(f"\nprovenance of the lower bound:\n  {s_low.provenance}")
 
 ############################################################
-# Sanity model: the unit bidisc at its center, where everything
-# is classical: dist = 1, outer radius sqrt(2), so S >= 1/sqrt(2).
+# Sanity model: the flat annulus {1/2 < |z| < 2, |w| < 1} at (1, 0),
+# where the box geometry is checked by hand: dist = 1/2 (the hole),
+# outer radius hypot(2 + 1, 1) = sqrt(10), so S >= 1/(2 sqrt(10)).
 
-bid = bidisc_domain()
-s_bid = squeezing_lower_inclusion(bid, PointC2(0.0j, 0.0j))
-print(f"\nbidisc center: S >= {s_bid.value:.6f}   [1/sqrt(2) = {1/math.sqrt(2):.6f}]")
+t = math.log(2.0)
+flat = ReinhardtDomain(RadialProfile((-t, t), (0.0, 0.0)), -t, t)
+s_flat = squeezing_lower_inclusion(flat, p)
+print(f"\nflat annulus at (1, 0): S >= {s_flat.value:.6f}   "
+      f"[1/(2 sqrt(10)) = {0.5 / math.sqrt(10):.6f}]")

@@ -7,7 +7,6 @@ from .domain import (
     PointC2,
     RadialProfile,
     ReinhardtDomain,
-    bidisc_domain,
     boundary_distance_lower,
     domain_from_doc,
     domain_to_doc,

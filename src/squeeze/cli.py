@@ -48,7 +48,7 @@ from .metrics import (
     shear_normalize,
     squeezing_lower_inclusion,
 )
-from .smooth import SmoothDomain, certify_smoothed, levi_verify, smooth
+from .smooth import SmoothDomain, _check_smoothing, certify_smoothed, levi_verify, smooth
 
 log = logging.getLogger("squeeze")
 
@@ -86,9 +86,10 @@ class RunConfig:
     out: str = "run"
 
     def __post_init__(self):
-        # the construction parameters and the seed are checked with the
-        # config, before any command creates its run directory
+        # the construction and smoothing parameters and the seed are checked
+        # with the config, before any command creates its run directory
         self.construction_params()
+        _check_smoothing(self.smooth_h, self.smooth_eps, self.smooth_kappa)
         est._int_at_least("seed", self.seed, 0)
 
     def to_doc(self) -> dict:

@@ -477,8 +477,7 @@ def verify_model_annulus_inclusion(
         model_hi_log = adjacent_edge(profile, k, k + 1) if k + 1 < n else t_hi
     if m is None:
         m = profile.slope_drop(k)
-    if not (t_lo <= model_lo_log < 0 < model_hi_log <= t_hi
-            and math.isfinite(model_lo_log) and profile.is_concave()):
+    if not (t_lo <= model_lo_log < 0 < model_hi_log <= t_hi and profile.is_concave()):
         return False
     s_left, s_right = profile.adjacent_slopes(k)
     return ((k < 2 or Fraction(model_lo_log) >= eb[k - 1] - t_k)

@@ -66,7 +66,7 @@ class PointC2:
 
 @dataclass(frozen=True)
 class LogPoint:
-    """Moduli of a point in log coordinates; ``lam = -inf`` encodes ``w = 0``."""
+    """Log moduli of a point; -inf encodes z = 0 (off every annulus) or w = 0."""
 
     t: float
     lam: float
@@ -179,20 +179,6 @@ class RadialProfile:
 
     def eval(self, t: float) -> float:
         """phi(t): linear interpolation, linear extension outside the breakpoints."""
-        if t == _NEG_INF:
-            s = self.slopes()[0]
-            if s > 0.0:
-                return _NEG_INF
-            if s == 0.0:
-                return self.values[0]
-            return math.inf
-        if t == math.inf:
-            s = self.slopes()[-1]
-            if s < 0.0:
-                return _NEG_INF
-            if s == 0.0:
-                return self.values[-1]
-            return math.inf
         if not math.isfinite(t):
             raise ValidationError(f"profile argument must be finite, got {t!r}")
         return float(self.eval_many(t))
@@ -264,27 +250,20 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ReinhardtDomain:
-    """Reinhardt domain over a z-annulus, described by a radial profile.
-
-    ``t_min`` may be ``-inf``: the domain is then fibered over a full disc
-    ``|z| < exp(t_max)`` (no inner hole; ``z = 0`` is inside), which models
-    polydiscs.  For ``t_min = -inf`` the leftmost profile slope must be >= 0
-    so the domain stays bounded.
-    """
+    """Reinhardt domain over the z-annulus ``t_min < log|z| < t_max``,
+    described by a radial profile; both edges are finite."""
 
     profile: RadialProfile
     t_min: float
     t_max: float
 
     def __post_init__(self):
-        if math.isnan(self.t_min) or math.isnan(self.t_max):
-            raise ValidationError("annulus range must not be NaN")
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValidationError("annulus edges must be finite")
         if not self.t_min < self.t_max:
             raise ValidationError("t_min must be strictly below t_max")
-        if self.t_max == math.inf:
-            raise ValidationError("t_max must be finite (bounded domain)")
-        if self.t_min == _NEG_INF and self.profile.slopes()[0] < 0.0:
-            raise ValidationError("t_min = -inf requires leftmost slope >= 0")
+        if not self.inner_radius() > 0.0:
+            raise ValidationError("inner annulus radius exp(t_min) underflows to 0")
         bps = self.profile.breakpoints
         if bps[0] < self.t_min or bps[-1] > self.t_max:
             raise ValidationError("profile breakpoints must lie within [t_min, t_max]")
@@ -293,14 +272,10 @@ class ReinhardtDomain:
     def contains_log(self, t: float, lam: float) -> bool:
         if math.isnan(t) or math.isnan(lam):
             return False
-        if not t < self.t_max:
-            return False
-        if self.t_min != _NEG_INF and not t > self.t_min:
+        if not self.t_min < t < self.t_max:
             return False
         if lam == _NEG_INF:  # w = 0 axis: only the annulus condition applies
             return True
-        if t == _NEG_INF:
-            return lam < self.profile.eval(_NEG_INF)
         return lam < self.profile.eval(t)
 
     def contains(self, p) -> bool:
@@ -309,7 +284,7 @@ class ReinhardtDomain:
 
     # --------------------------------------------------------------- geometry
     def inner_radius(self) -> float:
-        return 0.0 if self.t_min == _NEG_INF else math.exp(self.t_min)
+        return math.exp(self.t_min)
 
     def outer_radius(self) -> float:
         return math.exp(self.t_max)
@@ -320,16 +295,13 @@ class ReinhardtDomain:
         if not self.contains(PointC2(z0, 0.0)):
             raise ValidationError(f"(z0, 0) with z0 = {z0!r} is not in the domain")
         rz = abs(z0)
-        t = math.log(rz) if rz > 0.0 else _NEG_INF
-        r_v = math.exp(self.profile.eval(t))
+        r_v = math.exp(self.profile.eval(math.log(rz)))
         r_h = min(rz - self.inner_radius(), self.outer_radius() - rz)
         return r_h, r_v
 
     def max_log_height(self) -> float:
-        """sup of phi over the annulus range (for t_min = -inf the leftmost
-        slope is >= 0, so the left tail never exceeds the first breakpoint)."""
-        t_lo = self.t_min if self.t_min != _NEG_INF else self.profile.breakpoints[0]
-        return self.profile.max_value(t_lo, self.t_max)
+        """sup of phi over the annulus range."""
+        return self.profile.max_value(self.t_min, self.t_max)
 
     def outer_radius_upper(self, p) -> float:
         """Certified ``R >= sup_{q in D} |q - p|`` via the circumscribed box."""
@@ -344,42 +316,32 @@ class ReinhardtDomain:
     def boundary_distance_lower(self, p, resolution: int = DEFAULT_GRID) -> float:
         """Certified lower bound on the Euclidean distance from ``p`` to the boundary.
 
-        The boundary splits into the profile surface and (for finite edges)
-        two end caps.  Rotation invariance reduces the distance to moduli:
-        for any boundary point ``q``, ``|q - p| >= hypot(||z_q|-|z_p||,
-        ||w_q|-|w_p||)`` with equality at aligned phases.  The surface is
-        covered by breakpoint-free cells in ``u = |z|``; per cell the moduli
-        ranges give an exact box lower bound (no Lipschitz slack needed).
+        The boundary splits into the profile surface and two end caps.
+        Rotation invariance reduces the distance to moduli: for any boundary
+        point ``q``, ``|q - p| >= hypot(||z_q|-|z_p||, ||w_q|-|w_p||)`` with
+        equality at aligned phases.  The surface is covered by
+        breakpoint-free cells in ``u = |z|``; per cell the moduli ranges give
+        an exact box lower bound (no Lipschitz slack needed).
         """
         p = _as_point(p)
         if not self.contains(p):
             raise ValidationError("basepoint must lie in the domain")
-        if resolution < 8:
-            raise ValidationError("resolution too small")
-        rz, rw = p.moduli()
-        d = box_distance(*self._cells(resolution), rz, rw)
-        for ue, re in self._end_caps:
-            d = min(d, math.hypot(abs(rz - ue), max(0.0, rw - re)))
-
-        d *= 1.0 - GUARD_REL
-        if not d > 0.0:
-            raise CertificationError(
-                "certified boundary distance is not positive at resolution "
-                f"{resolution}; refine the grid"
-            )
-        return d
+        return _distance_lower(self._cells, resolution, *p.moduli())
 
     @cached_property
     def _cell_cache(self) -> dict:
         return {}
 
     def _cells(self, resolution: int) -> tuple[np.ndarray, ...]:
-        """The moduli boxes ``(u0, u1, r_lo, r_hi)`` that cover the profile
-        surface at ``resolution``, built once per domain and resolution.
+        """The moduli boxes ``(u0, u1, r_lo, r_hi)`` that cover the boundary
+        at ``resolution``, built once per domain and resolution.
 
-        The cells split ``[inner_radius, outer_radius]`` evenly and at every
-        breakpoint, so no cell contains a breakpoint and the radius range
-        over a cell is exactly the range of its endpoint values.
+        The surface cells split ``[inner_radius, outer_radius]`` evenly and
+        at every breakpoint, so no cell contains a breakpoint and the radius
+        range over a cell is exactly the range of its endpoint values.  The
+        two end caps ``{|z| = edge, |w| <= radius(edge)}`` follow as the
+        last two boxes; the exp cap at 709 keeps huge cap heights finite and
+        only ever shrinks the claimed distance.
         """
         cells = self._cell_cache.get(resolution)
         if cells is None:
@@ -389,26 +351,16 @@ class ReinhardtDomain:
             knots_u = np.exp(np.asarray(self.profile.breakpoints))
             knots_u = knots_u[(knots_u > u_lo) & (knots_u < u_hi)]
             u = np.unique(np.concatenate([grid, knots_u]))
-            with np.errstate(divide="ignore"):
-                tgrid = np.where(u > 0.0, np.log(np.maximum(u, 1e-300)), _NEG_INF)
-            r = np.empty_like(u)
-            finite = u > 0.0
-            r[finite] = np.exp(self.profile.eval_many(tgrid[finite]))
-            if not np.all(finite):
-                r[~finite] = math.exp(self.profile.eval(_NEG_INF))
-            cells = (u[:-1], u[1:], np.minimum(r[:-1], r[1:]), np.maximum(r[:-1], r[1:]))
+            r = np.exp(self.profile.eval_many(np.log(u)))
+            cap_u = [u_lo, u_hi]
+            cap_r = [math.exp(min(self.profile.eval(t), 709.0)) for t in (self.t_min, self.t_max)]
+            cells = (np.concatenate([u[:-1], cap_u]), np.concatenate([u[1:], cap_u]),
+                     np.concatenate([np.minimum(r[:-1], r[1:]), [0.0, 0.0]]),
+                     np.concatenate([np.maximum(r[:-1], r[1:]), cap_r]))
             for a in cells:
                 a.flags.writeable = False
             self._cell_cache[resolution] = cells
         return cells
-
-    @cached_property
-    def _end_caps(self) -> tuple[tuple[float, float], ...]:
-        """``(|z|, largest |w|)`` of the end caps ``{|z| = edge, |w| <=
-        radius(edge)}``; the exp cap at 709 keeps huge cap heights finite and
-        only ever shrinks the claimed distance."""
-        return tuple((math.exp(edge_t), math.exp(min(self.profile.eval(edge_t), 709.0)))
-                     for edge_t in (self.t_min, self.t_max) if edge_t != _NEG_INF)
 
 
 # ------------------------------------------------------------------ module ops
@@ -426,22 +378,27 @@ def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
     return float(np.min(np.hypot(dz, dw)))
 
 
+def _distance_lower(boxes, resolution: int, rz: float, rw: float) -> float:
+    """Certified lower bound on the distance from the moduli point ``(rz,
+    rw)`` to a boundary covered by the moduli boxes ``boxes(resolution)``:
+    their box distance shrunk by ``GUARD_REL``, refused unless positive."""
+    if resolution < 8:
+        raise ValidationError("resolution too small")
+    d = box_distance(*boxes(resolution), rz, rw) * (1.0 - GUARD_REL)
+    if not d > 0.0:
+        raise CertificationError(
+            "certified boundary distance is not positive at resolution "
+            f"{resolution}; refine the grid"
+        )
+    return d
+
+
 def boundary_distance_lower(domain: ReinhardtDomain, p, resolution: int = DEFAULT_GRID) -> float:
     return domain.boundary_distance_lower(p, resolution)
 
 
 # ------------------------------------------------------------- model builders
-def bidisc_domain(r_z: float = 1.0, r_w: float = 1.0) -> ReinhardtDomain:
-    """Polydisc {|z| < r_z} x {|w| < r_w} as a flat-profile domain."""
-    lam = math.log(r_w)
-    tmx = math.log(r_z)
-    profile = RadialProfile((tmx - 1.0, tmx), (lam, lam))
-    return ReinhardtDomain(profile, _NEG_INF, tmx)
-
-
-def annulus_model_domain(a_ratio: float, b_ratio: float, m: int,
-                       exact_a: Fraction | None = None,
-                       exact_b: Fraction | None = None) -> ReinhardtDomain:
+def annulus_model_domain(a_ratio: float, b_ratio: float, m: int) -> ReinhardtDomain:
     """The flat-then-monomial annulus model
 
         { a < |z| < b, |w| < 1, |w| < |z|^-m }     (0 < a < 1 < b)

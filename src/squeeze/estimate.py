@@ -82,21 +82,18 @@ class ReinhardtAdapter:
         t, lam = _log_moduli(z, w)
         d = lam - self.domain.profile.eval_many(t)
         d = np.maximum(d, t - self.domain.t_max)
-        if self.domain.t_min != -math.inf:
-            d = np.maximum(d, self.domain.t_min - t)
-        return d
+        return np.maximum(d, self.domain.t_min - t)
 
     def polydisc_radii(self, p: PointC2):
         return self.domain.slice_radii(p.z)
 
     def has_hole(self) -> bool:
-        return self.domain.t_min != -math.inf
+        return True
 
     def boundary_samples(self, nt: int = 48, nphase: int = 16) -> tuple[np.ndarray, np.ndarray]:
         """(t, theta, psi) grid on the profile surface plus end-cap tori."""
         dom = self.domain
-        t_lo = dom.t_min if dom.t_min != -math.inf else dom.t_max - 12.0
-        t = np.linspace(t_lo, dom.t_max, nt)
+        t = np.linspace(dom.t_min, dom.t_max, nt)
         r = np.exp(dom.profile.eval_many(t))
         th = _circle(nphase)
         ones = np.ones(nphase)
@@ -105,8 +102,6 @@ class ReinhardtAdapter:
         out_z = [zz]
         out_w = [ww]
         for edge_t in (dom.t_min, dom.t_max):
-            if edge_t == -math.inf:
-                continue
             re = math.exp(dom.profile.eval(edge_t))
             levels = np.linspace(0.0, re, 6)
             ez = math.exp(edge_t) * th

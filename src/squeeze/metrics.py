@@ -203,8 +203,7 @@ def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, A
 
 def shear_edges(domain: ReinhardtDomain, t_k: Fraction) -> tuple[float, float]:
     """The annulus edges ``(t_min, t_max)`` of ``domain`` sheared at ``t_k``."""
-    t_min = float(Fraction(domain.t_min) - t_k) if domain.t_min != -math.inf else -math.inf
-    return t_min, float(Fraction(domain.t_max) - t_k)
+    return float(Fraction(domain.t_min) - t_k), float(Fraction(domain.t_max) - t_k)
 
 
 def adjacent_edge(profile: RadialProfile, k: int, j: int) -> float:

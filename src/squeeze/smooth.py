@@ -41,13 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
-    GUARD_REL,
+    DEFAULT_GRID,
     PointC2,
     RadialProfile,
     ReinhardtDomain,
     _as_point,
+    _distance_lower,
     as_float,
-    box_distance,
     fmt,
 )
 from .errors import CertificationError, NumericalError, ValidationError
@@ -89,6 +89,17 @@ def bump_first_moment(x):
     return -(BUMP_NORM / 10.0) * y**5
 
 
+def _check_smoothing(h=None, eps: float = 0.0, kappa: float = 1.0) -> None:
+    """``ValidationError`` unless ``eps`` is finite and nonnegative, ``kappa``
+    finite and positive, and a single kernel width ``h`` finite."""
+    if not 0.0 <= eps < math.inf:
+        raise ValidationError(f"concavity boost eps must be finite and nonnegative, not {eps!r}")
+    if not 0.0 < kappa < math.inf:
+        raise ValidationError(f"cap stiffness kappa must be finite and positive, not {kappa!r}")
+    if h is not None and np.ndim(h) == 0 and not math.isfinite(h):
+        raise ValidationError(f"mollifier width h must be finite, not {h!r}")
+
+
 def _kinks(base: RadialProfile) -> list[tuple[int, float, float]]:
     """(breakpoint index, slope drop, room) of every concave kink of ``base``;
     the room is the shorter of the two segments that meet at the kink."""
@@ -116,8 +127,7 @@ class MollifiedProfile:
     """
 
     def __init__(self, base: RadialProfile, widths, eps: float):
-        if eps < 0.0:
-            raise ValidationError("concavity boost eps must be nonnegative")
+        _check_smoothing(eps=eps)
         self.base = base
         self.eps = float(eps)
         kinks = _kinks(base)
@@ -288,14 +298,11 @@ class SmoothDomain:
 
     def __init__(self, base: ReinhardtDomain, h=None,
                  eps: float = 1e-5, kappa: float = 50.0):
-        if base.t_min == -math.inf:
-            raise ValidationError("smoothing requires a finite inner annulus edge")
+        _check_smoothing(h, eps, kappa)
         self.base = base
         prof = base.profile
         widths = default_widths(prof, eps) if h is None else h
         self.profile = MollifiedProfile(prof, widths, eps)
-        if kappa <= 0.0:
-            raise ValidationError("cap stiffness kappa must be positive")
         self.eps = float(eps)
         self.kappa = float(kappa)
 
@@ -409,7 +416,7 @@ class SmoothDomain:
         return num / den, r
 
     # ------------------------------------------------------------- geometry
-    def boundary_distance_lower(self, p, resolution: int = 2048) -> float:
+    def boundary_distance_lower(self, p, resolution: int = DEFAULT_GRID) -> float:
         """Certified distance lower bound to the smooth boundary.
 
         Same per-cell moduli-box strategy as the base domain; cell radius
@@ -421,9 +428,11 @@ class SmoothDomain:
         p = _as_point(p)
         if not self.contains(p):
             raise ValidationError("basepoint must lie inside the smoothed domain")
-        if resolution < 8:
-            raise ValidationError("resolution too small")
-        rz, rw = p.moduli()
+        return _distance_lower(self._boxes, resolution, *p.moduli())
+
+    def _boxes(self, resolution: int) -> tuple[np.ndarray, ...]:
+        """The moduli boxes ``(u0, u1, r_lo, r_hi)`` of the face cells at
+        ``resolution``, then of the two closing strips."""
         lo, hi = self._axis_lo_in, self._axis_hi_in
         t = np.linspace(lo, hi, resolution + 1)
         phi, d1, _ = self.profile.jet(t)
@@ -441,23 +450,14 @@ class SmoothDomain:
         cap1 = phi_s[1:] + np.maximum(0.0, -d_phi_s[1:]) * dt
         r_hi = np.exp(np.minimum(cap0, cap1))
         r_hi = np.maximum(r_hi, np.maximum(r[:-1], r[1:]))
-        d = box_distance(u0, u1, r_lo, r_hi, rz, rw)
 
         # closing strips: all boundary beyond the conservative face range lies
         # between the face range and the cap centers
+        ua = [math.exp(self.base.t_min), math.exp(hi)]
+        ub = [math.exp(lo), math.exp(self.base.t_max)]
         r_global = math.exp(self.base.max_log_height())
-        for (s_out, s_in) in ((self.base.t_min, lo), (hi, self.base.t_max)):
-            ua, ub = math.exp(min(s_out, s_in)), math.exp(max(s_out, s_in))
-            dz_strip = max(0.0, ua - rz, rz - ub)
-            dw_strip = max(0.0, rw - r_global)
-            d = min(d, math.hypot(dz_strip, dw_strip))
-
-        d *= 1.0 - GUARD_REL
-        if not d > 0.0:
-            raise CertificationError(
-                "certified smooth boundary distance is not positive; refine the grid"
-            )
-        return d
+        return (np.concatenate([u0, ua]), np.concatenate([u1, ub]),
+                np.concatenate([r_lo, [0.0, 0.0]]), np.concatenate([r_hi, [r_global] * 2]))
 
 
 def _radius(phi, slack):
@@ -516,7 +516,7 @@ def levi_verify(sd: SmoothDomain, grid_points: int = 10000,
 
 def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
                      margin_guard: float,
-                     resolution: int = 2048) -> ConstructionCertificate:
+                     resolution: int = DEFAULT_GRID) -> ConstructionCertificate:
     """Recompute the level certificates of ``base_levels`` (the rows
     ``construct.certify_levels`` returns for ``sd.base``) directly on the
     smoothed domain, and assemble their verdict against ``margin_guard``.

@@ -31,6 +31,14 @@ def staircase(u: str, levels: int):
     return build(ConstructionParams(a="2", levels=levels, schedule=MarginSchedule(u)))[0]
 
 
+def flat_annulus() -> ReinhardtDomain:
+    """The flat annulus {1/2 < |z| < 2, |w| < 1}: at (1, 0) its slice radii
+    are (1/2, 1), its boundary distance 1/2 (the hole) and its circumscribed
+    radius hypot(2 + 1, 1) = sqrt(10)."""
+    t = math.log(2.0)
+    return ReinhardtDomain(RadialProfile((-t, t), (0.0, 0.0)), -t, t)
+
+
 def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     """Worst relative mismatch between the analytic complex Hessian of rho and
     central finite differences, over random boundary points.
@@ -467,12 +475,9 @@ def boundary_distance_brute(domain, p, resolution: int) -> float:
     p = _as_point(p)
     rz, rw = p.moduli()
     u = np.linspace(domain.inner_radius(), domain.outer_radius(), resolution + 1)
-    u = u[u > 0.0]
     r = np.exp(domain.profile.eval_many(np.log(u)))
     d = float(np.min(np.hypot(u - rz, r - rw)))
     for edge_t in (domain.t_min, domain.t_max):
-        if edge_t == -math.inf:
-            continue
         ue = math.exp(edge_t)
         re = math.exp(domain.profile.eval(edge_t))
         ws = np.linspace(0.0, re, 256)
@@ -533,6 +538,21 @@ def face_radius(sd, t):
     """Radius of the vertical disc {|w| < r(t)} inscribed at log|z| = t."""
     t = np.asarray(t, dtype=float)
     return _radius(sd.profile.value(t), 1.0 - sd.g(t))
+
+
+def smoothed_boundary_samples(sd, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """About ``n`` moduli points ``(|z|, |w|)`` on or beyond the boundary of
+    the smoothed domain ``sd``: the face ``|w| = face_radius(t)`` at ``t``
+    spread evenly over the face range and, for the steep walls, spread
+    geometrically on both sides of every kink, and the two axis points just
+    past the face range, where the face closes."""
+    lo, hi = sd.axis_log_range()
+    kinks = np.asarray(sd.profile.kinks)
+    offsets = np.geomspace(1e-12, 1.0, n // (4 * max(kinks.size, 1)))
+    near = (kinks[:, None] + np.concatenate([-offsets, offsets])).ravel()
+    t = np.concatenate([np.linspace(lo, hi, n - near.size), near[(near > lo) & (near < hi)]])
+    u = np.concatenate([np.exp(t), np.exp([sd._axis_lo_out, sd._axis_hi_out])])
+    return u, np.concatenate([face_radius(sd, t), [0.0, 0.0]])
 
 
 def sample_interior(sd, n: int, rng: np.random.Generator):

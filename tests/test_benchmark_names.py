@@ -86,9 +86,9 @@ def test_layer_key_is_defined(key):
 
 def test_schema_files_and_domain_format():
     import squeeze
-    from squeeze.domain import bidisc_domain, domain_to_doc
+    from squeeze.domain import annulus_model_domain, domain_to_doc
 
     schemas = Path(squeeze.__file__).parent / "schemas"
     for name in SCHEMA_FILES:
         json.loads((schemas / name).read_text())
-    assert domain_to_doc(bidisc_domain())["version"] == 1
+    assert domain_to_doc(annulus_model_domain(0.5, 2.0, 1))["version"] == 1

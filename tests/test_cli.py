@@ -102,6 +102,22 @@ def test_negative_seed_exit2_before_the_run_directory(tmp_path, capsys, command)
         RunConfig(seed=-1)
 
 
+@pytest.mark.parametrize("command", ["certify-smoothed", "plot-data"])
+@pytest.mark.parametrize("bad", ['{"smooth_eps": NaN}', '{"smooth_kappa": Infinity}',
+                                 '{"smooth_h": NaN}'], ids=["eps-nan", "kappa-inf", "h-nan"])
+def test_non_finite_smoothing_exit2_before_the_run_directory(tmp_path, capsys, command, bad):
+    # Python's json reads NaN and Infinity, and the schema's number admits
+    # them; NaN passes an "eps < 0" or "kappa <= 0" test
+    (tmp_path / "bad.json").write_text(bad)
+    out = tmp_path / "r"
+    assert main([command, "--config", str(tmp_path / "bad.json"), "--levels", "2",
+                 "--margin", "0.05", "--out", str(out)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="must be finite"):
+        RunConfig(**json.loads(bad))
+
+
 def test_smallest_grid_accepted(tmp_path):
     code = main(["certify-smoothed", "--out", str(tmp_path / "r"), "--levels", "2",
                  "--margin", "0.05", "--grid", "8"])
@@ -177,8 +193,9 @@ class TestCertifySmoothed:
         assert code == EXIT_CONFIG
 
     def test_harmonic_four_levels_smooth(self, tmp_path):
-        # no violation at 4 harmonic levels (exit 3 by design), but the
-        # smoothing, its Levi scan and plot-data all go through
+        # no violation at 4 harmonic levels (exit 3: the targets 1/k first
+        # clear the centre bound at level 10), but the smoothing, its Levi
+        # scan and plot-data all go through
         cfg = RunConfig(levels=4, out=str(tmp_path / "s"))
         assert cmd_certify_smoothed(cfg) == EXIT_CERTIFICATION
         rep = json.loads((tmp_path / "s" / "levi_report.json").read_text())
@@ -190,6 +207,16 @@ class TestCertifySmoothed:
         lines.update({f"sheared_profile_level{k}.csv": 11 for k in range(1, 5)})
         for name, n in lines.items():
             assert len(read_csv(tmp_path / "p" / name)) == n
+
+
+def test_harmonic_ten_levels_certify(tmp_path):
+    # the paper's harmonic schedule violates plurisubharmonicity at level 10
+    # on both the staircase and its smoothing
+    for command in ("build", "certify-smoothed", "plot-data"):
+        assert main([command, "--levels", "10", "--out", str(tmp_path / command)]) == EXIT_OK
+    for path in ("build/certificate.json", "certify-smoothed/smoothed_certificate.json"):
+        cert = json.loads((tmp_path / path).read_text())
+        assert cert["violation"] and cert["violation_level"] == 10
 
 
 def test_only_build_computes_the_base_center_bound(tmp_path, monkeypatch):

@@ -12,14 +12,13 @@ from squeeze import (
     ReinhardtDomain,
     ValidationError,
     CertificationError,
-    bidisc_domain,
     annulus_model_domain,
 )
 from squeeze.domain import box_distance, domain_from_doc, domain_to_doc
 from squeeze.schema import validate_doc
 
-from helpers import (STAIRCASES, boundary_distance_brute, perturb_value, stacked_box_distance,
-                     staircase, to_point)
+from helpers import (STAIRCASES, boundary_distance_brute, flat_annulus, perturb_value,
+                     stacked_box_distance, staircase, to_point)
 
 
 def test_profile_eval_flat_region(p0):
@@ -106,23 +105,27 @@ def test_slice_radii_at_breakpoints(p0):
 
 
 def test_slice_radii_bidisc():
-    d = bidisc_domain()
-    r_h, r_v = d.slice_radii(0.5)
+    # the flat annulus {1/2 < |z| < 2, |w| < 1} at (1, 0): the hole is 1/2 away
+    d = flat_annulus()
+    r_h, r_v = d.slice_radii(1.0)
     assert r_h == pytest.approx(0.5, rel=1e-12)
     assert r_v == pytest.approx(1.0, rel=1e-12)
 
 
 def test_slice_radii_rejects_outside():
-    d = bidisc_domain()
-    with pytest.raises(ValidationError):
-        d.slice_radii(1.5)
+    d = flat_annulus()
+    for z0 in (0.0, 0.25, 2.5):  # the centre, the hole, beyond the outer circle
+        with pytest.raises(ValidationError):
+            d.slice_radii(z0)
 
 
 def test_boundary_distance_bidisc_center():
-    d = bidisc_domain()
-    val = d.boundary_distance_lower((0.0, 0.0))
-    assert val <= 1.0
-    assert val >= 1.0 - 1e-6
+    # the nearest boundary point of the flat annulus from (1, 0) is (1/2, 0)
+    # on the inner end cap
+    d = flat_annulus()
+    val = d.boundary_distance_lower((1.0, 0.0))
+    assert val <= 0.5
+    assert val >= 0.5 * (1.0 - 1e-9)
 
 
 def test_boundary_distance_below_brute_force(p0):
@@ -159,9 +162,8 @@ def test_distance_cells_reused_across_points_and_resolutions():
         except CertificationError:
             return "CertificationError"
 
-    for domain in (staircase("0.05", 3), bidisc_domain(1.0, 2.0)):
-        t_lo = domain.t_min if domain.t_min > -math.inf else domain.t_max - 3.0
-        points = [(math.exp(t), rw) for t in np.linspace(t_lo, domain.t_max, 8)[1:-1]
+    for domain in (staircase("0.05", 3), flat_annulus()):
+        points = [(math.exp(t), rw) for t in np.linspace(domain.t_min, domain.t_max, 8)[1:-1]
                   for rw in (0.0, 0.3 * math.exp(domain.profile.eval(t)))]
         seen = set()
         for resolution in (2048, 16384, 2048):
@@ -191,8 +193,9 @@ def test_box_distance_equals_the_stacked_maxima():
 
 
 def test_outer_radius_bidisc():
-    d = bidisc_domain()
-    assert d.outer_radius_upper((0.0, 0.0)) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    # the circumscribed box of the flat annulus from (1, 0): hypot(2 + 1, 1)
+    d = flat_annulus()
+    assert d.outer_radius_upper((1.0, 0.0)) == pytest.approx(math.sqrt(10.0), rel=1e-9)
 
 
 def test_outer_radius_p0(p0):
@@ -284,6 +287,31 @@ def test_non_finite_profile_data_rejected(p0, bad):
         validate_doc("domain", doc)  # the schema only asks for strings
         with pytest.raises(ValidationError, match="must be finite"):
             domain_from_doc(doc)
+
+
+@pytest.mark.parametrize("t_min, t_max", [(-math.inf, 0.7), (-0.7, math.inf),
+                                          (math.nan, 0.7), (-0.7, math.nan)])
+def test_annulus_edges_must_be_finite(t_min, t_max):
+    # every domain lies over an annulus: no full-disc edge, no unbounded one
+    with pytest.raises(ValidationError, match="edges must be finite"):
+        ReinhardtDomain(flat_annulus().profile, t_min, t_max)
+    doc = json.loads(json.dumps(domain_to_doc(flat_annulus())))
+    doc["t_min"], doc["t_max"] = str(t_min), str(t_max)
+    validate_doc("domain", doc)  # the schema only asks for strings
+    with pytest.raises(ValidationError, match="edges must be finite"):
+        domain_from_doc(doc)
+
+
+def test_inner_radius_must_not_underflow():
+    # exp(-800) is 0 in doubles: a punctured disc, not an annulus
+    with pytest.raises(ValidationError, match="underflows to 0"):
+        ReinhardtDomain(flat_annulus().profile, -800.0, 0.7)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_profile_eval_rejects_non_finite(t):
+    with pytest.raises(ValidationError, match="must be finite"):
+        flat_annulus().profile.eval(t)
 
 
 def test_overflowing_slope_rejected_by_the_profile():

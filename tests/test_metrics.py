@@ -20,12 +20,11 @@ from squeeze import (
     squeezing_lower_inclusion,
     squeezing_upper_at_breakpoint,
     squeezing_upper_quotient,
-    bidisc_domain,
 )
 from squeeze.construct import _model_edges, verify_model_annulus_inclusion
 from squeeze.metrics import Bound, LevelModel
 
-from helpers import (apply, apply_exact, eval_exact, invert_exact,
+from helpers import (apply, apply_exact, eval_exact, flat_annulus, invert_exact,
                      kobayashi_lower_shear_nodes, model_annulus_inclusion_nodes, outcome,
                      perturb_value, row, staircase, squeezing_upper_slice_path)
 
@@ -256,11 +255,11 @@ class TestQuotientBound:
 
 class TestSqueezingLower:
     def test_bidisc_center(self):
-        d = bidisc_domain()
-        b = squeezing_lower_inclusion(d, PointC2(0.0j, 0.0j))
-        # dist = 1 and outer radius sqrt(2) by brute-force box geometry
-        assert b.value <= 1.0 / math.sqrt(2.0) + 1e-9
-        assert b.value >= 1.0 / math.sqrt(2.0) - 1e-4
+        d = flat_annulus()
+        b = squeezing_lower_inclusion(d, P)
+        # dist = 1/2 (the hole) and outer radius sqrt(10) by box geometry
+        assert b.value <= 0.5 / math.sqrt(10.0) + 1e-9
+        assert b.value >= 0.5 / math.sqrt(10.0) - 1e-4
         assert b.certified
 
     def test_p0_center(self, p0):

@@ -25,7 +25,7 @@ from squeeze.smooth import (
 
 from helpers import (STAIRCASES, dense_deriv1, dense_deriv2, dense_gap, dense_levi_face,
                      face_radius, hessian_entries, levi_on_tangent, row, sample_interior,
-                     staircase, sup_gap_bound)
+                     smoothed_boundary_samples, staircase, sup_gap_bound)
 
 
 def flat_domain(height=0.0, half=0.6931471805599453):
@@ -270,6 +270,18 @@ class TestMollifiedProfile:
         with pytest.raises(ValidationError):
             smooth(domain, kappa=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"eps": math.nan}, {"eps": math.inf},
+                                        {"kappa": math.nan}, {"kappa": math.inf},
+                                        {"h": math.nan}, {"h": math.inf}])
+    def test_non_finite_parameters_rejected(self, headline, kwargs):
+        # NaN passes an "eps < 0" or "kappa <= 0" test
+        _, domain, _ = headline
+        with pytest.raises(ValidationError, match="must be finite"):
+            smooth(domain, **kwargs)
+        if "eps" in kwargs:
+            with pytest.raises(ValidationError, match="must be finite"):
+                MollifiedProfile(domain.profile, 1e-3, kwargs["eps"])
+
 
 class TestDefiningFunction:
     def test_sign_structure(self, headline_smoothed):
@@ -410,6 +422,23 @@ class TestCertifySmoothed:
         for resolution in (7, 4, 0, -3):
             with pytest.raises(ValidationError):
                 sd.boundary_distance_lower(p, resolution)
+
+    @pytest.mark.parametrize("domain, t_max", [(staircase("0.05", 2), 0.4),
+                                               (staircase("0.02", 4), 0.4),
+                                               (flat_domain(), 0.68)],
+                             ids=["u0.05-L2", "u0.02-L4", "flat"])
+    def test_distance_below_sampled_boundary(self, domain, t_max):
+        # 10^5 boundary points; aligned phases realise each moduli distance,
+        # so none may lie closer than the certified distance.  The points
+        # lie on the axis and off it, on the staircases' flat part and up
+        # to the caps of the flat domain
+        sd = smooth(domain)
+        u_b, r_b = smoothed_boundary_samples(sd, 100_000)
+        for t_p in np.linspace(-t_max, t_max, 9):
+            for frac in (0.0, 0.5, 0.95):
+                rz, rw = math.exp(t_p), frac * float(face_radius(sd, t_p))
+                d = sd.boundary_distance_lower((rz, rw))
+                assert 0.0 < d <= float(np.min(np.hypot(u_b - rz, r_b - rw)))
 
     def test_basepoint_leaves_domain_rejected(self, headline):
         _, domain, _ = headline
