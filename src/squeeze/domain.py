@@ -264,6 +264,10 @@ class ReinhardtDomain:
             raise ValidationError("t_min must be strictly below t_max")
         if not self.inner_radius() > 0.0:
             raise ValidationError("inner annulus radius exp(t_min) underflows to 0")
+        try:
+            self.outer_radius()
+        except OverflowError:
+            raise ValidationError("outer annulus radius exp(t_max) overflows") from None
         bps = self.profile.breakpoints
         if bps[0] < self.t_min or bps[-1] > self.t_max:
             raise ValidationError("profile breakpoints must lie within [t_min, t_max]")

@@ -810,7 +810,8 @@ _FULL_ROWS = 256  # discs per block in the full stage
 # relative margin (the haircut) on the Bernstein threshold for the float32
 # evaluation: it leaves 2e-4 relative on the squared threshold, and a disc's
 # float32 value is within 5e-5 relative of its exact value at the exact roots
-# for m <= 32 (under 1e-5 seen), so an accepted disc is feasible;
+# for m <= 32 and degree <= 6 (under 1e-5 seen), so an accepted disc is
+# feasible; the oracle refuses m and degrees past that range;
 # tests/test_estimate.py::TestOracle::test_haircut_covers_float32_error
 _HAIRCUT = 1e-4
 
@@ -828,15 +829,22 @@ class OracleResult:
 
 
 def _int_power(base: np.ndarray, m: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base
-    e = m
-    while e > 0:
-        if e & 1:
-            out = out * b
-        b = b * b
-        e >>= 1
-    return out
+    """``base ** m`` elementwise by binary powering (m >= 1), the running
+    square formed in place in ``base``, so ``base`` is overwritten.  The
+    products are those of ``out = 1; out *= b where bit; b *= b`` in the same
+    order, without the first product by one and the square after the top
+    bit, so the result is the same float bit for bit."""
+    out = None
+    while True:
+        if m & 1:
+            if out is None:
+                out = base if m == 1 else base.copy()
+            else:
+                out *= base
+        m >>= 1
+        if not m:
+            return out
+        base *= base
 
 
 def _coarse_first(samples: int) -> np.ndarray:
@@ -878,31 +886,55 @@ def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
     """Per row of the planar samples ``s``: does |w| or |w z^m| exceed the
     margined threshold on some sample at scale ``c``?  On finite samples
     ``cc * x`` and ``1 + cc * x`` equal the complex64 ``(cc + 0j) * (x + iy)``
-    and ``1 + (cc + 0j) * (x + iy)`` component by component."""
+    and ``1 + (cc + 0j) * (x + iy)`` component by component.
+
+    ``s`` may be any view of the samples (a column range, a row range).
+    ``max(aw2, aw2 * az2^m)`` is written in place in three float32 arrays of
+    the rows' shape (four when m is not a power of 2): the float32 operations
+    of ``aw2 = (cc wr)^2 + (cc wi)^2``, ``az2 = (1 + cc zr)^2 + (cc zi)^2``
+    and the power, in the same order, so the verdict is the same bit for
+    bit.  ``np.maximum`` keeps a NaN product (``0 * inf``), which does not
+    exceed."""
     with np.errstate(over="ignore", invalid="ignore"):
         cc = c.astype(np.float32)[:, None]
         zr, zi, wr, wi = s
-        aw2 = (cc * wr)**2 + (cc * wi)**2
-        az2 = (1.0 + cc * zr)**2 + (cc * zi)**2
-        return np.any(np.maximum(aw2, aw2 * _int_power(az2, m)) > thr2, axis=1)
+        aw2 = np.multiply(cc, wr)
+        aw2 *= aw2
+        t = np.multiply(cc, wi)
+        t *= t
+        aw2 += t
+        az2 = np.multiply(cc, zr)
+        az2 += 1.0
+        az2 *= az2
+        np.multiply(cc, zi, out=t)
+        t *= t
+        az2 += t
+        v = _int_power(az2, m)
+        np.multiply(aw2, v, out=v)
+        np.maximum(aw2, v, out=v)
+        return np.any(v > thr2, axis=1)
 
 
-def _feasible(c: np.ndarray, s: np.ndarray, rows: np.ndarray, m: int,
+def _feasible(c: np.ndarray, s: np.ndarray, m: int,
               thr2: np.float32) -> tuple[np.ndarray, int]:
-    """Per disc ``rows[i]`` of the samples ``s`` (columns in ``_coarse_first``
-    order): is it feasible at scale ``c[i]``?  Also returns how many discs
-    reached the full stage.
+    """Per disc ``i`` (row ``i`` of the planar samples ``s``, columns in
+    ``_coarse_first`` order): is it feasible at scale ``c[i]``?  Also returns
+    how many discs reached the full stage.
 
-    Every disc is tested on the first ``ceil(samples / _COARSE)`` columns; a
-    failure there is a failure.  Only the survivors are tested on the other
-    columns, ``_FULL_ROWS`` discs at a time.  The tests are elementwise in
-    the sample, so the verdict is that of one pass over all columns."""
+    Every disc is tested on the view of the first ``ceil(samples /
+    _COARSE)`` columns; a failure there is a failure.  Only the survivors are
+    tested on the other columns, ``_FULL_ROWS`` discs at a time: a block of
+    consecutive rows as a view of ``s``, any other block gathered.  The tests
+    are elementwise in the sample, so the verdict is that of one pass over
+    all columns."""
     k = -(-s.shape[2] // _COARSE)
-    ok = ~_bad(c, s[:, rows, :k], m, thr2)
+    ok = ~_bad(c, s[:, :, :k], m, thr2)
     survivors = np.flatnonzero(ok)
     for i in range(0, survivors.size, _FULL_ROWS):
         blk = survivors[i:i + _FULL_ROWS]
-        ok[blk] = ~_bad(c[blk], s[:, rows[blk], k:], m, thr2)
+        if blk[-1] - blk[0] == blk.size - 1:
+            blk = slice(blk[0], blk[-1] + 1)
+        ok[blk] = ~_bad(c[blk], s[:, blk, k:], m, thr2)
     return ok, survivors.size
 
 
@@ -931,23 +963,36 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     a feasible scale sees exactly what the unpruned loop would.
     ``scale_tests`` counts the per-disc feasibility evaluations made.
 
+    The bracket closes on the end of an interval.  Per sample the test value
+    ``G(c) = c^2 |W|^2 max(1, |1 + cZ|^(2m))`` is nondecreasing in ``c >=
+    0``: where ``|1 + cZ| > 1``, ``2c Re Z + c^2 |Z|^2 > 0``, so ``d/dc |1 +
+    cZ|^2 = 2 Re Z + 2c |Z|^2 > c |Z|^2 >= 0``.  So in exact arithmetic each
+    disc's feasible scales form an interval from 0.
+
     A scale test runs in two stages, on circle samples ordered so that every
     ``_COARSE``-th one comes first.  The coarse stage tests every disc on
     those ``ceil(samples / _COARSE)`` samples, and the full stage tests only
     the discs that pass on the rest.  Both exact: a sample's test depends on
     that sample alone, a disc fails if any sample fails, and the stages
     compute the same float32 values as one pass over all samples would, so
-    ``min_alpha`` and ``scale_tests`` do not change by a bit.
+    ``min_alpha`` and ``scale_tests`` do not change by a bit.  When pruning
+    drops discs, the survivors' rows are copied to the front of the chunk's
+    buffer, so each test reads the live discs' samples as views of it.
 
     The samples of a chunk are float32 matrix products (``_circle_samples``),
     so their last bits, and ``min_alpha`` in its last digits, depend on the
     BLAS kernel.  Rigor does not: the ``_HAIRCUT`` margin on the threshold
-    covers the float32 error of the samples and of the test.
+    covers the float32 error of the samples and of the test, for the range
+    it is checked on, ``m <= 32`` and ``degree <= 6``; the oracle refuses
+    larger ones with ``ValidationError``.
     """
     m = _int_at_least("m", m)
     count = _int_at_least("count", count)
     degree = _int_at_least("degree", degree)
     seed = _int_at_least("seed", seed, 0)
+    if m > 32 or degree > 6:
+        raise ValidationError("the float32 haircut is checked for m <= 32 and "
+                              "degree <= 6 only")
     d_eff = degree * (m + 1)
     if samples is None:
         samples = 128
@@ -976,12 +1021,11 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
         bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
 
         s = _circle_samples(order, az, bw, out=buf[:, :b])
-        rows = np.arange(b)
         lo = np.zeros(b)
         hi = np.full(b, np.inf)
         c = np.full(b, math.sqrt(2.0 / m))
         for _ in range(_ORACLE_STEPS):
-            ok, n_full = _feasible(c, s, rows, m, thr2)
+            ok, n_full = _feasible(c, s, m, thr2)
             scale_tests += c.size
             full_tests += n_full
             lo = np.where(ok, np.maximum(lo, c), lo)
@@ -990,9 +1034,11 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
             best_tau = max(best_tau, float(np.max(lo)))
             keep = (hi > best_tau) | (lo <= 0.0)
             if not keep.all():
-                lo, hi, c, rows = lo[keep], hi[keep], c[keep], rows[keep]
+                lo, hi, c = lo[keep], hi[keep], c[keep]
                 if lo.size == 0:
                     break
+                s[:, :lo.size] = s[:, keep]
+                s = s[:, :lo.size]
         if not np.all(lo > 0.0):
             raise NumericalError("oracle found a disc with no feasible scale")
         done += b

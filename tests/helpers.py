@@ -15,7 +15,7 @@ from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
-                              _coarse_first, _int_power, _log_moduli, _monomial_at, _monomial_grad,
+                              _coarse_first, _log_moduli, _monomial_at, _monomial_grad,
                               _monomial_matrix, _polyval, _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
@@ -102,6 +102,20 @@ def single_pass_samples(az, bw, samples: int):
     return base[0], base[1]
 
 
+def int_power_reference(base: np.ndarray, m: int) -> np.ndarray:
+    """``base ** m`` elementwise by binary powering from ``out = 1``, every
+    product formed; ``estimate._int_power`` must agree bit for bit."""
+    out = np.ones_like(base)
+    b = base
+    e = m
+    while e > 0:
+        if e & 1:
+            out = out * b
+        b = b * b
+        e >>= 1
+    return out
+
+
 def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
                          m: int, thr2: np.float32) -> np.ndarray:
     """Per disc (row): are both |w| and |w z^m| within the margined threshold
@@ -113,7 +127,7 @@ def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
         z = 1.0 + cc * base_z
         aw2 = w.real**2 + w.imag**2
         az2 = z.real**2 + z.imag**2
-        bad = np.maximum(aw2, aw2 * _int_power(az2, m)) > thr2
+        bad = np.maximum(aw2, aw2 * int_power_reference(az2, m)) > thr2
         return ~np.any(bad, axis=1)
 
 

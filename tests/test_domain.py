@@ -308,6 +308,19 @@ def test_inner_radius_must_not_underflow():
         ReinhardtDomain(flat_annulus().profile, -800.0, 0.7)
 
 
+def test_outer_radius_must_not_overflow():
+    # exp(800) is past the largest double: the distances would need it
+    profile = RadialProfile((-1.0, 1.0), (0.0, 0.0))
+    with pytest.raises(ValidationError, match="exp\\(t_max\\) overflows"):
+        ReinhardtDomain(profile, -1.0, 800.0)
+    doc = json.loads(json.dumps(domain_to_doc(ReinhardtDomain(profile, -1.0, 700.0))))
+    assert domain_from_doc(doc).outer_radius() == math.exp(700.0)
+    doc["t_max"] = "800"
+    validate_doc("domain", doc)  # the schema only asks for strings
+    with pytest.raises(ValidationError, match="exp\\(t_max\\) overflows"):
+        domain_from_doc(doc)
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_profile_eval_rejects_non_finite(t):
     with pytest.raises(ValidationError, match="must be finite"):

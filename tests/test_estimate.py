@@ -19,7 +19,7 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import (_COARSE, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO,
+from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO,
                               BallModel, DEFAULT_ANNULUS_INDEXES, PolydiscModel,
                               ReinhardtAdapter, _bad,
                               _caratheodory_objective, _circle_samples, _coarse_first,
@@ -28,8 +28,8 @@ from squeeze.estimate import (_COARSE, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _TAIL_ME
                               _monomial_matrix, _polyval)
 
 from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
-                     guarded_log_moduli, row, single_pass_feasible, single_pass_samples,
-                     unpruned_caratheodory_lower_search, unpruned_disc_oracle,
+                     guarded_log_moduli, int_power_reference, row, single_pass_feasible,
+                     single_pass_samples, unpruned_caratheodory_lower_search, unpruned_disc_oracle,
                      unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
@@ -638,6 +638,21 @@ class TestCoefficientCheck:
             coefficient_bound_check(np.conj(zeta) * 0.5, 0.5)
 
 
+def test_int_power_matches_the_loop_reference():
+    """The in-place power against the loop that forms every product, bit for
+    bit, on float32 values with 0, subnormals, powers that overflow to inf,
+    and inf."""
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(0.0, 2.0, 300), 10.0 ** rng.uniform(-45.0, 38.0, 300),
+                        [0.0, 1e-45, 3e-39, 1e-30, 1.0, 1.5, 1e10, 3e38, np.inf]])
+    x = x.astype(np.float32).reshape(3, -1)
+    assert np.any((x > 0) & (x < np.finfo(np.float32).tiny))
+    with np.errstate(over="ignore", under="ignore"):
+        for m in range(1, 65):
+            want = int_power_reference(x, m)
+            assert _int_power(x.copy(), m).tobytes() == want.tobytes(), m
+
+
 class TestOracle:
     def test_small_run_respects_bound(self):
         res = monomial_disc_oracle(2, count=2000, seed=11)
@@ -656,9 +671,9 @@ class TestOracle:
     @pytest.mark.parametrize("kwargs", [
         {"count": 0}, {"count": -5}, {"degree": 0}, {"degree": -1},
         {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"samples": 0}, {"samples": 256.0},
-        {"seed": -1}, {"seed": 1.5},
+        {"seed": -1}, {"seed": 1.5}, {"m": 33}, {"degree": 7},
     ], ids=["count0", "count-5", "degree0", "degree-1", "m2.5", "m2.0", "m-str",
-            "samples0", "samples-float", "seed-1", "seed1.5"])
+            "samples0", "samples-float", "seed-1", "seed1.5", "m33", "degree7"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             monomial_disc_oracle(**{"m": 2, "count": 300, **kwargs})
@@ -755,17 +770,22 @@ class TestOracle:
             assert np.all(np.abs(v32 - v64) <= 5e-5 * v64)
         assert np.all(lo > 0.0)
 
-    @pytest.mark.parametrize("m", [1, 2, 8, 32])
-    def test_two_stage_verdict_matches_single_pass(self, m):
-        samples, az, bw, _, thr2 = self._discs(m, 6, 60, 5)
-        base_z, base_w = single_pass_samples(az, bw, samples)
-        # per disc, a scale at the edge of feasibility on the coarse samples
-        # alone: most of these pass the coarse stage and fail the full one
-        lo, hi = np.zeros(len(az)), np.full(len(az), 1e3)
+    @staticmethod
+    def _coarse_edges(base_z, base_w, m, thr2):
+        """Per disc, a scale at the edge of feasibility on the coarse samples
+        alone: most of these pass the coarse stage and fail the full one."""
+        lo, hi = np.zeros(len(base_z)), np.full(len(base_z), 1e3)
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             ok = single_pass_feasible(mid, base_z[:, ::_COARSE], base_w[:, ::_COARSE], m, thr2)
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return lo
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32])
+    def test_two_stage_verdict_matches_single_pass(self, m):
+        samples, az, bw, _, thr2 = self._discs(m, 6, 60, 5)
+        base_z, base_w = single_pass_samples(az, bw, samples)
+        lo = self._coarse_edges(base_z, base_w, m, thr2)
         # and a grid from 1e-3 into the float32 overflow range (c^2 > 3.4e38)
         grid = np.concatenate([np.geomspace(1e-3, 1e30, 34),
                                math.sqrt(2.0 / m) * np.geomspace(0.25, 4.0, 24)])
@@ -774,12 +794,52 @@ class TestOracle:
 
         want = single_pass_feasible(c, base_z[rows], base_w[rows], m, thr2)
         s = self._samples(_coarse_first(samples), az, bw)
-        got, n_full = _feasible(c, s, rows, m, thr2)
+        got, n_full = _feasible(c, s[:, rows], m, thr2)
         assert np.array_equal(got, want)
         coarse_ok = ~_bad(c, s[:, rows, :-(-samples // _COARSE)], m, thr2)
         assert n_full == np.count_nonzero(coarse_ok)
         assert np.any(coarse_ok & ~want)
         assert np.any(want) and not np.any(want[c > 1e19])
+
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_full_stage_blocks_as_views_and_gathers(self, m):
+        """The first ``_FULL_ROWS`` coarse survivors are consecutive rows (the
+        full stage reads a view of them), the next ones skip every other row
+        (it gathers them); both verdicts are the single pass's."""
+        samples, az, bw, _, thr2 = self._discs(m, 6, 3 * _FULL_ROWS, 7)
+        base_z, base_w = single_pass_samples(az, bw, samples)
+        c = self._coarse_edges(base_z, base_w, m, thr2)
+        c[_FULL_ROWS + 1::2] = 1e3  # fails the coarse stage
+        s = self._samples(_coarse_first(samples), az, bw)
+        coarse_ok = ~_bad(c, s[:, :, :-(-samples // _COARSE)], m, thr2)
+        survivors = np.flatnonzero(coarse_ok)
+        assert np.array_equal(survivors[:_FULL_ROWS], np.arange(_FULL_ROWS))
+        assert np.all(np.diff(survivors[_FULL_ROWS:2 * _FULL_ROWS]) == 2)
+
+        want = single_pass_feasible(c, base_z, base_w, m, thr2)
+        got, n_full = _feasible(c, s, m, thr2)
+        assert np.array_equal(got, want)
+        assert n_full == survivors.size
+        for blk in (survivors[:_FULL_ROWS], survivors[_FULL_ROWS:2 * _FULL_ROWS]):
+            assert np.any(want[blk]) and not np.all(want[blk])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 4.0), st.floats(-math.pi, math.pi), st.floats(-4.0, 4.0),
+           st.floats(-4.0, 4.0), st.integers(1, 32), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    @example(1.0, math.pi, 1.0, 0.0, 1, 0.5, 0.9)  # where |1 + cZ| falls below 1
+    def test_scale_test_value_nondecreasing(self, r, theta, wr, wi, m, u1, u2):
+        """Per sample, ``G(c) = c^2 |W|^2 max(1, |1 + cZ|^(2m))`` does not
+        fall as ``c >= 0`` grows, so a disc's feasible scales are an interval
+        from 0 and the bracket closes on its end (float64, to within its
+        rounding).  ``Z = r e^(i theta)`` and ``c = u / r``, so ``|cZ| = u``
+        covers the scales where ``|1 + cZ| < 1``."""
+        zr, zi = r * math.cos(theta), r * math.sin(theta)
+        c1, c2 = sorted((u1 / r, u2 / r))
+
+        def g(c):
+            return c * c * (wr * wr + wi * wi) * max(1.0, ((1.0 + c * zr)**2 + (c * zi)**2)**m)
+
+        assert g(c1) <= g(c2) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("samples", [130, 200])
     @pytest.mark.parametrize("seed", [0, 11])
