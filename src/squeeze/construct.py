@@ -302,34 +302,22 @@ def _staircase_profile(params: ConstructionParams, radii: list[Fraction],
     ``phi(t_{k+1}) = phi(t_k) - n_k (t_{k+1} - t_k)`` outward; the edge nodes
     carry the last exponent's slope out to the annulus boundary.
     """
-    a_float = float(params.a)
-    t_max = math.log(a_float)
+    te_max = Fraction(math.log(float(params.a)))
     ks = params.levels
     if ks == 0:
-        return RadialProfile(
-            breakpoints=(-t_max, t_max),
-            values=(0.0, 0.0),
-            symmetric=True,
-            pseudoconvex=True,
-        )
-    ts = [math.log(float(radii[k])) for k in range(1, ks + 1)]
-    te = [Fraction(t) for t in ts]
-    te_max = Fraction(t_max)
-    ve = [Fraction(0)]
-    for j in range(ks - 1):
-        ve.append(ve[j] - exponents[j] * (te[j + 1] - te[j]))
-    v_edge = ve[-1] - exponents[ks - 1] * (te_max - te[-1])
-
-    eb = [-te_max] + [-t for t in reversed(te)] + te + [te_max]
-    ev = [v_edge] + list(reversed(ve)) + ve + [v_edge]
-    return RadialProfile(
-        breakpoints=tuple(float(t) for t in eb),
-        values=tuple(float(v) for v in ev),
-        symmetric=True,
-        pseudoconvex=True,
-        exact_breakpoints=tuple(eb),
-        exact_values=tuple(ev),
-    )
+        eb, ev = (-te_max, te_max), (0, 0)
+    else:
+        te = [Fraction(math.log(float(radii[k]))) for k in range(1, ks + 1)]
+        ve = [Fraction(0)]
+        for j in range(ks - 1):
+            ve.append(ve[j] - exponents[j] * (te[j + 1] - te[j]))
+        v_edge = ve[-1] - exponents[ks - 1] * (te_max - te[-1])
+        eb = [-te_max] + [-t for t in reversed(te)] + te + [te_max]
+        ev = [v_edge] + ve[::-1] + ve + [v_edge]
+    profile = RadialProfile(eb, ev)
+    if not (profile.symmetric and profile.pseudoconvex):
+        raise ValidationError("staircase profile is not symmetric and strictly concave")
+    return profile
 
 
 def certify_levels(params: ConstructionParams) -> tuple[ReinhardtDomain, tuple[LevelRecord, ...]]:

@@ -10,10 +10,11 @@ together with the ``w = 0`` axis over the same annulus.  All membership and
 slice geometry is evaluated in log space, so astronomically large monomial
 coefficients (the heights drop by thousands of log units) never overflow.
 
-Profiles carry exact dyadic-rational mirrors of their breakpoints and heights
-(``fractions.Fraction`` of the stored doubles).  Certified containment checks
-run on the exact mirrors, which makes equality-riding comparisons (a profile
-segment lying exactly on a model boundary) decidable with no tolerance.
+Profiles hold their breakpoints and heights once, as exact dyadic rationals
+(``fractions.Fraction``), with the nearest doubles derived for the float
+paths.  Certified containment checks run on the exact data, which makes
+equality-riding comparisons (a profile segment lying exactly on a model
+boundary) decidable with no tolerance.
 """
 
 from __future__ import annotations
@@ -87,70 +88,51 @@ def _as_point(p) -> PointC2:
     raise ValidationError(f"cannot interpret {p!r} as a point of C^2")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RadialProfile:
     """Piecewise-linear concave log-radius profile.
 
     ``values[i]`` is ``phi(breakpoints[i])``; between breakpoints the profile
     interpolates linearly and beyond the first/last breakpoint it continues
-    with the adjacent slope.  ``exact_breakpoints`` / ``exact_values`` are
-    dyadic-rational mirrors used by certified comparisons; by default they are
-    the exact rational values of the stored doubles.
+    with the adjacent slope.  Each datum is given once, as a double or an
+    exact rational, and kept exactly in ``exact_breakpoints`` /
+    ``exact_values``; ``breakpoints`` / ``values`` are their nearest doubles,
+    on which equality and hashing rest.  ``symmetric`` and ``pseudoconvex``
+    are decided from the exact data.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    symmetric: bool = False
-    pseudoconvex: bool = False
-    exact_breakpoints: tuple[Fraction, ...] = field(default=None, repr=False)
-    exact_values: tuple[Fraction, ...] = field(default=None, repr=False)
+    exact_breakpoints: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    exact_values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bps = tuple(float(t) for t in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        if len(bps) < 2:
+        eb = tuple(map(_exact, self.breakpoints))
+        ev = tuple(map(_exact, self.values))
+        if len(eb) < 2:
             raise ValidationError("profile needs at least two breakpoints")
-        if len(bps) != len(vals):
+        if len(eb) != len(ev):
             raise ValidationError("breakpoints and values length mismatch")
-        _require_finite(bps, vals)
-        if self.exact_breakpoints is None:
-            object.__setattr__(
-                self, "exact_breakpoints", tuple(Fraction(t) for t in bps)
-            )
-        if self.exact_values is None:
-            object.__setattr__(self, "exact_values", tuple(Fraction(v) for v in vals))
-        if len(self.exact_breakpoints) != len(bps) or len(self.exact_values) != len(vals):
-            raise ValidationError("exact mirrors length mismatch")
-        for t, te in zip(bps, self.exact_breakpoints):
-            if float(te) != t:
-                raise ValidationError("exact breakpoint does not project to its double")
-        for v, ve in zip(vals, self.exact_values):
-            if not math.isclose(float(ve), v, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValidationError("exact value inconsistent with stored double")
-        for a, b in zip(self.exact_breakpoints, self.exact_breakpoints[1:]):
+        for a, b in zip(eb, eb[1:]):
             if not a < b:
                 raise ValidationError("breakpoints must be strictly increasing")
-        if self.pseudoconvex and not self.is_concave(strict=True):
-            raise ValidationError("pseudoconvex flag requires strictly decreasing slopes")
-        if self.symmetric and self._asymmetry is not None:
-            raise ValidationError(f"symmetric flag requires mirrored {self._asymmetry[1]}")
+        try:
+            bps, vals = tuple(map(float, eb)), tuple(map(float, ev))
+        except OverflowError:
+            raise ValidationError("profile breakpoints and values must be finite") from None
+        for name, value in (("exact_breakpoints", eb), ("exact_values", ev),
+                            ("breakpoints", bps), ("values", vals)):
+            object.__setattr__(self, name, value)
 
-    # equality is on the observable double-precision content; exact mirrors
-    # follow from it up to anchoring and are certification aids
-    def __eq__(self, other):
-        if not isinstance(other, RadialProfile):
-            return NotImplemented
-        return (
-            self.breakpoints == other.breakpoints
-            and self.values == other.values
-            and self.symmetric == other.symmetric
-            and self.pseudoconvex == other.pseudoconvex
-        )
+    @property
+    def symmetric(self) -> bool:
+        """Exact mirror symmetry of breakpoints and heights under ``t -> -t``."""
+        return self._asymmetry is None
 
-    def __hash__(self):
-        return hash((self.breakpoints, self.values, self.symmetric, self.pseudoconvex))
+    @property
+    def pseudoconvex(self) -> bool:
+        """Strictly decreasing exact slopes."""
+        return self.is_concave(strict=True)
 
     # ------------------------------------------------------------------ float
     def slopes(self) -> tuple[float, ...]:
@@ -264,10 +246,7 @@ class ReinhardtDomain:
             raise ValidationError("t_min must be strictly below t_max")
         if not self.inner_radius() > 0.0:
             raise ValidationError("inner annulus radius exp(t_min) underflows to 0")
-        try:
-            self.outer_radius()
-        except OverflowError:
-            raise ValidationError("outer annulus radius exp(t_max) overflows") from None
+        self.outer_radius()  # raises ValidationError if exp(t_max) overflows
         bps = self.profile.breakpoints
         if bps[0] < self.t_min or bps[-1] > self.t_max:
             raise ValidationError("profile breakpoints must lie within [t_min, t_max]")
@@ -291,7 +270,7 @@ class ReinhardtDomain:
         return math.exp(self.t_min)
 
     def outer_radius(self) -> float:
-        return math.exp(self.t_max)
+        return _exp(self.t_max, "outer annulus radius exp(t_max)")
 
     def slice_radii(self, z0: complex) -> tuple[float, float]:
         """Radii of the largest horizontal/vertical discs through ``(z0, 0)``."""
@@ -299,7 +278,7 @@ class ReinhardtDomain:
         if not self.contains(PointC2(z0, 0.0)):
             raise ValidationError(f"(z0, 0) with z0 = {z0!r} is not in the domain")
         rz = abs(z0)
-        r_v = math.exp(self.profile.eval(math.log(rz)))
+        r_v = _exp(self.profile.eval(math.log(rz)), "vertical slice radius")
         r_h = min(rz - self.inner_radius(), self.outer_radius() - rz)
         return r_h, r_v
 
@@ -314,7 +293,7 @@ class ReinhardtDomain:
             raise ValidationError("basepoint must lie in the domain")
         rz, rw = p.moduli()
         phi_max = self.max_log_height()
-        r = math.hypot(self.outer_radius() + rz, math.exp(phi_max) + rw)
+        r = math.hypot(self.outer_radius() + rz, _exp(phi_max, "largest w-radius") + rw)
         return r * (1.0 + GUARD_REL)
 
     def boundary_distance_lower(self, p, resolution: int = DEFAULT_GRID) -> float:
@@ -368,10 +347,23 @@ class ReinhardtDomain:
 
 
 # ------------------------------------------------------------------ module ops
-def _require_finite(bps, vals) -> None:
-    """Reject non-finite profile data before any exact mirror is built."""
-    if not all(map(math.isfinite, (*bps, *vals))):
-        raise ValidationError("profile breakpoints and values must be finite")
+def _exact(x) -> Fraction:
+    """A profile datum as an exact rational: an int or a ``Fraction`` as
+    given, anything else as its nearest double, which must be finite."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValidationError("profile breakpoints and values must be finite")
+    return Fraction(x)
+
+
+def _exp(x: float, what: str) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValidationError(f"{what} overflows a double") from None
 
 
 def box_distance(u0, u1, r_lo, r_hi, rz: float, rw: float) -> float:
@@ -415,15 +407,7 @@ def annulus_model_domain(a_ratio: float, b_ratio: float, m: int) -> ReinhardtDom
         raise ValidationError("model exponent must be >= 1")
     ta = math.log(a_ratio)
     tb = math.log(b_ratio)
-    ta_e = Fraction(ta)
-    tb_e = Fraction(tb)
-    vb_e = -m * tb_e
-    profile = RadialProfile(
-        breakpoints=(ta, 0.0, tb),
-        values=(0.0, 0.0, float(vb_e)),
-        exact_breakpoints=(ta_e, Fraction(0), tb_e),
-        exact_values=(Fraction(0), Fraction(0), vb_e),
-    )
+    profile = RadialProfile((ta, 0, tb), (0, 0, -m * Fraction(tb)))
     return ReinhardtDomain(profile, ta, tb)
 
 
@@ -448,17 +432,21 @@ def domain_to_doc(domain: ReinhardtDomain) -> dict:
     }
 
 
-def _snap_exact_values(bps: tuple[float, ...], vals: tuple[float, ...]):
-    """Rebuild exact heights from integer slopes when the data supports it.
+def _snap_exact_values(bps: tuple[float, ...], eb: tuple[Fraction, ...],
+                       vals: tuple[float, ...]):
+    """Exact heights rebuilt from integer slopes when the data supports it.
 
     Profiles produced by the construction have exact integer slopes; parsing
     doubles loses the exact accumulation identities.  If every slope is within
-    1e-9 of an integer, re-accumulate exactly from the highest breakpoint.
-    Returns None when slopes are not integer-like.
+    1e-9 of an integer, re-accumulate exactly from the highest breakpoint
+    (``eb`` holds the breakpoints ``bps`` exactly), and keep the result only
+    if every height rounds to its stored double.  Returns None otherwise, and
+    on heights that are not finite or breakpoints that do not increase.
     """
-    eb = tuple(Fraction(t) for t in bps)
     slopes = []
     for i in range(len(bps) - 1):
+        if not bps[i] < bps[i + 1]:
+            return None
         s = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
         if not math.isfinite(s):
             return None
@@ -473,25 +461,45 @@ def _snap_exact_values(bps: tuple[float, ...], vals: tuple[float, ...]):
         ev[i] = ev[i - 1] + slopes[i - 1] * (eb[i] - eb[i - 1])
     for i in range(anchor - 1, -1, -1):
         ev[i] = ev[i + 1] - slopes[i] * (eb[i + 1] - eb[i])
-    for v, e in zip(vals, ev):
-        if not math.isclose(float(e), v, rel_tol=1e-9, abs_tol=1e-9):
+    try:
+        if any(float(e) != v for e, v in zip(ev, vals)):
             return None
-    return eb, tuple(ev)
+    except OverflowError:
+        return None
+    return ev
+
+
+def _doc_reals(what: str, items) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, items))
+    except (TypeError, ValueError):
+        raise ValidationError(f"domain document {what} must be decimal strings") from None
 
 
 def domain_from_doc(doc: dict) -> ReinhardtDomain:
+    """The domain of a ``domain_to_doc`` document.  Its flags are checked as
+    outside input: one that claims a symmetry or a strict concavity the data
+    lack raises ``ValidationError``; the domain's own flags are derived."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"domain document must be an object, not {type(doc).__name__}")
     if doc.get("version") != _DOC_VERSION:
         raise ValidationError(f"unsupported domain document version: {doc.get('version')!r}")
-    bps = tuple(float(pair[0]) for pair in doc["breakpoints"])
-    vals = tuple(float(pair[1]) for pair in doc["breakpoints"])
-    flags = doc.get("flags", {})
-    _require_finite(bps, vals)
-    eb, ev = _snap_exact_values(bps, vals) or (None, None)
-    profile = RadialProfile(
-        bps, vals,
-        symmetric=bool(flags.get("symmetric", False)),
-        pseudoconvex=bool(flags.get("pseudoconvex", False)),
-        exact_breakpoints=eb, exact_values=ev,
-    )
+    missing = [key for key in ("t_min", "t_max", "breakpoints") if key not in doc]
+    if missing:
+        raise ValidationError(f"domain document lacks {', '.join(missing)}")
+    pairs, flags = doc["breakpoints"], doc.get("flags", {})
+    if not (isinstance(pairs, (list, tuple))
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
+        raise ValidationError("domain document breakpoints must be a list of [t, phi(t)] pairs")
+    if not isinstance(flags, dict):
+        raise ValidationError("domain document flags must be an object")
+    bps = _doc_reals("breakpoints", (t for t, _ in pairs))
+    vals = _doc_reals("heights", (v for _, v in pairs))
+    t_min, t_max = _doc_reals("annulus edges", (doc["t_min"], doc["t_max"]))
+    eb = tuple(map(_exact, bps))
+    profile = RadialProfile(eb, _snap_exact_values(bps, eb, vals) or vals)
     profile.slopes()  # a slope that overflows a double raises ValidationError
-    return ReinhardtDomain(profile, float(doc["t_min"]), float(doc["t_max"]))
+    for name in ("symmetric", "pseudoconvex"):
+        if flags.get(name) and not getattr(profile, name):
+            raise ValidationError(f"domain document claims {name}, which its profile is not")
+    return ReinhardtDomain(profile, t_min, t_max)

@@ -190,15 +190,7 @@ def shear_normalize(domain: ReinhardtDomain, k: int) -> tuple[ReinhardtDomain, A
         v - v_k + n_left * (t - t_k)
         for t, v in zip(profile.exact_breakpoints, profile.exact_values)
     )
-    image = RadialProfile(
-        breakpoints=tuple(float(t) for t in eb),
-        values=tuple(float(v) for v in ev),
-        symmetric=False,
-        pseudoconvex=profile.pseudoconvex,
-        exact_breakpoints=eb,
-        exact_values=ev,
-    )
-    return ReinhardtDomain(image, *shear_edges(domain, t_k)), mp
+    return ReinhardtDomain(RadialProfile(eb, ev), *shear_edges(domain, t_k)), mp
 
 
 def shear_edges(domain: ReinhardtDomain, t_k: Fraction) -> tuple[float, float]:

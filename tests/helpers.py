@@ -468,20 +468,12 @@ def dense_levi_face(sd, t):
 def perturb_value(profile: RadialProfile, index: int, delta: float) -> RadialProfile:
     """Copy of ``profile`` with breakpoint height ``index`` raised by ``delta``.
 
-    The perturbation is applied to the exact mirror too, so certified checks
-    see it exactly.  Used by the mutation tests.
+    The perturbation is applied to the exact height, so certified checks see
+    it exactly.  Used by the mutation tests.
     """
-    vals = list(profile.values)
     exact = list(profile.exact_values)
-    exact[index] = exact[index] + Fraction(delta)
-    vals[index] = float(exact[index])
-    return replace(
-        profile,
-        values=tuple(vals),
-        exact_values=tuple(exact),
-        symmetric=False,
-        pseudoconvex=False,
-    )
+    exact[index] += Fraction(delta)
+    return RadialProfile(profile.exact_breakpoints, exact)
 
 
 def boundary_distance_brute(domain, p, resolution: int) -> float:
@@ -736,7 +728,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def eval_exact(profile: RadialProfile, t: Fraction) -> Fraction:
-    """Exact piecewise-linear evaluation of ``profile`` on its dyadic mirrors."""
+    """Exact piecewise-linear evaluation of ``profile`` on its exact data."""
     bs, vs = profile.exact_breakpoints, profile.exact_values
     slopes = profile.exact_slopes()
     if t <= bs[0]:
@@ -826,11 +818,7 @@ def restrict_to_annulus(domain, lo: float, hi: float):
             ev.append(v)
     eb.append(hi_e)
     ev.append(eval_exact(prof, hi_e))
-    trimmed = RadialProfile(
-        breakpoints=tuple(float(t) for t in eb), values=tuple(float(v) for v in ev),
-        exact_breakpoints=tuple(eb), exact_values=tuple(ev),
-    )
-    return ReinhardtDomain(trimmed, lo, hi)
+    return ReinhardtDomain(RadialProfile(eb, ev), lo, hi)
 
 
 def squeezing_upper_slice_path(domain, k: int, model_lo_log=None, model_hi_log=None,

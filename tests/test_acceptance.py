@@ -88,7 +88,7 @@ def test_criterion_2_headline_nonpsh_certificate(tmp_path):
 def test_criterion_3_containment_exactness(headline, p0):
     for _params, domain, cert in (p0, headline):
         n = len(domain.profile.breakpoints)
-        # exact breakpoint check, recomputed here on the rational mirrors
+        # exact breakpoint check, recomputed here on the exact data
         for rec in cert.levels:
             idx = domain.profile.breakpoints.index(math.log(rec.a_k))
             image, _ = shear_normalize(domain, idx)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from squeeze import (
+    ConstructionParams,
     PointC2,
     LogPoint,
     RadialProfile,
@@ -13,8 +14,9 @@ from squeeze import (
     ValidationError,
     CertificationError,
     annulus_model_domain,
+    build,
 )
-from squeeze.domain import box_distance, domain_from_doc, domain_to_doc
+from squeeze.domain import box_distance, domain_from_doc, domain_to_doc, fmt
 from squeeze.schema import validate_doc
 
 from helpers import (STAIRCASES, boundary_distance_brute, flat_annulus, perturb_value,
@@ -267,15 +269,125 @@ def test_profile_validation():
         RadialProfile((0.0, 0.0), (0.0, 0.0))  # not increasing
     with pytest.raises(ValidationError):
         RadialProfile((0.0,), (0.0,))  # too short
-    with pytest.raises(ValidationError):
-        RadialProfile((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), pseudoconvex=True)
-    with pytest.raises(ValidationError):
-        RadialProfile((0.0, 1.0), (0.0, -1.0), symmetric=True)
+    with pytest.raises(ValidationError, match="must be finite"):
+        RadialProfile((0, 1), (0, Fraction(10) ** 400))  # exact, but no double
+
+
+def test_profile_from_doubles_equals_profile_from_their_exact_values(p0):
+    _, domain, _ = p0
+    prof = domain.profile
+    doubles = RadialProfile(prof.breakpoints, prof.values)
+    exact = RadialProfile(tuple(map(Fraction, prof.breakpoints)),
+                          tuple(map(Fraction, prof.values)))
+    assert doubles == exact and hash(doubles) == hash(exact)
+    assert exact.exact_values == doubles.exact_values == tuple(map(Fraction, prof.values))
+    # equality and hashing are on the doubles: the staircase's exact heights
+    # are not doubles, yet it equals the profile of its doubles
+    assert prof.exact_values != exact.exact_values
+    assert prof == exact and hash(prof) == hash(exact)
+    assert perturb_value(prof, 2, 1e-6) != prof
+
+
+def test_flags_are_decided_from_the_exact_data(p0):
+    _, domain, _ = p0
+    prof = domain.profile
+    assert prof.symmetric and prof.pseudoconvex
+    raised = perturb_value(prof, 2, 1e-6)  # one-sided: the mirror height stays
+    assert not raised.symmetric and raised.pseudoconvex
+    flat_corner = RadialProfile((-1.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+    assert flat_corner.symmetric and not flat_corner.pseudoconvex
+    # a flat corner at a kink: the height at -t_k on the chord of its neighbours
+    eb, ev = prof.exact_breakpoints, list(prof.exact_values)
+    ev[2] = ev[1] + (ev[3] - ev[1]) * (eb[2] - eb[1]) / (eb[3] - eb[1])
+    cornered = RadialProfile(eb, ev)
+    assert not cornered.symmetric and not cornered.pseudoconvex
+    assert cornered.is_concave()
+
+
+@pytest.mark.parametrize("flag, bps, vals", [
+    ("pseudoconvex", (0.0, 1.0, 2.0), (0.0, 0.0, 0.0)),
+    ("symmetric", (0.0, 1.0), (0.0, -1.0)),
+])
+def test_doc_flags_must_hold(flag, bps, vals):
+    doc = domain_to_doc(ReinhardtDomain(RadialProfile(bps, vals), bps[0], bps[-1]))
+    assert doc["flags"][flag] is False
+    doc["flags"][flag] = True
+    validate_doc("domain", doc)  # the schema does not read the data
+    with pytest.raises(ValidationError, match=f"claims {flag}"):
+        domain_from_doc(doc)
+
+
+def test_doc_with_false_flags_loads_with_its_true_flags(p0):
+    _, domain, _ = p0
+    doc = domain_to_doc(domain)
+    doc["flags"] = {"symmetric": False, "pseudoconvex": False}
+    loaded = domain_from_doc(doc)
+    assert loaded.profile.symmetric and loaded.profile.pseudoconvex
+    assert domain_to_doc(loaded) == domain_to_doc(domain)
+
+
+def _benchmark_staircase(schedule: str, levels: int):
+    if schedule == "harmonic":
+        return build(ConstructionParams(a="2", levels=levels))[0]
+    return staircase(schedule, levels)
+
+
+@pytest.mark.parametrize("schedule, levels",
+                         STAIRCASES + [("harmonic", levels) for levels in range(1, 5)])
+def test_doc_round_trip_on_the_benchmark_grid(schedule, levels):
+    domain = _benchmark_staircase(schedule, levels)
+    doc = json.loads(json.dumps(domain_to_doc(domain)))
+    assert doc["flags"] == {"symmetric": True, "pseudoconvex": True}
+    loaded = domain_from_doc(doc)
+    assert domain_to_doc(loaded) == doc
+    assert loaded.profile.exact_values == domain.profile.exact_values
+
+
+def test_a_height_moved_by_one_ulp_is_not_snapped(p0):
+    # the slopes stay within 1e-9 of integers, but the re-accumulated
+    # heights no longer round to the document's doubles
+    _, domain, _ = p0
+    doc = json.loads(json.dumps(domain_to_doc(domain)))
+    n = len(doc["breakpoints"])
+    moved = math.nextafter(domain.profile.values[2], -math.inf)
+    for i in (2, n - 3):  # both mirrors, so the symmetric flag still holds
+        doc["breakpoints"][i][1] = fmt(moved)
+    loaded = domain_from_doc(doc)
+    assert loaded.profile.values[2] == moved
+    assert loaded.profile.exact_values == tuple(map(Fraction, loaded.profile.values))
+    assert domain_to_doc(loaded) == doc
+
+
+def _malformed_doc(kind: str):
+    doc = json.loads(json.dumps(domain_to_doc(flat_annulus())))
+    if kind == "no t_min":
+        del doc["t_min"]
+    elif kind == "one-element pair":
+        doc["breakpoints"][0] = doc["breakpoints"][0][:1]
+    elif kind == "height x":
+        doc["breakpoints"][0][1] = "x"
+    elif kind == "list":
+        return [doc]
+    elif kind == "null breakpoints":
+        doc["breakpoints"] = None
+    return doc
+
+
+@pytest.mark.parametrize("kind, match", [
+    ("no t_min", "lacks t_min"),
+    ("one-element pair", "breakpoints must be a list"),
+    ("height x", "heights must be decimal strings"),
+    ("list", "must be an object, not list"),
+    ("null breakpoints", "breakpoints must be a list"),
+])
+def test_malformed_doc_raises_validation_error(kind, match):
+    with pytest.raises(ValidationError, match=match):
+        domain_from_doc(_malformed_doc(kind))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_profile_data_rejected(p0, bad):
-    # checked before the exact mirrors are built: Fraction raises ValueError
+    # checked before the exact values are built: Fraction raises ValueError
     # on nan and OverflowError on an infinity
     for bps, vals in (((0.0, 1.0), (0.0, float(bad))), ((0.0, float(bad)), (0.0, 0.0))):
         with pytest.raises(ValidationError, match="must be finite"):
@@ -321,6 +433,16 @@ def test_outer_radius_must_not_overflow():
         domain_from_doc(doc)
 
 
+def test_heights_whose_radius_overflows_a_double():
+    # exp(800) is past the largest double: the domain constructs, and the
+    # radii that need it refuse
+    domain = ReinhardtDomain(RadialProfile((-1.0, 1.0), (800.0, 800.0)), -1.0, 1.0)
+    with pytest.raises(ValidationError, match="overflows a double"):
+        domain.outer_radius_upper((1, 0))
+    with pytest.raises(ValidationError, match="overflows a double"):
+        domain.slice_radii(1.0)
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_profile_eval_rejects_non_finite(t):
     with pytest.raises(ValidationError, match="must be finite"):
@@ -339,6 +461,18 @@ def test_overflowing_slope_rejected_by_domain_from_doc():
     validate_doc("domain", doc)  # finite decimal strings pass the schema
     with pytest.raises(ValidationError, match="overflows a double"):
         domain_from_doc(doc)
+
+
+def test_snap_whose_heights_overflow_a_double_is_not_taken():
+    # integer slopes, but re-accumulated from the first height the last one
+    # lands past the largest double: the heights load as the document's
+    pairs = [["0", "1.7976931348623157e+308"], ["1", "4.537696805368435e+307"],
+             ["2.2", "1.7976931348623157e+308"]]
+    doc = {"version": 1, "breakpoints": pairs, "t_min": "0", "t_max": "2.2",
+           "flags": {"symmetric": False, "pseudoconvex": False}}
+    profile = domain_from_doc(doc).profile
+    assert profile.values == tuple(float(v) for _, v in pairs)
+    assert profile.exact_values == tuple(map(Fraction, profile.values))
 
 
 def test_domain_validation():
