@@ -334,7 +334,10 @@ class ReinhardtDomain:
             knots_u = np.exp(np.asarray(self.profile.breakpoints))
             knots_u = knots_u[(knots_u > u_lo) & (knots_u < u_hi)]
             u = np.unique(np.concatenate([grid, knots_u]))
-            r = np.exp(self.profile.eval_many(np.log(u)))
+            # a height past 709 gives an infinite radius: that only moves
+            # the surface away from any point of the domain
+            with np.errstate(over="ignore"):
+                r = np.exp(self.profile.eval_many(np.log(u)))
             cap_u = [u_lo, u_hi]
             cap_r = [math.exp(min(self.profile.eval(t), 709.0)) for t in (self.t_min, self.t_max)]
             cells = (np.concatenate([u[:-1], cap_u]), np.concatenate([u[1:], cap_u]),

@@ -221,10 +221,25 @@ class DiscCandidate:
 
 
 def _polyval(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Horner's rule in one buffer: ``acc *= zeta; acc += c`` are the
+    operations of ``acc = acc * zeta + c`` in the same order, so every value
+    is the same bit for bit."""
     acc = np.full_like(zeta, coeffs[-1], dtype=complex)
     for c in coeffs[-2::-1]:
-        acc = acc * zeta + c
+        acc *= zeta
+        acc += c
     return acc
+
+
+def _disc_coordinate(out: np.ndarray, base: complex, slope: complex,
+                     zeta: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``base + slope * zeta + tail`` written into ``out`` and returned: the
+    operations of that expression in the same order, so every sample is the
+    same bit for bit."""
+    np.multiply(slope, zeta, out=out)
+    np.add(base, out, out=out)
+    out += tail
+    return out
 
 
 # ------------------------------------------------------- shared local search
@@ -510,12 +525,14 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     # checks settled on the witness block, checks over all samples
     counts = [0, 0, 0, 0, 0]
     ladder_counts = [0, 0]  # ladder queries answered from the bracket, regula-falsi steps
+    disc = np.empty((2, samples), dtype=complex)  # the disc's z and w on the samples
 
     def defect(tau: float, zeta: np.ndarray, tail_z: np.ndarray, tail_w: np.ndarray):
         """The defect of the disc of scale ``tau`` on the samples ``zeta``."""
         counts[2] += 1
-        return adapter.defect(p.z + tau * xi.xi_z * zeta + tail_z,
-                              p.w + tau * xi.xi_w * zeta + tail_w)
+        n = zeta.size
+        return adapter.defect(_disc_coordinate(disc[0, :n], p.z, tau * xi.xi_z, zeta, tail_z),
+                              _disc_coordinate(disc[1, :n], p.w, tau * xi.xi_w, zeta, tail_w))
 
     def excess(tz: _Tail, tw: _Tail, tau: float) -> float:
         """The worst sampled defect plus the margin; a lower bound if the
@@ -574,6 +591,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
 
     # honesty pass: the returned disc must clear a 10x finer sampling
     zeta_fine = _circle(10 * samples)
+    disc = np.empty((2, zeta_fine.size), dtype=complex)  # defect's buffers from here on
     fine_z, fine_w = (_polyval(tails.tail(c).coeffs, zeta_fine) for c in tail_arrays(best_x))
     for _ in range(200):
         fine_defect = float(np.max(defect(best_tau, zeta_fine, fine_z, fine_w)))
@@ -668,42 +686,69 @@ def _monomial_grad(indices, p: PointC2, xi: Direction):
     return np.asarray(out)
 
 
-_SLACK = 1e-13  # relative slack of the witness-block bound
+_SLACK = 1e-13  # relative slack of the subset bounds
+_STRIDE = 16  # the strided subset holds every 16th boundary row
 
 
 def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
     """The objective ``|d.c| / (safety * max |b @ c|)`` of the Carathéodory
     search for ``_adaptive_search``, and its counts: objective calls,
-    proposals rejected on the witness block, evaluations over all rows.
+    proposals settled on the incumbent's worst row, on the witness block and
+    on the strided subset, evaluations over all rows.
 
-    For ``bar > 0`` the objective first computes ``v = max |b[W] @ c|`` on
-    the witness block ``W``: the ``_SEARCH_BLOCK`` contiguous rows that held
-    the worst row of the last evaluation that beat its bar, that is, of the
-    incumbent.  Summed in any order, a row's product is off by less than
-    ``slack = 1e-13 * max_{i in W} |b_i| * |c|`` (N. J. Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section
-    3.1), so the full sup is at least ``v - slack`` whichever rows BLAS
-    evaluates together.  If ``|d.c| <= bar * safety * (v - slack) * (1 -
-    1e-13)``, the full value cannot exceed ``bar`` even after its three
-    roundings, and 0.0 is returned; otherwise the value over all rows is
-    computed exactly as without the bound."""
+    For ``bar > 0`` the objective first tries to show that the value cannot
+    exceed ``bar`` without the product over all rows, and returns 0.0 if it
+    can.  The incumbent is the last evaluation that beat its bar.
+
+    - **The incumbent's worst row** ``r``.  If the incumbent's value is at
+      most ``bar``, ``|d.c|`` is at most the incumbent's, and ``c`` equals
+      the incumbent's coefficients wherever ``b[r]`` is not zero, then the
+      value cannot exceed ``bar``.  A zero entry adds only a signed zero to
+      row ``r``'s product, so, with BLAS summing a row's terms in an order
+      fixed by the shapes (as every reproducible run already needs), row
+      ``r``'s modulus is the incumbent's sup bit for bit; the sup is at
+      least that, and each rounding of the quotient is monotone.  This
+      settles proposals that move only coefficients whose monomials vanish
+      at ``r``, which would tie the incumbent.
+    - **A subset** ``S`` of the rows, with ``v = max |b[S] @ c|``.  Summed in
+      any order, a row's product is off by less than ``slack = 1e-13 *
+      max_{i in S} |b_i| * |c|`` (N. J. Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., SIAM 2002, section 3.1), so the full
+      sup is at least ``v - slack`` whichever rows BLAS evaluates together.
+      If ``|d.c| <= bar * safety * (v - slack) * (1 - 1e-13)``, the full
+      value cannot exceed ``bar`` even after its three roundings.  The
+      subsets are tried in turn: the witness block, the block of
+      ``_SEARCH_BLOCK`` contiguous rows that holds ``r``, then the strided
+      subset ``b[::_STRIDE]``, copied once.
+
+    Otherwise the value over all rows is computed exactly as without these
+    bounds."""
     blocks = [b[i:i + _SEARCH_BLOCK] for i in range(0, len(b), _SEARCH_BLOCK)]
     block_norms = [float(np.max(np.linalg.norm(blk, axis=1))) for blk in blocks]
+    strided = b[::_STRIDE].copy()
+    strided_norm = float(np.max(np.linalg.norm(strided, axis=1)))
     witness = 0
-    counts = [0, 0, 0]
+    held = None  # the incumbent: value, |d.c|, b[r] != 0, c where b[r] != 0
+    counts = [0, 0, 0, 0, 0]
 
     def objective(x: np.ndarray, bar: float = -math.inf) -> float:
-        nonlocal witness
+        nonlocal witness, held
         counts[0] += 1
         c = x.view(complex)
         dc = abs(np.dot(d, c))
         if bar > 0.0:
-            v = float(np.max(np.abs(blocks[witness] @ c)))
-            slack = _SLACK * block_norms[witness] * float(np.linalg.norm(c))
-            if dc <= bar * safety * (v - slack) * (1.0 - _SLACK):
+            if (held is not None and held[0] <= bar and dc <= held[1]
+                    and np.array_equal(c[held[2]], held[3])):
                 counts[1] += 1
                 return 0.0
-        counts[2] += 1
+            c_norm = float(np.linalg.norm(c))
+            for k, rows, norm in ((2, blocks[witness], block_norms[witness]),
+                                  (3, strided, strided_norm)):
+                v = float(np.max(np.abs(rows @ c)))
+                if dc <= bar * safety * (v - _SLACK * norm * c_norm) * (1.0 - _SLACK):
+                    counts[k] += 1
+                    return 0.0
+        counts[4] += 1
         a = np.abs(b @ c)
         worst = int(a.argmax())
         sup = float(a[worst])
@@ -712,9 +757,30 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
         value = float(dc / (safety * sup))
         if value > bar:
             witness = worst // _SEARCH_BLOCK
+            live = b[worst] != 0.0
+            held = (value, dc, live, c[live])
         return value
 
     return objective, counts
+
+
+def _top_seeds(objective, seeds: list[np.ndarray]) -> list[int]:
+    """The indices of the three best seeds by ``(value, index)``, best
+    first: those of ``sorted(((objective(s), i) ...), reverse=True)[:3]``
+    for values that are not NaN.
+
+    Once three seeds are held, seed ``i`` is scored with ``bar`` just below
+    the third-best value.  It enters by ``(value, index)`` exactly when its
+    value is at least that one (its index is the latest), that is, above
+    ``bar``, and then the value returned is exact; a seed that cannot enter
+    may be settled on a subset of the samples."""
+    top: list[tuple[float, int]] = []
+    for i, c in enumerate(seeds):
+        bar = math.nextafter(top[-1][0], -math.inf) if len(top) == 3 else -math.inf
+        value = objective(c.view(float), bar)
+        if value > bar:
+            top = sorted(top + [(value, i)], reverse=True)[:3]
+    return [i for _, i in top]
 
 
 def caratheodory_lower_search(domain, p, xi: Direction,
@@ -728,10 +794,12 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     adapter and inflated by ``safety``.  The basepoint must lie in the
     domain.
 
-    A proposal that cannot beat the incumbent is rejected on the witness
-    block alone (``_caratheodory_objective``): the bound is rigorous for any
-    summation order, so the search keeps and returns exactly what it would
-    with every proposal evaluated over all boundary samples.
+    A proposal that cannot beat the incumbent, and a seed that cannot enter
+    the three kept (``_top_seeds``), may be rejected on the incumbent's
+    worst row, the witness block or the strided subset alone
+    (``_caratheodory_objective``): each bound is rigorous, so the search
+    keeps and returns exactly what it would with every call evaluated over
+    all boundary samples.
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
@@ -772,21 +840,21 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     for _ in range(4):
         seeds.append(rng0.standard_normal(n) + 1j * rng0.standard_normal(n))
 
-    scored = sorted(
-        ((objective(c.view(float)), i) for i, c in enumerate(seeds)), reverse=True
-    )
+    top = _top_seeds(objective, seeds)
+    seed_passes = counts[4]
     best_val = 0.0
     best_c = np.zeros(n, dtype=complex)
     trace = []
-    for ridx, (_, sidx) in enumerate(scored[:3]):
+    for ridx, sidx in enumerate(top):
         rng = np.random.default_rng([seed, 11, ridx])
         x, val = _adaptive_search(objective, seeds[sidx].view(float), rng, budget)
         trace.append((ridx, val, 0.0))
         if val > best_val:
             best_val, best_c = val, x.view(complex).copy()
 
-    log.debug("function search: %d objective calls, %d proposals rejected on the "
-              "witness block, %d evaluations over all samples", *counts)
+    log.debug("function search: %d objective calls, %d settled on the incumbent's "
+              "worst row, %d on the witness block, %d on the strided subset, %d "
+              "evaluations over all samples (%d of them scoring seeds)", *counts, seed_passes)
     bound = Bound(
         quantity="caratheodory", side="lower", value=best_val, basepoint=p,
         direction=xi, certified=False,

@@ -16,7 +16,7 @@ from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
                               _coarse_first, _log_moduli, _monomial_at, _monomial_grad,
-                              _monomial_matrix, _polyval, _validate_indices)
+                              _monomial_matrix, _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
@@ -198,6 +198,15 @@ def unpruned_adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator
     return x, f
 
 
+def polyval_reference(coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Horner's rule with a new array per step: the reference for the
+    in-place ``estimate._polyval``."""
+    acc = np.full_like(zeta, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        acc = acc * zeta + c
+    return acc
+
+
 def unpruned_largest_feasible_tau(infeasible_at) -> float:
     """The disc-scale ladder with every rung tested: the reference for
     ``estimate._largest_feasible_tau``."""
@@ -244,8 +253,8 @@ def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
 
     def feasible_tau(x: np.ndarray) -> float:
         tz, tw = tail_arrays(x)
-        tz_val = _polyval(np.concatenate([[0.0, 0.0], tz]), zeta) if n_tail else 0.0
-        tw_val = _polyval(np.concatenate([[0.0, 0.0], tw]), zeta) if n_tail else 0.0
+        tz_val = polyval_reference(np.concatenate([[0.0, 0.0], tz]), zeta) if n_tail else 0.0
+        tw_val = polyval_reference(np.concatenate([[0.0, 0.0], tw]), zeta) if n_tail else 0.0
         tau = 1e-6
         if max_defect(tz_val, tw_val, tau) > -margin:
             return 0.0
@@ -295,8 +304,8 @@ def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     cz_t = np.concatenate([[0.0, 0.0], tz]) if n_tail else np.asarray([0.0, 0.0])
     cw_t = np.concatenate([[0.0, 0.0], tw]) if n_tail else np.asarray([0.0, 0.0])
     for _ in range(200):
-        z = p.z + best_tau * xi.xi_z * zeta_fine + _polyval(cz_t, zeta_fine)
-        w = p.w + best_tau * xi.xi_w * zeta_fine + _polyval(cw_t, zeta_fine)
+        z = p.z + best_tau * xi.xi_z * zeta_fine + polyval_reference(cz_t, zeta_fine)
+        w = p.w + best_tau * xi.xi_w * zeta_fine + polyval_reference(cw_t, zeta_fine)
         fine_defect = float(np.max(adapter.defect(z, w)))
         if fine_defect <= -0.5 * margin:
             break
@@ -335,9 +344,11 @@ def guarded_log_moduli(z, w):
 
 def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
                                        budget: int = 200, seed: int = 0,
-                                       safety: float = 1.01, return_trace: bool = False):
+                                       safety: float = 1.01, return_trace: bool = False,
+                                       scores: list | None = None):
     """``caratheodory_lower_search`` evaluating every proposal over all
-    boundary samples; the pruned search must agree bit for bit."""
+    boundary samples; the pruned search must agree bit for bit.  ``scores``,
+    if given, gains the seed pool's ``(value, index)`` pairs, best first."""
     adapter = _as_adapter(domain)
     p = _as_point(p)
     if index_set is None:
@@ -381,6 +392,8 @@ def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
         return out
 
     scored = sorted(((objective(as_real(c)), i) for i, c in enumerate(seeds)), reverse=True)
+    if scores is not None:
+        scores.extend(scored)
     best_val = 0.0
     best_c = np.zeros(n, dtype=complex)
     trace = []
@@ -671,7 +684,7 @@ def disc_coefficients(disc) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate(disc, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cz, cw = disc_coefficients(disc)
-    return _polyval(cz, zeta), _polyval(cw, zeta)
+    return polyval_reference(cz, zeta), polyval_reference(cw, zeta)
 
 
 def to_point(lp) -> PointC2:

@@ -16,7 +16,7 @@ from squeeze import (
     annulus_model_domain,
     build,
 )
-from squeeze.domain import box_distance, domain_from_doc, domain_to_doc, fmt
+from squeeze.domain import GUARD_REL, box_distance, domain_from_doc, domain_to_doc, fmt
 from squeeze.schema import validate_doc
 
 from helpers import (STAIRCASES, boundary_distance_brute, flat_annulus, perturb_value,
@@ -441,6 +441,17 @@ def test_heights_whose_radius_overflows_a_double():
         domain.outer_radius_upper((1, 0))
     with pytest.raises(ValidationError, match="overflows a double"):
         domain.slice_radii(1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_under_heights_whose_radius_overflows():
+    # the surface radii exp(800) are infinite, which only moves the surface
+    # away: the bound is the hole's, as under finite heights, with no warning
+    high = ReinhardtDomain(RadialProfile((-1.0, 1.0), (800.0, 800.0)), -1.0, 1.0)
+    finite = ReinhardtDomain(RadialProfile((-1.0, 1.0), (700.0, 700.0)), -1.0, 1.0)
+    got = high.boundary_distance_lower((1, 0))
+    assert got == finite.boundary_distance_lower((1, 0))
+    assert got == (1.0 - math.exp(-1.0)) * (1.0 - GUARD_REL)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])

@@ -19,17 +19,19 @@ from squeeze import (
     reference_metric,
 )
 from squeeze.construct import certify_levels
-from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _TAIL_MEMO,
-                              BallModel, DEFAULT_ANNULUS_INDEXES, PolydiscModel,
+from squeeze import estimate
+from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _STRIDE,
+                              _TAIL_MEMO, BallModel, DEFAULT_ANNULUS_INDEXES, PolydiscModel,
                               ReinhardtAdapter, _bad,
                               _caratheodory_objective, _circle_samples, _coarse_first,
-                              _DiscTails, _edge_above, _feasible, _int_power, _ladder,
-                              _largest_feasible_tau, _log_moduli, _monomial_at, _monomial_grad,
-                              _monomial_matrix, _polyval)
+                              _disc_coordinate, _DiscTails, _edge_above, _feasible, _int_power,
+                              _ladder, _largest_feasible_tau, _log_moduli, _monomial_at,
+                              _monomial_grad, _monomial_matrix, _polyval, _top_seeds)
 
 from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
-                     guarded_log_moduli, int_power_reference, row, single_pass_feasible,
-                     single_pass_samples, unpruned_caratheodory_lower_search, unpruned_disc_oracle,
+                     guarded_log_moduli, int_power_reference, polyval_reference, row,
+                     single_pass_feasible, single_pass_samples,
+                     unpruned_caratheodory_lower_search, unpruned_disc_oracle,
                      unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
 P0C = PointC2(0.0j, 0.0j)
@@ -415,6 +417,31 @@ def test_block_tails_and_defects_equal_full_slices(case, samples):
         assert tails.full(t_w).tobytes() == full_w.tobytes()
 
 
+@pytest.mark.parametrize("samples", [256, 2048, 20480, 1000])
+def test_polyval_and_disc_coordinates_equal_the_expressions(samples):
+    """The in-place Horner rule and disc build give the bits of the
+    expressions they replace, on all samples and on every block of the disc
+    search, the short last one included (1000 samples: 232)."""
+    zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
+    tails = _DiscTails(zeta)
+    rng = np.random.default_rng(samples)
+    points = [(p, xi) for _adapter, p, xi in _block_cases().values()]
+    points.append((PointC2(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))),
+                   Direction(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))))
+    for _ in range(3):
+        coeffs = np.concatenate([[0.0, 0.0], rng.standard_normal(5) + 1j * rng.standard_normal(5)])
+        for zb in [zeta] + tails.zeta_blocks:
+            tail = _polyval(coeffs, zb)
+            assert tail.tobytes() == polyval_reference(coeffs, zb).tobytes()
+            out = np.empty_like(zb)
+            for p, xi in points:
+                for tau in (1e-6, 0.3, 3.0):
+                    for base, x in ((p.z, xi.xi_z), (p.w, xi.xi_w)):
+                        got = _disc_coordinate(out, base, tau * x, zb, tail)
+                        assert got is out
+                        assert got.tobytes() == (base + tau * x * zb + tail).tobytes()
+
+
 def test_block_tail_memo_is_exact_and_bounded():
     zeta = np.exp(2j * math.pi * np.arange(1000) / 1000)
     tails = _DiscTails(zeta)
@@ -515,6 +542,110 @@ def test_pruned_caratheodory_matches_unpruned_reference_staircase(levels, seed):
                             unpruned_caratheodory_lower_search(domain, p, xi, **kw))
 
 
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 1.0]), max_size=12),
+       st.randoms(use_true_random=False))
+def test_top_seeds_rank_as_the_sorted_pool(values, rnd):
+    """With tied values, and any value at or below the bar for a seed that
+    does not beat it, the seeds kept are those of ``sorted(..., reverse=True)[:3]``."""
+    def objective(x, bar=-math.inf):
+        v = x[0]
+        return v if v > bar else rnd.choice([v, bar, min(0.0, bar), -math.inf])
+
+    seeds = [np.array([complex(v, i)]) for i, v in enumerate(values)]
+    want = sorted(((v, i) for i, v in enumerate(values)), reverse=True)[:3]
+    assert _top_seeds(objective, seeds) == [i for _v, i in want]
+
+
+@pytest.mark.parametrize("model", [PolydiscModel(), BallModel()], ids=["bidisc", "ball"])
+def test_seed_pool_with_tied_scores_matches_unpruned_reference(model, monkeypatch):
+    """With each monomial listed twice, four seeds tie for the best score
+    bit for bit, so the cut at three falls inside the tie: the search keeps
+    the seeds the reference's sort keeps, the later index first."""
+    kept = []
+    top_seeds = estimate._top_seeds
+    monkeypatch.setattr(estimate, "_top_seeds", lambda *a: kept.extend(top_seeds(*a)) or kept)
+    kw = dict(index_set=[(1, 0), (0, 1), (1, 0), (0, 1)], seed=0, budget=150, return_trace=True)
+    scores = []
+    want = unpruned_caratheodory_lower_search(model, P0C, XI11, scores=scores, **kw)
+    assert scores[0][0] == scores[3][0] > scores[4][0]
+    _assert_same_search(caratheodory_lower_search(model, P0C, XI11, **kw), want)
+    assert kept == [i for _v, i in scores[:3]]
+
+
+def test_caratheodory_full_passes_on_a_staircase_call(monkeypatch):
+    """The incumbent's worst row, the seed pool scored against the third-best
+    seed and the strided subset keep the function search at the second
+    level of the L3 staircase (seed 3, budget 150) under 120 evaluations
+    over all samples; with only the witness block it made 407, and now
+    makes 109."""
+    made = []
+    objective = estimate._caratheodory_objective
+    monkeypatch.setattr(estimate, "_caratheodory_objective",
+                        lambda *a: made.append(objective(*a)) or made[-1])
+    domain, p, xi, k = list(_staircase_calls(3))[1]
+    caratheodory_lower_search(domain, p, xi, seed=1 + k, budget=150)
+    calls, worst_row, witness, strided, full = made[0][1]
+    assert calls == 577 and worst_row + witness + strided + full == calls
+    assert min(worst_row, witness, strided) > 0
+    assert full <= 120
+
+
+def test_worst_row_rule_settles_only_losers(monkeypatch):
+    """Every proposal of the function searches of ``squeeze estimate`` on
+    the L3 staircase that is settled on the incumbent's worst row has a
+    value over all rows at most its bar."""
+    settled = []
+    make = estimate._caratheodory_objective
+
+    def spy(b, d, safety):
+        objective, counts = make(b, d, safety)
+        reference, _ = make(b, d, safety)
+
+        def checked(x, bar=-math.inf):
+            before = counts[1]
+            got = objective(x, bar)
+            if counts[1] > before:
+                settled.append(reference(x) <= bar)
+            return got
+
+        return checked, counts
+
+    monkeypatch.setattr(estimate, "_caratheodory_objective", spy)
+    for domain, p, xi, k in _caratheodory_calls(3):
+        caratheodory_lower_search(domain, p, xi, seed=1 + k, budget=150)
+    assert len(settled) > 100 and all(settled)
+
+
+def test_worst_row_rule_on_moves_where_the_worst_row_vanishes():
+    """Moves of the coefficients whose monomials vanish at the incumbent's
+    worst row, with ``|d.c|`` up or down, and of other coefficients: a
+    move that beats the incumbent gets its value over all rows exactly, and
+    one settled on the worst row does not beat it."""
+    settled = 0
+    for domain, p, xi, _k in _caratheodory_calls(3):
+        b, d = _caratheodory_problem(domain, p, xi)
+        reference, _ = _caratheodory_objective(b, d, 1.01)
+        rng = np.random.default_rng(6)
+        for c in _coefficients(rng, b.shape[1], 20):
+            zero = np.flatnonzero(b[int(np.abs(b @ c).argmax())] == 0.0)
+            if zero.size == 0:
+                continue
+            objective, counts = _caratheodory_objective(b, d, 1.01)
+            bar = objective(c.view(float))
+            for _ in range(10):
+                moved = c.copy()
+                j = rng.choice(zero) if rng.random() < 0.8 else rng.integers(c.size)
+                moved[j] += abs(c[j]) * 10.0 ** rng.uniform(-16, 0) * np.exp(2j * math.pi * rng.random())
+                before = counts[1]
+                got = objective(moved.view(float), bar)
+                full = reference(moved.view(float))
+                assert got == full if full > bar else got <= bar
+                if counts[1] > before:
+                    assert full <= bar
+                    settled += 1
+    assert settled > 0
+
+
 def _caratheodory_problem(domain, p, xi):
     """The matrix ``b`` and gradient ``d`` of the search at ``p`` with the
     annulus index set."""
@@ -542,11 +673,26 @@ def test_witness_block_slack_covers_every_block():
                 assert np.all(np.abs(w @ c - full[i:i + _SEARCH_BLOCK]) <= slack)
 
 
+def test_strided_subset_slack_covers_every_row():
+    """The strided subset's slack, from its own largest row norm, covers
+    each of its rows' products against that row's product over all rows."""
+    for domain, p, xi, _k in _caratheodory_calls(3):
+        b, _d = _caratheodory_problem(domain, p, xi)
+        strided = b[::_STRIDE].copy()
+        norm = np.max(np.linalg.norm(strided, axis=1))
+        assert len(strided) == -(-len(b) // _STRIDE)
+        for c in _coefficients(np.random.default_rng(4), b.shape[1], 20):
+            slack = _SLACK * norm * np.linalg.norm(c)
+            assert np.all(np.abs(strided @ c - (b @ c)[::_STRIDE]) <= slack)
+
+
 def test_witness_block_bound_never_rejects_a_winner():
     """A proposal whose full value beats the bar by an ulp or more gets that
     value exactly, whatever block is the witness; one at or below the bar
-    gets at most the bar."""
-    rejected = 0
+    gets at most the bar.  The incumbent's worst row (when the proposal is
+    the incumbent itself), the witness block and the strided subset each
+    settle some proposals."""
+    rejected = [0, 0, 0]
     for domain, p, xi, _k in _caratheodory_calls(3):
         b, d = _caratheodory_problem(domain, p, xi)
         reference, _ = _caratheodory_objective(b, d, 1.01)
@@ -563,8 +709,8 @@ def test_witness_block_bound_never_rejects_a_winner():
                     objective(incumbent)
                     got = objective(x, bar)
                     assert got == full if full > bar else got <= bar
-                    rejected += counts[1]
-    assert rejected > 0
+                    rejected = [n + k for n, k in zip(rejected, counts[1:4])]
+    assert min(rejected) > 0
 
 
 @pytest.mark.parametrize("special", [None, 0.0, 1e-321, math.nan, math.inf])
