@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -245,8 +246,161 @@ def cmd_certify_smoothed(config: RunConfig) -> int:
         return EXIT_OK
 
 
+def _timed(search):
+    """A search's result and its wall time in ms."""
+    t0 = time.perf_counter()
+    result = search()
+    return result, (time.perf_counter() - t0) * 1e3
+
+
+_worker_searches: list = []  # in a pool worker: the run's searches, set through the fork
+
+
+def _init_worker(searches: list, set_blas_threads) -> None:
+    global _worker_searches
+    _worker_searches = searches
+    set_blas_threads(1)
+
+
+def _search_in_worker(i: int):
+    return _timed(_worker_searches[i])
+
+
+# openblas_set_num_threads as named by OpenBLAS builds: plain, with 64-bit
+# integers, and numpy's (scipy-openblas)
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _openblas_thread_setter():
+    """``openblas_set_num_threads`` of the OpenBLAS this process has loaded
+    (numpy's BLAS), found among the mapped libraries; None if there is none.
+
+    A pool worker holds its BLAS to one thread: with a BLAS thread per CPU
+    in every worker, a matrix product waits for threads that spin on the
+    CPUs the other workers need, and the searches ran several times slower
+    than in process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+def _worker_count(n_searches: int) -> int:
+    """One worker per CPU this process may run on, at most one per search;
+    1 (in process) where the platform cannot fork or name those CPUs."""
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_searches)
+
+
+def _run_searches(searches: list) -> list:
+    """The results of the zero-argument calls ``searches``, in order.
+
+    With one worker, or where no OpenBLAS is loaded whose threads a worker
+    could limit, they run in process, one after another.  Otherwise they
+    run on a pool of workers started with ``fork``: each worker inherits
+    the searches, closures over the run's domain and its cached tables,
+    through the fork (the initializer's arguments are not pickled), gets
+    only indices and sends back pickled results.  The searches share no
+    mutable state and each draws from its own seeded generator, so the
+    results are those of the in-process run bit for bit.  The pool is shut
+    down, its workers joined, before this returns or raises; an error
+    raised in a worker is raised here."""
+    workers = _worker_count(len(searches))
+    set_blas_threads = _openblas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        workers = 1
+        timed = [_timed(search) for search in searches]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # numpy loads numpy.random on first use; every search draws from it,
+        # so it is loaded here once rather than in each worker
+        import numpy.random  # noqa: F401
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_worker,
+                                   initargs=(searches, set_blas_threads))
+        try:
+            timed = list(pool.map(_search_in_worker, range(len(searches))))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    log.debug("estimate: %d searches on %d worker(s); wall ms per search: %s",
+              len(searches), workers, ", ".join(f"{ms:.1f}" for _, ms in timed))
+    return [result for result, _ in timed]
+
+
 def _estimate_payload(config: RunConfig):
     domain, levels = config.staircase
+    disc_kw = dict(degree=config.est_degree, budget=config.est_budget,
+                   samples=config.est_samples, restarts=config.est_restarts)
+    p1 = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
+    xi1 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
+    cases = [
+        ("bidisc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
+         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
+        ("ball", est.BallModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
+         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
+        ("disc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
+         Direction(1.0 + 0.0j, 0.0 + 0.0j)),
+    ]
+
+    # every search of the run, in the order of the document: a Kobayashi
+    # and a Carathéodory search per level, the Carathéodory search at
+    # (1, 0), and both searches per calibration model
+    searches = []
+    searched = set()
+    for rec in levels:
+        t_k = math.log(rec.a_k)
+        beta = math.exp(domain.profile.eval(t_k))
+        if beta > 0.0:
+            p = PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j)
+            # direction of the certified bound, pulled back through the shear
+            xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
+            searched.add(rec.k)
+            searches += [
+                functools.partial(est.kobayashi_upper_search, domain, p, xi,
+                                  seed=config.seed + rec.k, return_trace=True, **disc_kw),
+                functools.partial(est.caratheodory_lower_search, domain, p, xi,
+                                  budget=config.est_budget, seed=config.seed + rec.k,
+                                  return_trace=True)]
+        else:
+            # profile so deep that exp(phi(t_k)) underflows: the pulled-back
+            # direction is not representable, so no estimate is paired
+            log.warning("level %d: face height underflows; skipping estimates",
+                        rec.k)
+    searches.append(functools.partial(est.caratheodory_lower_search, domain, p1, xi1,
+                                      budget=config.est_budget, seed=config.seed,
+                                      return_trace=True))
+    for _name, model, p, xi in cases:
+        searches += [
+            functools.partial(est.kobayashi_upper_search, model, p, xi,
+                              seed=config.seed, **disc_kw),
+            functools.partial(est.caratheodory_lower_search, model, p, xi,
+                              budget=config.est_budget, seed=config.seed)]
+    results = iter(_run_searches(searches))
+
     points = []
     verdicts = []
     trace_rows = [["point", "quantity", "restart", "objective", "feasibility_margin"]]
@@ -268,59 +422,28 @@ def _estimate_payload(config: RunConfig):
         return {keys[0]: fmt(certified), keys[1]: bound_to_record(bound), "sandwich_ok": ok}
 
     for rec in levels:
-        t_k = math.log(rec.a_k)
-        beta = math.exp(domain.profile.eval(t_k))
-        p = PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j)
         entry = {"point": f"(a_{rec.k}, 0)"}
-        if beta > 0.0:
-            # direction of the certified bound, pulled back through the shear
-            xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
-            k_est, _disc, ktrace = est.kobayashi_upper_search(
-                domain, p, xi, degree=config.est_degree, budget=config.est_budget,
-                seed=config.seed + rec.k, samples=config.est_samples,
-                restarts=config.est_restarts, return_trace=True)
-            c_est, _cand, ctrace = est.caratheodory_lower_search(
-                domain, p, xi, budget=config.est_budget, seed=config.seed + rec.k,
-                return_trace=True)
+        if rec.k in searched:
+            k_est, _disc, ktrace = next(results)
+            c_est, _cand, ctrace = next(results)
             label = f"(a_{rec.k},0)"
             entry["kobayashi"] = paired(label, math.sqrt(rec.m_k / 2.0), k_est, ktrace)
             entry["caratheodory"] = paired(label, float(rec.c_k), c_est, ctrace)
         else:
-            # profile so deep that exp(phi(t_k)) underflows: the pulled-back
-            # direction is not representable, so no estimate is paired
-            log.warning("level %d: face height underflows; skipping estimates",
-                        rec.k)
             entry["skipped"] = "face height underflows double precision"
         points.append(entry)
 
-    p1 = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
-    xi1 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
     c_up = caratheodory_upper_slices(domain, p1, xi1)
-    c_est1, _cand, ctrace1 = est.caratheodory_lower_search(
-        domain, p1, xi1, budget=config.est_budget, seed=config.seed,
-        return_trace=True)
+    c_est1, _cand, ctrace1 = next(results)
     points.append({"point": "(1, 0)",
                    "caratheodory": paired("(1,0)", c_up.value, c_est1, ctrace1)})
     sandwich_ok = all(verdicts)
 
     calibration = []
-    cases = [
-        ("bidisc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
-        ("ball", est.BallModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
-        ("disc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 0.0 + 0.0j)),
-    ]
-    for name, model, p, xi in cases:
+    for name, _model, p, xi in cases:
         k_ref, c_ref = est.reference_metric(
             "bidisc" if name == "disc" else name, p, xi)
-        k_est2 = est.kobayashi_upper_search(
-            model, p, xi, degree=config.est_degree, budget=config.est_budget,
-            seed=config.seed, samples=config.est_samples,
-            restarts=config.est_restarts)
-        c_est2 = est.caratheodory_lower_search(
-            model, p, xi, budget=config.est_budget, seed=config.seed)
+        k_est2, c_est2 = next(results), next(results)
         calibration.append({
             "model": name,
             "reference": fmt(k_ref),

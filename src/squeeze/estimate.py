@@ -639,16 +639,21 @@ class FunctionCandidate:
     basepoint: PointC2
 
 
-def _monomial_matrix(indices, z, w):
-    cols = []
-    for (i, j) in indices:
+def _boundary_matrix(indices, z, w, p: PointC2) -> np.ndarray:
+    """The search's matrix ``b``: row ``r``, column ``(i, j)`` holds
+    ``z_r^i w_r^j - p.z^i p.w^j``.  It is one array: each column is built
+    contiguously, with the factors of the monomial in the same order, and
+    the values at ``p`` are subtracted in place."""
+    out = np.empty((z.size, len(indices)), dtype=complex)
+    for k, (i, j) in enumerate(indices):
         col = np.ones_like(z)
         if i != 0:
             col = col * z ** i
         if j != 0:
             col = col * w ** j
-        cols.append(col)
-    return np.stack(cols, axis=1)
+        out[:, k] = col
+    out -= _monomial_at(indices, p)
+    return out
 
 
 def _validate_indices(indices, p: PointC2):
@@ -694,7 +699,8 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
     """The objective ``|d.c| / (safety * max |b @ c|)`` of the Carathéodory
     search for ``_adaptive_search``, and its counts: objective calls,
     proposals settled on the incumbent's worst row, on the witness block and
-    on the strided subset, evaluations over all rows.
+    on the strided subset, evaluations over all rows, and points given the
+    value of an earlier evaluation.
 
     For ``bar > 0`` the objective first tries to show that the value cannot
     exceed ``bar`` without the product over all rows, and returns 0.0 if it
@@ -722,14 +728,18 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
       subset ``b[::_STRIDE]``, copied once.
 
     Otherwise the value over all rows is computed exactly as without these
-    bounds."""
+    bounds, unless the point has beaten its bar before: a polish run starts
+    from a seed the pool has scored exactly.  Such a point gets back the
+    value and worst row kept from that evaluation, and becomes the
+    incumbent as it did then."""
     blocks = [b[i:i + _SEARCH_BLOCK] for i in range(0, len(b), _SEARCH_BLOCK)]
     block_norms = [float(np.max(np.linalg.norm(blk, axis=1))) for blk in blocks]
     strided = b[::_STRIDE].copy()
     strided_norm = float(np.max(np.linalg.norm(strided, axis=1)))
     witness = 0
     held = None  # the incumbent: value, |d.c|, b[r] != 0, c where b[r] != 0
-    counts = [0, 0, 0, 0, 0]
+    scored = {}  # each point that beat its bar, as bytes: its value and worst row
+    counts = [0, 0, 0, 0, 0, 0]
 
     def objective(x: np.ndarray, bar: float = -math.inf) -> float:
         nonlocal witness, held
@@ -748,14 +758,20 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
                 if dc <= bar * safety * (v - _SLACK * norm * c_norm) * (1.0 - _SLACK):
                     counts[k] += 1
                     return 0.0
-        counts[4] += 1
-        a = np.abs(b @ c)
-        worst = int(a.argmax())
-        sup = float(a[worst])
-        if sup <= 0.0:
-            return 0.0
-        value = float(dc / (safety * sup))
+        key = x.tobytes()
+        if key in scored:
+            counts[5] += 1
+            value, worst = scored[key]
+        else:
+            counts[4] += 1
+            a = np.abs(b @ c)
+            worst = int(a.argmax())
+            sup = float(a[worst])
+            if sup <= 0.0:
+                return 0.0
+            value = float(dc / (safety * sup))
         if value > bar:
+            scored[key] = value, worst
             witness = worst // _SEARCH_BLOCK
             live = b[worst] != 0.0
             held = (value, dc, live, c[live])
@@ -816,8 +832,7 @@ def caratheodory_lower_search(domain, p, xi: Direction,
         raise ValidationError("empty index set")
     _validate_indices(indices, p)
     zs, ws = adapter.boundary_samples()
-    b = _monomial_matrix(indices, zs, ws)
-    b = b - _monomial_at(indices, p)[None, :]
+    b = _boundary_matrix(indices, zs, ws, p)
     d = _monomial_grad(indices, p, xi)
     objective, counts = _caratheodory_objective(b, d, safety)
 
@@ -854,7 +869,8 @@ def caratheodory_lower_search(domain, p, xi: Direction,
 
     log.debug("function search: %d objective calls, %d settled on the incumbent's "
               "worst row, %d on the witness block, %d on the strided subset, %d "
-              "evaluations over all samples (%d of them scoring seeds)", *counts, seed_passes)
+              "evaluations over all samples (%d of them scoring seeds), %d polish "
+              "starts given their seed's score", *counts[:5], seed_passes, counts[5])
     bound = Bound(
         quantity="caratheodory", side="lower", value=best_val, basepoint=p,
         direction=xi, certified=False,

@@ -16,7 +16,7 @@ from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
                               _coarse_first, _log_moduli, _monomial_at, _monomial_grad,
-                              _monomial_matrix, _validate_indices)
+                              _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
@@ -342,6 +342,22 @@ def guarded_log_moduli(z, w):
     lam = np.where(aw > 0.0, np.log(np.where(aw > 0.0, aw, 1.0)), -np.inf)
     return t, lam
 
+
+def stacked_boundary_matrix(indices, z, w, p: PointC2) -> np.ndarray:
+    """The function search's matrix ``b`` as ``np.stack`` of its monomial
+    columns minus their values at ``p``, which holds two copies of it at
+    once: the byte reference for ``_boundary_matrix``."""
+    cols = []
+    for (i, j) in indices:
+        col = np.ones_like(z)
+        if i != 0:
+            col = col * z ** i
+        if j != 0:
+            col = col * w ** j
+        cols.append(col)
+    return np.stack(cols, axis=1) - _monomial_at(indices, p)[None, :]
+
+
 def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
                                        budget: int = 200, seed: int = 0,
                                        safety: float = 1.01, return_trace: bool = False,
@@ -357,8 +373,7 @@ def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
     indices = tuple((int(i), int(j)) for i, j in index_set)
     _validate_indices(indices, p)
     zs, ws = adapter.boundary_samples()
-    b = _monomial_matrix(indices, zs, ws)
-    b = b - _monomial_at(indices, p)[None, :]
+    b = stacked_boundary_matrix(indices, zs, ws, p)
     d = _monomial_grad(indices, p, xi)
 
     def objective(x: np.ndarray) -> float:

@@ -2,7 +2,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -13,10 +15,11 @@ import squeeze.cli as cli
 import squeeze.construct as construct
 import squeeze.estimate as est
 import squeeze.metrics as metrics
-from squeeze import CertificationError, ValidationError
+from squeeze import CertificationError, NumericalError, ValidationError
 from squeeze.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     RunConfig,
     cmd_build,
@@ -421,6 +424,67 @@ def test_estimate_on_the_wrong_side_exit3(tmp_path, monkeypatch, search, quantit
     verdicts = {(pt["point"], q): pt[q]["sandwich_ok"]
                 for pt in doc["points"] for q in ("kobayashi", "caratheodory") if q in pt}
     assert verdicts and all(ok == (q != quantity) for (_, q), ok in verdicts.items())
+
+
+def _no_child_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _estimate_with_workers(tmp_path, monkeypatch, caplog, workers, args):
+    """Runs ``squeeze estimate`` with the worker count forced to ``workers``;
+    its exit code and run directory."""
+    monkeypatch.setattr(cli, "_worker_count", lambda n: min(workers, n))
+    out = tmp_path / f"w{workers}"
+    with caplog.at_level(logging.DEBUG, logger="squeeze"):
+        code = main(["estimate", "--config", _write_config(tmp_path, TINY_ESTIMATE),
+                     "--out", str(out)] + args)
+    _no_child_process_left()
+    return code, out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_estimate_on_workers_writes_the_in_process_bytes(tmp_path, monkeypatch, caplog, seed):
+    """Three forked workers and the in-process run write the same files,
+    and no worker outlives the command."""
+    runs = [_estimate_with_workers(tmp_path, monkeypatch, caplog, workers, ["--seed", str(seed)])
+            for workers in (1, 3)]
+    assert [code for code, _out in runs] == [EXIT_OK, EXIT_OK]
+    assert "9 searches on 1 worker(s)" in caplog.text
+    assert "9 searches on 3 worker(s)" in caplog.text
+    for name in ("estimates.json", "estimate_traces.csv"):
+        assert (runs[0][1] / name).read_bytes() == (runs[1][1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("error, code", [(ValidationError, EXIT_CONFIG),
+                                         (NumericalError, EXIT_NUMERICAL)],
+                         ids=["validation", "numerical"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimate_error_in_a_search_exits_as_in_process(tmp_path, monkeypatch, caplog, capsys,
+                                                        error, code, workers):
+    """An error raised in one search, on a worker or in process, gives the
+    command's exit code for it and its message, and leaves no lock and no
+    process behind."""
+    real = est.caratheodory_lower_search
+
+    def failing(*args, **kwargs):
+        if not kwargs.get("return_trace"):  # the calibration rows
+            raise error(f"calibration search failed in process {os.getpid()}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(est, "caratheodory_lower_search", failing)
+    got, out = _estimate_with_workers(tmp_path, monkeypatch, caplog, workers, [])
+    assert got == code
+    pid = int(capsys.readouterr().err.split("calibration search failed in process ")[1].split()[0])
+    assert (pid == os.getpid()) == (workers == 1)
+    assert not (out / ".lock").exists()
+
+
+def test_worker_count_follows_the_usable_cpus(monkeypatch):
+    for cpus, searches, want in [({0}, 13, 1), ({0, 1}, 13, 2), ({0, 2, 5, 7}, 13, 4),
+                                 ({0, 1, 2, 3}, 3, 3)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus)
+        assert cli._worker_count(searches) == want
 
 
 class TestDeterminism:

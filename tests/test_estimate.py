@@ -21,16 +21,17 @@ from squeeze import (
 from squeeze.construct import certify_levels
 from squeeze import estimate
 from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _STRIDE,
-                              _TAIL_MEMO, BallModel, DEFAULT_ANNULUS_INDEXES, PolydiscModel,
-                              ReinhardtAdapter, _bad,
+                              _TAIL_MEMO, BallModel, DEFAULT_ANNULUS_INDEXES,
+                              DEFAULT_DISC_INDEXES, PolydiscModel,
+                              ReinhardtAdapter, _bad, _boundary_matrix,
                               _caratheodory_objective, _circle_samples, _coarse_first,
                               _disc_coordinate, _DiscTails, _edge_above, _feasible, _int_power,
-                              _ladder, _largest_feasible_tau, _log_moduli, _monomial_at,
-                              _monomial_grad, _monomial_matrix, _polyval, _top_seeds)
+                              _ladder, _largest_feasible_tau, _log_moduli, _monomial_grad,
+                              _polyval, _top_seeds)
 
 from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
                      guarded_log_moduli, int_power_reference, polyval_reference, row,
-                     single_pass_feasible, single_pass_samples,
+                     single_pass_feasible, single_pass_samples, stacked_boundary_matrix,
                      unpruned_caratheodory_lower_search, unpruned_disc_oracle,
                      unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
@@ -577,17 +578,18 @@ def test_caratheodory_full_passes_on_a_staircase_call(monkeypatch):
     seed and the strided subset keep the function search at the second
     level of the L3 staircase (seed 3, budget 150) under 120 evaluations
     over all samples; with only the witness block it made 407, and now
-    makes 109."""
+    makes 106.  Each of the three polish runs starts from its seed's score,
+    without a pass."""
     made = []
     objective = estimate._caratheodory_objective
     monkeypatch.setattr(estimate, "_caratheodory_objective",
                         lambda *a: made.append(objective(*a)) or made[-1])
     domain, p, xi, k = list(_staircase_calls(3))[1]
     caratheodory_lower_search(domain, p, xi, seed=1 + k, budget=150)
-    calls, worst_row, witness, strided, full = made[0][1]
-    assert calls == 577 and worst_row + witness + strided + full == calls
+    calls, worst_row, witness, strided, full, reused = made[0][1]
+    assert calls == 577 and worst_row + witness + strided + full + reused == calls
     assert min(worst_row, witness, strided) > 0
-    assert full <= 120
+    assert full <= 120 and reused == 3
 
 
 def test_worst_row_rule_settles_only_losers(monkeypatch):
@@ -650,9 +652,25 @@ def _caratheodory_problem(domain, p, xi):
     """The matrix ``b`` and gradient ``d`` of the search at ``p`` with the
     annulus index set."""
     zs, ws = ReinhardtAdapter(domain).boundary_samples()
-    b = (_monomial_matrix(DEFAULT_ANNULUS_INDEXES, zs, ws)
-         - _monomial_at(DEFAULT_ANNULUS_INDEXES, p)[None, :])
+    b = _boundary_matrix(DEFAULT_ANNULUS_INDEXES, zs, ws, p)
     return b, _monomial_grad(DEFAULT_ANNULUS_INDEXES, p, xi)
+
+
+def test_boundary_matrix_matches_the_stacked_columns():
+    """The matrix written into one array, the values at the basepoint
+    subtracted in place, equals ``np.stack`` of the columns minus those
+    values byte for byte: on the staircase's searches (the annulus index
+    set, Laurent powers included), on both calibration models, and at a
+    basepoint with ``w != 0``."""
+    cases = [(ReinhardtAdapter(domain), DEFAULT_ANNULUS_INDEXES, p)
+             for domain, p, _xi, _k in _caratheodory_calls(3)]
+    cases += [(model, DEFAULT_DISC_INDEXES, p) for model in (PolydiscModel(), BallModel())
+              for p in (P0C, PointC2(0.3 - 0.1j, -0.2 + 0.4j))]
+    for adapter, indices, p in cases:
+        zs, ws = adapter.boundary_samples()
+        b = _boundary_matrix(indices, zs, ws, p)
+        assert b.flags.c_contiguous and b.shape == (zs.size, len(indices))
+        assert b.tobytes() == stacked_boundary_matrix(indices, zs, ws, p).tobytes()
 
 
 def _coefficients(rng, n, count):
