@@ -266,51 +266,14 @@ def _search_in_worker(i: int):
     return _timed(_worker_searches[i])
 
 
-# openblas_set_num_threads as named by OpenBLAS builds: plain, with 64-bit
-# integers, and numpy's (scipy-openblas)
-_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
-def _openblas_thread_setter():
-    """``openblas_set_num_threads`` of the OpenBLAS this process has loaded
-    (numpy's BLAS), found among the mapped libraries; None if there is none.
-
-    A pool worker holds its BLAS to one thread: with a BLAS thread per CPU
-    in every worker, a matrix product waits for threads that spin on the
-    CPUs the other workers need, and the searches ran several times slower
-    than in process."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5].lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
-    return None
-
-
 def _worker_count(n_searches: int) -> int:
     """One worker per CPU this process may run on, at most one per search;
     1 (in process) where the platform cannot fork or name those CPUs."""
     import multiprocessing
 
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")):
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(len(os.sched_getaffinity(0)), n_searches)
+    return min(est._usable_cpus(), n_searches)
 
 
 def _run_searches(searches: list) -> list:
@@ -327,8 +290,8 @@ def _run_searches(searches: list) -> list:
     down, its workers joined, before this returns or raises; an error
     raised in a worker is raised here."""
     workers = _worker_count(len(searches))
-    set_blas_threads = _openblas_thread_setter() if workers > 1 else None
-    if set_blas_threads is None:
+    blas = est._openblas_threads() if workers > 1 else None
+    if blas is None:
         workers = 1
         timed = [_timed(search) for search in searches]
     else:
@@ -341,7 +304,7 @@ def _run_searches(searches: list) -> list:
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_init_worker,
-                                   initargs=(searches, set_blas_threads))
+                                   initargs=(searches, blas[1]))
         try:
             timed = list(pool.map(_search_in_worker, range(len(searches))))
         finally:

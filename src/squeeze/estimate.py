@@ -14,11 +14,13 @@ certificates.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -887,6 +889,54 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     return bound
 
 
+# ------------------------------------------------------- parallel plumbing
+# openblas_get_num_threads and openblas_set_num_threads as named by OpenBLAS
+# builds: plain, with 64-bit integers, and numpy's (scipy-openblas)
+_OPENBLAS_THREADS = [(f"{pre}openblas_get_num_threads{suf}", f"{pre}openblas_set_num_threads{suf}")
+                     for pre in ("", "scipy_") for suf in ("", "64_")]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask, which
+    ``taskset`` sets); 1 where the platform cannot name them."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)``: ``openblas_get_num_threads`` and
+    ``openblas_set_num_threads`` of the OpenBLAS this process has loaded
+    (numpy's BLAS), found among the mapped libraries once per process; None
+    if there is none.
+
+    Code that runs numpy on several CPUs at once holds this BLAS to one
+    thread: with a BLAS thread per CPU, a matrix product waits for threads
+    that spin on the CPUs the other workers need, and the estimate searches
+    ran several times slower than in process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5].strip() for fields in (line.split(None, 5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
 # ------------------------------------------------------------- disc oracle
 _ORACLE_STEPS = 30  # scale tests per disc: 30 bracket steps from sqrt(2/m)
 _COARSE = 8  # the coarse stage tests every 8th circle sample
@@ -937,7 +987,7 @@ def _coarse_first(samples: int) -> np.ndarray:
 
 
 def _circle_samples(order: np.ndarray, az: np.ndarray, bw: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
+                    out: np.ndarray, pool=None) -> np.ndarray:
     """Fill ``out`` (float32, shape (4, discs, samples)) with the planar
     samples ``z.real, z.imag, w.real, w.imag`` of ``zeta + sum_j a_j
     zeta^(j+2)`` per disc, and return it.  Column ``i`` holds the sample at
@@ -950,19 +1000,31 @@ def _circle_samples(order: np.ndarray, az: np.ndarray, bw: np.ndarray,
     accumulates rounding.  Each sample is within ``(2 degree + 1) 2^-24 (1 +
     sum_j (|Re a_j| + |Im a_j|))`` of its exact value, an error the
     ``_HAIRCUT`` test covers.  The last bits depend on the BLAS kernel's
-    summation order, with some kernels also on the column."""
+    summation order, with some kernels also on the column.
+
+    With a thread ``pool``, a helper forms the two w-plane products while
+    the calling thread forms the two z-plane ones: the same products of the
+    same operands, so the same samples."""
     samples = order.size
     roots = _circle(samples)[np.outer(np.arange(1, az.shape[1] + 2), order) % samples]
     p_re = np.empty((2 * roots.shape[0] - 1, samples), dtype=np.float32)
     p_im = np.empty_like(p_re)
     p_re[0], p_re[1::2], p_re[2::2] = roots[0].real, roots[1:].real, roots[1:].imag
     p_im[0], p_im[1::2], p_im[2::2] = roots[0].imag, roots[1:].imag, -roots[1:].real
-    a = np.empty((az.shape[0], p_re.shape[0]), dtype=np.float32)
-    a[:, 0] = 1.0
-    for plane, coeffs in ((0, az), (2, bw)):
+
+    def planes(plane: int, coeffs: np.ndarray) -> None:
+        a = np.empty((coeffs.shape[0], p_re.shape[0]), dtype=np.float32)
+        a[:, 0] = 1.0
         a[:, 1::2], a[:, 2::2] = coeffs.real, -coeffs.imag
         np.matmul(a, p_re, out=out[plane])
         np.matmul(a, p_im, out=out[plane + 1])
+
+    w_planes = None if pool is None else pool.submit(planes, 2, bw)
+    planes(0, az)
+    if w_planes is None:
+        planes(2, bw)
+    else:
+        w_planes.result()
     return out
 
 
@@ -999,11 +1061,32 @@ def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
         return np.any(v > thr2, axis=1)
 
 
-def _feasible(c: np.ndarray, s: np.ndarray, m: int,
-              thr2: np.float32) -> tuple[np.ndarray, int]:
+def _feasible(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32,
+              pool=None, threads: int = 1) -> tuple[np.ndarray, int]:
     """Per disc ``i`` (row ``i`` of the planar samples ``s``, columns in
     ``_coarse_first`` order): is it feasible at scale ``c[i]``?  Also returns
     how many discs reached the full stage.
+
+    With a thread ``pool`` and at least ``2 * _FULL_ROWS`` rows, the rows
+    are split into ``min(threads, rows // _FULL_ROWS)`` contiguous parts.
+    Helpers test all parts but the first, the calling thread tests the
+    first (``_feasible_rows``), and the verdicts are joined in order.  A
+    disc's verdict depends on its own row and scale alone, so it is that of
+    the unsplit call bit for bit."""
+    parts = 1 if pool is None else min(threads, c.size // _FULL_ROWS)
+    if parts < 2:
+        return _feasible_rows(c, s, m, thr2)
+    cuts = [c.size * i // parts for i in range(parts + 1)]
+    others = [pool.submit(_feasible_rows, c[a:b], s[:, a:b], m, thr2)
+              for a, b in zip(cuts[1:-1], cuts[2:])]
+    done = [_feasible_rows(c[:cuts[1]], s[:, :cuts[1]], m, thr2)]
+    done += [part.result() for part in others]
+    return np.concatenate([ok for ok, _ in done]), sum(n_full for _, n_full in done)
+
+
+def _feasible_rows(c: np.ndarray, s: np.ndarray, m: int,
+                   thr2: np.float32) -> tuple[np.ndarray, int]:
+    """``_feasible`` of one part of the rows, unsplit.
 
     Every disc is tested on the view of the first ``ceil(samples /
     _COARSE)`` columns; a failure there is a failure.  Only the survivors are
@@ -1020,6 +1103,34 @@ def _feasible(c: np.ndarray, s: np.ndarray, m: int,
             blk = slice(blk[0], blk[-1] + 1)
         ok[blk] = ~_bad(c[blk], s[:, blk, k:], m, thr2)
     return ok, survivors.size
+
+
+@contextlib.contextmanager
+def _oracle_threads(rows: int):
+    """``(pool, threads)`` for an oracle call whose chunks hold ``rows``
+    discs: a pool of one helper thread per usable CPU past the first, and
+    the thread count with the calling thread.  While the pool is open,
+    numpy's OpenBLAS is held to one thread, so the threads' matrix products
+    do not wait on BLAS threads that spin on the other CPUs; on exit the
+    pool is joined and then the BLAS's thread count restored, also on an
+    error.  ``(None, 1)``, the calling thread alone, where one CPU is usable,
+    no OpenBLAS can be held, or ``rows`` is below the split size
+    ``2 * _FULL_ROWS``."""
+    threads = _usable_cpus() if rows >= 2 * _FULL_ROWS else 1
+    blas = _openblas_threads() if threads > 1 else None
+    if blas is None:
+        yield None, 1
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    get_blas_threads, set_blas_threads = blas
+    before = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            yield pool, threads
+    finally:
+        set_blas_threads(before)
 
 
 def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
@@ -1069,6 +1180,14 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     covers the float32 error of the samples and of the test, for the range
     it is checked on, ``m <= 32`` and ``degree <= 6``; the oracle refuses
     larger ones with ``ValidationError``.
+
+    A call whose chunks hold at least ``2 * _FULL_ROWS`` discs runs on one
+    thread per usable CPU, the calling thread included (``_oracle_threads``,
+    which holds numpy's OpenBLAS to one thread for the call): a helper forms
+    the w-plane samples while the calling thread forms the z-plane ones, and
+    each scale test over at least ``2 * _FULL_ROWS`` live discs is split by
+    rows (``_feasible``).  Every value is computed by the same kernel on the
+    same operands as in one thread, so the result is the same bit for bit.
     """
     m = _int_at_least("m", m)
     count = _int_at_least("count", count)
@@ -1091,46 +1210,49 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     chunk = max(256, (1 << 21) // samples)
     thr2 = np.float32((thr * (1.0 - _HAIRCUT)) ** 2)
 
-    buf = np.empty((4, min(chunk, count), samples), dtype=np.float32)
+    rows = min(chunk, count)
+    buf = np.empty((4, rows, samples), dtype=np.float32)
     best_tau = 0.0
     scale_tests = 0
     full_tests = 0
     done = 0
     ci = 0
-    while done < count:
-        b = min(chunk, count - done)
-        rng = np.random.default_rng([seed, m, ci])
-        scales = 0.35 / (np.arange(2, degree + 1) ** 2)
-        az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
-        bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
+    with _oracle_threads(rows) as (pool, threads):
+        while done < count:
+            b = min(chunk, count - done)
+            rng = np.random.default_rng([seed, m, ci])
+            scales = 0.35 / (np.arange(2, degree + 1) ** 2)
+            az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
+            bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
 
-        s = _circle_samples(order, az, bw, out=buf[:, :b])
-        lo = np.zeros(b)
-        hi = np.full(b, np.inf)
-        c = np.full(b, math.sqrt(2.0 / m))
-        for _ in range(_ORACLE_STEPS):
-            ok, n_full = _feasible(c, s, m, thr2)
-            scale_tests += c.size
-            full_tests += n_full
-            lo = np.where(ok, np.maximum(lo, c), lo)
-            hi = np.where(ok, hi, np.minimum(hi, c))
-            c = np.where(np.isinf(hi), 4.0 * c, 0.5 * (lo + hi))
-            best_tau = max(best_tau, float(np.max(lo)))
-            keep = (hi > best_tau) | (lo <= 0.0)
-            if not keep.all():
-                lo, hi, c = lo[keep], hi[keep], c[keep]
-                if lo.size == 0:
-                    break
-                s[:, :lo.size] = s[:, keep]
-                s = s[:, :lo.size]
-        if not np.all(lo > 0.0):
-            raise NumericalError("oracle found a disc with no feasible scale")
-        done += b
-        ci += 1
+            s = _circle_samples(order, az, bw, out=buf[:, :b], pool=pool)
+            lo = np.zeros(b)
+            hi = np.full(b, np.inf)
+            c = np.full(b, math.sqrt(2.0 / m))
+            for _ in range(_ORACLE_STEPS):
+                ok, n_full = _feasible(c, s, m, thr2, pool, threads)
+                scale_tests += c.size
+                full_tests += n_full
+                lo = np.where(ok, np.maximum(lo, c), lo)
+                hi = np.where(ok, hi, np.minimum(hi, c))
+                c = np.where(np.isinf(hi), 4.0 * c, 0.5 * (lo + hi))
+                best_tau = max(best_tau, float(np.max(lo)))
+                keep = (hi > best_tau) | (lo <= 0.0)
+                if not keep.all():
+                    lo, hi, c = lo[keep], hi[keep], c[keep]
+                    if lo.size == 0:
+                        break
+                    s[:, :lo.size] = s[:, keep]
+                    s = s[:, :lo.size]
+            if not np.all(lo > 0.0):
+                raise NumericalError("oracle found a disc with no feasible scale")
+            done += b
+            ci += 1
 
     log.debug("disc oracle m=%d: %d discs, %d scale tests (%d reached the full "
-              "stage), %.1f%% pruned", m, count, scale_tests, full_tests,
-              100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)))
+              "stage), %.1f%% pruned; %d thread(s), OpenBLAS %s", m, count, scale_tests,
+              full_tests, 100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)), threads,
+              "held to one thread" if pool is not None else "not held")
     return OracleResult(
         m=m, count=count, degree=degree, samples=samples,
         min_alpha=1.0 / best_tau,

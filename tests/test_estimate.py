@@ -1,5 +1,11 @@
+import inspect
+import logging
 import math
+import os
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -826,7 +832,7 @@ class TestOracle:
     def test_deterministic(self):
         r1 = monomial_disc_oracle(4, count=1500, seed=3)
         r2 = monomial_disc_oracle(4, count=1500, seed=3)
-        assert r1.min_alpha == r2.min_alpha
+        assert r1 == r2
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
@@ -1027,3 +1033,142 @@ class TestOracle:
     def test_pruning_skips_scale_tests(self):
         res = monomial_disc_oracle(2, count=2000, seed=11)
         assert 0 < res.scale_tests < 30 * res.count
+
+    @pytest.fixture
+    def blas(self):
+        """``(get, set)`` of numpy's OpenBLAS thread count; the threaded
+        oracle needs it."""
+        blas = estimate._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be held")
+        return blas
+
+    # m = 1..32 at degree 3 and 6; (2, 6, 17084) and (32, 6, 2500) end in a
+    # partial chunk that is split, (8, 6, 4396) in one below the split size,
+    # and (2, 6, 400) has one chunk below it, so it runs in the calling thread
+    @pytest.mark.parametrize("m, degree, count", [
+        (1, 3, 2000), (2, 6, 16384 + 700), (8, 3, 1000), (8, 6, 4096 + 300), (32, 3, 1200),
+        (32, 6, 2500), (2, 6, 400),
+    ])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_threads_match_one_thread(self, monkeypatch, caplog, blas, m, degree, count, cpus):
+        """On ``cpus`` threads the whole result is the one-thread result bit
+        for bit, and the debug line names the threads and the BLAS hold."""
+        monkeypatch.setattr(estimate, "_usable_cpus", lambda: 1)
+        with caplog.at_level(logging.DEBUG, logger="squeeze.estimate"):
+            want = monomial_disc_oracle(m, count=count, degree=degree, seed=8)
+            monkeypatch.setattr(estimate, "_usable_cpus", lambda: cpus)
+            got = monomial_disc_oracle(m, count=count, degree=degree, seed=8)
+        assert got == want
+        assert float.hex(got.min_alpha) == float.hex(want.min_alpha)
+        lines = [r.getMessage() for r in caplog.records if "disc oracle" in r.getMessage()]
+        assert lines[0].endswith("1 thread(s), OpenBLAS not held")
+        if count < 2 * _FULL_ROWS:
+            assert lines[1].endswith("1 thread(s), OpenBLAS not held")
+        else:
+            assert lines[1].endswith(f"{cpus} thread(s), OpenBLAS held to one thread")
+
+    def test_one_thread_where_no_cpus_are_named(self, monkeypatch, caplog):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert estimate._usable_cpus() == 1
+        with caplog.at_level(logging.DEBUG, logger="squeeze.estimate"):
+            monomial_disc_oracle(2, count=1000, seed=8)
+        assert caplog.records[-1].getMessage().endswith("1 thread(s), OpenBLAS not held")
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_feasible_on_parts_matches_unsplit(self, threads):
+        """Split into ``min(threads, rows // _FULL_ROWS)`` parts, on rows
+        whose samples hold infinities and NaNs in the coarse and the full
+        columns, the verdicts and the full-stage count are the unsplit
+        call's."""
+        m = 8
+        samples, az, bw, _, thr2 = self._discs(m, 6, 3 * _FULL_ROWS + 17, 9)
+        base_z, base_w = single_pass_samples(az, bw, samples)
+        c = self._coarse_edges(base_z, base_w, m, thr2)
+        s = self._samples(_coarse_first(samples), az, bw)
+        k = -(-samples // _COARSE)
+        s[2, 5, 0] = np.inf
+        s[0, 300, k + 3] = -np.inf
+        s[1, 301, 1] = np.nan
+        s[3, 600, k + 1] = np.nan
+        s[:, 700] = np.nan
+        s[3, 100] = np.inf
+        want, want_full = _feasible(c, s, m, thr2)
+        with ThreadPoolExecutor(threads - 1) as pool:
+            submit, submitted = pool.submit, []
+            pool.submit = lambda *args: submitted.append(args) or submit(*args)
+            got, got_full = _feasible(c, s, m, thr2, pool, threads)
+        assert len(submitted) == min(threads, 3) - 1
+        assert np.array_equal(got, want) and got_full == want_full
+        assert want[700] and not want[5] and not want[100]
+        assert np.any(want) and not np.all(want) and 0 < want_full < c.size
+
+    def test_blas_threads_restored(self, monkeypatch, blas):
+        """OpenBLAS is held to one thread during a threaded call and its
+        count restored after it, also after a call that raises; the pool's
+        threads are joined either way."""
+        get_threads, set_threads = blas
+        original = get_threads()
+        monkeypatch.setattr(estimate, "_usable_cpus", lambda: 2)
+        real = estimate._circle_samples
+        during = []
+
+        def recording(*args, **kwargs):
+            during.append(get_threads())
+            return real(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            during.append(get_threads())
+            raise NumericalError("sample build failed")
+
+        threads = threading.active_count()
+        try:
+            set_threads(2)
+            monkeypatch.setattr(estimate, "_circle_samples", recording)
+            monomial_disc_oracle(8, count=1000, seed=2)
+            assert get_threads() == 2
+            monkeypatch.setattr(estimate, "_circle_samples", failing)
+            with pytest.raises(NumericalError, match="sample build failed"):
+                monomial_disc_oracle(8, count=1000, seed=2)
+            assert get_threads() == 2
+        finally:
+            set_threads(original)
+        assert during == [1, 1]
+        assert threading.active_count() == threads
+
+    def test_helpers_run_no_public_function(self, monkeypatch, blas):
+        """perfbench's tracer wraps the package's public functions and
+        methods and keeps one call stack, so the helper threads may run
+        private code only: no public squeeze function or method is called
+        off the calling thread, and the helpers do run the scale test and
+        the sample build."""
+        public = set()
+        for name, mod in list(sys.modules.items()):
+            if not name.startswith("squeeze."):
+                continue
+            for attr, obj in vars(mod).items():
+                if attr.startswith("_") or getattr(obj, "__module__", None) != name:
+                    continue
+                if inspect.isfunction(obj):
+                    public.add(obj.__code__)
+                elif inspect.isclass(obj):
+                    methods = (getattr(f, "__func__", f) for a, f in vars(obj).items()
+                               if not a.startswith("_"))
+                    public.update(f.__code__ for f in methods if inspect.isfunction(f))
+        assert estimate.monomial_disc_oracle.__code__ in public
+        caller = threading.get_ident()
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and threading.get_ident() != caller:
+                seen.add(frame.f_code)
+
+        monkeypatch.setattr(estimate, "_usable_cpus", lambda: 2)
+        threading.setprofile(profile)
+        try:
+            monomial_disc_oracle(2, count=3000, seed=4)
+        finally:
+            threading.setprofile(None)
+        assert not seen & public
+        ran = {code.co_name for code in seen if code.co_filename == _bad.__code__.co_filename}
+        assert {"_feasible_rows", "_bad", "planes"} <= ran
