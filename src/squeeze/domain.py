@@ -20,6 +20,7 @@ boundary) decidable with no tolerance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -419,14 +420,15 @@ _DOC_VERSION = 1
 
 
 def domain_to_doc(domain: ReinhardtDomain) -> dict:
-    """Versioned JSON document; all reals as decimal strings (17 significant digits)."""
+    """Versioned JSON document, every real a decimal string: breakpoints and
+    edges as ``fmt`` doubles, each height as its exact decimal text."""
     return {
         "version": _DOC_VERSION,
         "t_min": fmt(domain.t_min),
         "t_max": fmt(domain.t_max),
         "breakpoints": [
-            [fmt(t), fmt(v)]
-            for t, v in zip(domain.profile.breakpoints, domain.profile.values)
+            [fmt(t), _exact_decimal(v)]
+            for t, v in zip(domain.profile.breakpoints, domain.profile.exact_values)
         ],
         "flags": {
             "symmetric": domain.profile.symmetric,
@@ -435,41 +437,14 @@ def domain_to_doc(domain: ReinhardtDomain) -> dict:
     }
 
 
-def _snap_exact_values(bps: tuple[float, ...], eb: tuple[Fraction, ...],
-                       vals: tuple[float, ...]):
-    """Exact heights rebuilt from integer slopes when the data supports it.
-
-    Profiles produced by the construction have exact integer slopes; parsing
-    doubles loses the exact accumulation identities.  If every slope is within
-    1e-9 of an integer, re-accumulate exactly from the highest breakpoint
-    (``eb`` holds the breakpoints ``bps`` exactly), and keep the result only
-    if every height rounds to its stored double.  Returns None otherwise, and
-    on heights that are not finite or breakpoints that do not increase.
-    """
-    slopes = []
-    for i in range(len(bps) - 1):
-        if not bps[i] < bps[i + 1]:
-            return None
-        s = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-        if not math.isfinite(s):
-            return None
-        si = round(s)
-        if abs(s - si) > 1e-9 * max(1.0, abs(s)):
-            return None
-        slopes.append(si)
-    anchor = int(np.argmax(vals))
-    ev = [None] * len(vals)
-    ev[anchor] = Fraction(vals[anchor])
-    for i in range(anchor + 1, len(vals)):
-        ev[i] = ev[i - 1] + slopes[i - 1] * (eb[i] - eb[i - 1])
-    for i in range(anchor - 1, -1, -1):
-        ev[i] = ev[i + 1] - slopes[i] * (eb[i + 1] - eb[i])
-    try:
-        if any(float(e) != v for e, v in zip(ev, vals)):
-            return None
-    except OverflowError:
-        return None
-    return ev
+def _exact_decimal(x: Fraction) -> str:
+    """The terminating decimal text of a dyadic rational ``x = n / 2^E``: the
+    digits of ``|n| 5^E`` with the point ``E`` places from the right."""
+    e = x.denominator.bit_length() - 1
+    if x.denominator != 1 << e:
+        raise ValidationError(f"height {x} is not a dyadic rational, so no decimal holds it")
+    digits = str(abs(x.numerator) * 5 ** e).rjust(e + 1, "0")
+    return ("-" if x < 0 else "") + (f"{digits[:-e]}.{digits[-e:]}" if e else digits)
 
 
 def _doc_reals(what: str, items) -> tuple[float, ...]:
@@ -477,6 +452,29 @@ def _doc_reals(what: str, items) -> tuple[float, ...]:
         return tuple(map(float, items))
     except (TypeError, ValueError):
         raise ValidationError(f"domain document {what} must be decimal strings") from None
+
+
+# A height's text: a decimal numeral with at most a four-digit exponent, so that
+# reading it exactly builds no power of ten past 10^9999 (10^10000000: seconds).
+_HEIGHT_TEXT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?")
+
+
+def _doc_heights(texts) -> tuple[Fraction, ...]:
+    """A document's heights, exactly, each the decimal text of a dyadic rational.
+    A nan or an infinity raises before any exact value is built; rounded
+    heights, which documents written before heights were exact hold, raise."""
+    heights = []
+    for i, (text, v) in enumerate(zip(texts, _doc_reals("heights", texts))):
+        _exact(v)  # a nan or an infinity raises: must be finite
+        if not _HEIGHT_TEXT.fullmatch(str(text)):
+            raise ValidationError(f"domain document height {i} = {text} is not a decimal "
+                                  "numeral with an exponent of at most four digits")
+        height = Fraction(text)
+        if height.denominator & (height.denominator - 1):
+            raise ValidationError(f"domain document height {i} = {text} is not an exact "
+                                  "height: its denominator is not a power of two")
+        heights.append(height)
+    return tuple(heights)
 
 
 def domain_from_doc(doc: dict) -> ReinhardtDomain:
@@ -497,10 +495,9 @@ def domain_from_doc(doc: dict) -> ReinhardtDomain:
     if not isinstance(flags, dict):
         raise ValidationError("domain document flags must be an object")
     bps = _doc_reals("breakpoints", (t for t, _ in pairs))
-    vals = _doc_reals("heights", (v for _, v in pairs))
+    heights = _doc_heights([v for _, v in pairs])
     t_min, t_max = _doc_reals("annulus edges", (doc["t_min"], doc["t_max"]))
-    eb = tuple(map(_exact, bps))
-    profile = RadialProfile(eb, _snap_exact_values(bps, eb, vals) or vals)
+    profile = RadialProfile(bps, heights)
     profile.slopes()  # a slope that overflows a double raises ValidationError
     for name in ("symmetric", "pseudoconvex"):
         if flags.get(name) and not getattr(profile, name):

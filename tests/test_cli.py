@@ -27,7 +27,7 @@ from squeeze.cli import (
     cmd_plotdata,
     main,
 )
-from squeeze.domain import fmt
+from squeeze.domain import domain_from_doc, fmt
 
 from helpers import fmt_csv_table
 
@@ -306,6 +306,23 @@ class TestStages:
                          "--out", str(tmp_path / command)]) == EXIT_OK
         assert len(read_csv(tmp_path / "build" / "certificate.csv")) == 61
         assert len(read_csv(tmp_path / "plot-data" / "sheared_profile_level60.csv")) == 123
+
+    @pytest.mark.parametrize("doc", [
+        {"levels": 19, "schedule": "margin", "margin_u": "0.02"},
+        {"levels": 20, "schedule": "margin", "margin_u": "0.02"},
+        {"levels": 200, "schedule": "margin", "margin_u": "0.05",
+         "sequence": [f"{2 * k + 1}/{k + 1}" for k in range(1, 201)]},
+    ], ids=["u0.02-L19", "u0.02-L20", "radii-L200"])
+    def test_deep_build_rechecks_from_its_domain_json(self, tmp_path, doc):
+        """build's domain.json holds the construction's exact profile, so the
+        certificate rechecks against the domain read back from it, also at
+        depths where the heights' doubles do not determine the exact ones."""
+        assert main(["build", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        written = domain_from_doc(json.loads((tmp_path / "r" / "domain.json").read_text()))
+        config = RunConfig(**doc)
+        assert written.profile.exact_values == config.staircase[0].profile.exact_values
+        construct.verify_construction(written, config.certificate)
 
 
 class TestPlotData:

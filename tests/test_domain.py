@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from squeeze import (
     ConstructionParams,
     PointC2,
     LogPoint,
+    MarginSchedule,
     RadialProfile,
     ReinhardtDomain,
     ValidationError,
@@ -251,7 +253,7 @@ def test_serialization_roundtrip_bitexact(p0):
     d2 = domain_from_doc(doc2)
     assert d2.profile == domain.profile
     assert d2.t_min == domain.t_min and d2.t_max == domain.t_max
-    # integer-slope snapping reproduces the exact accumulation identities
+    # the document holds the exact heights, not their doubles
     assert d2.profile.exact_values == domain.profile.exact_values
     assert domain_to_doc(d2) == doc
 
@@ -329,11 +331,17 @@ def test_doc_with_false_flags_loads_with_its_true_flags(p0):
 def _benchmark_staircase(schedule: str, levels: int):
     if schedule == "harmonic":
         return build(ConstructionParams(a="2", levels=levels))[0]
+    if schedule == "radii":  # a_k = 2 - 1/(k + 1) at margin 0.05
+        radii = [Fraction(2 * k + 1, k + 1) for k in range(1, levels + 1)]
+        return build(ConstructionParams(a="2", levels=levels, a_sequence=radii,
+                                        schedule=MarginSchedule("0.05")))[0]
     return staircase(schedule, levels)
 
 
+# at the last three depths the heights' doubles do not determine the exact heights
 @pytest.mark.parametrize("schedule, levels",
-                         STAIRCASES + [("harmonic", levels) for levels in range(1, 5)])
+                         STAIRCASES + [("harmonic", levels) for levels in range(1, 5)]
+                         + [("0.02", 19), ("0.02", 20), ("radii", 200)])
 def test_doc_round_trip_on_the_benchmark_grid(schedule, levels):
     domain = _benchmark_staircase(schedule, levels)
     doc = json.loads(json.dumps(domain_to_doc(domain)))
@@ -343,19 +351,38 @@ def test_doc_round_trip_on_the_benchmark_grid(schedule, levels):
     assert loaded.profile.exact_values == domain.profile.exact_values
 
 
-def test_a_height_moved_by_one_ulp_is_not_snapped(p0):
-    # the slopes stay within 1e-9 of integers, but the re-accumulated
-    # heights no longer round to the document's doubles
+def test_a_height_moved_by_one_ulp_loads_as_written(p0):
+    # the text is the height: no repair toward the construction's integer
+    # slopes, and the document writes back byte for byte
     _, domain, _ = p0
     doc = json.loads(json.dumps(domain_to_doc(domain)))
     n = len(doc["breakpoints"])
     moved = math.nextafter(domain.profile.values[2], -math.inf)
     for i in (2, n - 3):  # both mirrors, so the symmetric flag still holds
-        doc["breakpoints"][i][1] = fmt(moved)
+        doc["breakpoints"][i][1] = format(Decimal(moved), "f")  # its exact expansion
     loaded = domain_from_doc(doc)
     assert loaded.profile.values[2] == moved
-    assert loaded.profile.exact_values == tuple(map(Fraction, loaded.profile.values))
-    assert domain_to_doc(loaded) == doc
+    assert loaded.profile.exact_values[2] == Fraction(moved)
+    assert json.dumps(domain_to_doc(loaded)) == json.dumps(doc)
+
+
+def test_a_document_with_rounded_heights_is_refused(p0):
+    # documents written before heights were exact hold each height's double
+    # to 17 significant digits, a decimal that is not a dyadic rational
+    _, domain, _ = p0
+    doc = json.loads(json.dumps(domain_to_doc(domain)))
+    for pair, v in zip(doc["breakpoints"], domain.profile.values):
+        pair[1] = fmt(v)
+    validate_doc("domain", doc)  # the schema only asks for strings
+    with pytest.raises(ValidationError, match="height 0 = -[0-9.]+ is not an exact height"):
+        domain_from_doc(doc)
+
+
+def test_a_height_that_is_not_dyadic_is_not_written():
+    # no decimal text holds 1/3 exactly
+    domain = ReinhardtDomain(RadialProfile((-1, 0, 1), (0, Fraction(-1, 3), -1)), -1.0, 1.0)
+    with pytest.raises(ValidationError, match="not a dyadic rational"):
+        domain_to_doc(domain)
 
 
 def _malformed_doc(kind: str):
@@ -364,8 +391,8 @@ def _malformed_doc(kind: str):
         del doc["t_min"]
     elif kind == "one-element pair":
         doc["breakpoints"][0] = doc["breakpoints"][0][:1]
-    elif kind == "height x":
-        doc["breakpoints"][0][1] = "x"
+    elif kind.startswith("height "):
+        doc["breakpoints"][0][1] = kind.removeprefix("height ")
     elif kind == "list":
         return [doc]
     elif kind == "null breakpoints":
@@ -377,6 +404,10 @@ def _malformed_doc(kind: str):
     ("no t_min", "lacks t_min"),
     ("one-element pair", "breakpoints must be a list"),
     ("height x", "heights must be decimal strings"),
+    # float reads these; read exactly, the first two would build 10^99999999
+    ("height 1e-99999999", "height 0 = 1e-99999999 is not a decimal numeral"),
+    ("height 0e99999999", "height 0 = 0e99999999 is not a decimal numeral"),
+    ("height 1_0", "height 0 = 1_0 is not a decimal numeral"),
     ("list", "must be an object, not list"),
     ("null breakpoints", "breakpoints must be a list"),
 ])
@@ -474,16 +505,14 @@ def test_overflowing_slope_rejected_by_domain_from_doc():
         domain_from_doc(doc)
 
 
-def test_snap_whose_heights_overflow_a_double_is_not_taken():
-    # integer slopes, but re-accumulated from the first height the last one
-    # lands past the largest double: the heights load as the document's
-    pairs = [["0", "1.7976931348623157e+308"], ["1", "4.537696805368435e+307"],
-             ["2.2", "1.7976931348623157e+308"]]
-    doc = {"version": 1, "breakpoints": pairs, "t_min": "0", "t_max": "2.2",
-           "flags": {"symmetric": False, "pseudoconvex": False}}
-    profile = domain_from_doc(doc).profile
-    assert profile.values == tuple(float(v) for _, v in pairs)
-    assert profile.exact_values == tuple(map(Fraction, profile.values))
+def test_exact_heights_past_the_largest_double_must_be_finite():
+    # 2^1024, exact and dyadic, but past every double
+    for height in (str(2 ** 1024), str(-2 ** 1024)):
+        doc = {"version": 1, "breakpoints": [["0", "0"], ["1", height]],
+               "t_min": "0", "t_max": "1", "flags": {"symmetric": False, "pseudoconvex": False}}
+        validate_doc("domain", doc)  # the schema only asks for strings
+        with pytest.raises(ValidationError, match="must be finite"):
+            domain_from_doc(doc)
 
 
 def test_domain_validation():

@@ -41,6 +41,16 @@ def concave_profiles(draw):
     return RadialProfile(tuple(bps), tuple(vals))
 
 
+@st.composite
+def dyadic_profiles(draw):
+    """Profiles whose heights are random dyadic rationals ``n / 2^E``, ``E <=
+    80``, most of which are not doubles."""
+    bps = draw(concave_profiles()).breakpoints
+    vals = [Fraction(draw(st.integers(-2**90, 2**90)), 2 ** draw(st.integers(0, 80)))
+            for _ in bps]
+    return RadialProfile(bps, tuple(vals))
+
+
 def domain_of(profile: RadialProfile) -> ReinhardtDomain:
     return ReinhardtDomain(profile, profile.breakpoints[0] - 0.5,
                            profile.breakpoints[-1] + 0.5)
@@ -134,14 +144,16 @@ def test_slice_radii_monotone_under_growth(profile, pad):
     assert r2[0] >= r1[0] and r2[1] >= r1[1]
 
 
-@given(concave_profiles())
+@given(st.one_of(concave_profiles(), dyadic_profiles()))
 @settings(max_examples=100, deadline=None)
 def test_serialization_roundtrip(profile):
     d = domain_of(profile)
     doc = domain_to_doc(d)
     d2 = domain_from_doc(json.loads(json.dumps(doc)))
     assert d2.profile == d.profile
+    assert d2.profile.exact_values == d.profile.exact_values
     assert d2.t_min == d.t_min and d2.t_max == d.t_max
+    assert domain_to_doc(d2) == doc
 
 
 @given(concave_profiles(), st.floats(-4.0, 4.0))
