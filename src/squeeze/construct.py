@@ -18,6 +18,7 @@ analytic discs is compatible with the certified values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +40,10 @@ from .metrics import (
 )
 
 EXPONENT_LIMIT = 2**62
+# The decimal exponent of a rational's text, as Fraction reads it: refused past
+# four digits, the limit of a domain document's heights, since Fraction builds
+# 10^|exponent| before any check (10^10000000: seconds).
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
 
 
 def _to_fraction(x) -> Fraction:
@@ -49,6 +54,10 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and len(exponent[1].replace("_", "")) > 4:
+            raise ValidationError(f"cannot read {x!r} as an exact rational: its "
+                                  "exponent has more than four digits")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -986,46 +986,66 @@ def _coarse_first(samples: int) -> np.ndarray:
     return np.argsort(np.arange(samples) % _COARSE != 0, kind="stable")
 
 
-def _circle_samples(order: np.ndarray, az: np.ndarray, bw: np.ndarray,
-                    out: np.ndarray, pool=None) -> np.ndarray:
-    """Fill ``out`` (float32, shape (4, discs, samples)) with the planar
-    samples ``z.real, z.imag, w.real, w.imag`` of ``zeta + sum_j a_j
-    zeta^(j+2)`` per disc, and return it.  Column ``i`` holds the sample at
-    ``zeta = exp(2 pi i k / samples)`` with ``k = order[i]``.
+def _coefficient_rows(az: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Per disc, the rows ``1, Re a_j, -Im a_j`` of its z plane (``az``) and
+    of its w plane (``bw``): float32 of shape ``(2, discs, 2 degree - 1)``,
+    the left factors of ``_circle_samples``."""
+    a = np.empty((2, az.shape[0], 2 * az.shape[1] + 1), dtype=np.float32)
+    a[:, :, 0] = 1.0
+    a[0, :, 1::2], a[0, :, 2::2] = az.real, -az.imag
+    a[1, :, 1::2], a[1, :, 2::2] = bw.real, -bw.imag
+    return a
 
-    Each plane is one float32 matrix product ``A @ P`` written straight into
-    ``out``: a row of ``A`` is a disc's ``1, Re a_j, -Im a_j``, and ``P``
-    holds the parts of ``zeta`` and of each ``zeta^(j+2)``, the root of unity
-    of index ``(j+2) k mod samples`` rounded once to float32, so no power
-    accumulates rounding.  Each sample is within ``(2 degree + 1) 2^-24 (1 +
-    sum_j (|Re a_j| + |Im a_j|))`` of its exact value, an error the
-    ``_HAIRCUT`` test covers.  The last bits depend on the BLAS kernel's
-    summation order, with some kernels also on the column.
+
+def _root_columns(order: np.ndarray, samples: int, degree: int) -> np.ndarray:
+    """The right factors of ``_circle_samples`` for the circle samples
+    ``zeta = exp(2 pi i k / samples)``, ``k = order[i]`` in column ``i``:
+    float32 of shape ``(2, 2 degree - 1, order.size)``, the real and the
+    imaginary parts of ``zeta`` and of each ``zeta^(j+2)``, each power the
+    root of unity of index ``(j+2) k mod samples`` rounded once to float32,
+    so no power accumulates rounding."""
+    roots = _circle(samples)[np.outer(np.arange(1, degree + 1), order) % samples]
+    p = np.empty((2, 2 * degree - 1, order.size), dtype=np.float32)
+    p[0, 0], p[0, 1::2], p[0, 2::2] = roots[0].real, roots[1:].real, roots[1:].imag
+    p[1, 0], p[1, 1::2], p[1, 2::2] = roots[0].imag, roots[1:].imag, -roots[1:].real
+    return p
+
+
+def _circle_samples(a: np.ndarray, p: np.ndarray, pool=None) -> np.ndarray:
+    """The planar samples ``z.real, z.imag, w.real, w.imag`` of ``zeta +
+    sum_j a_j zeta^(j+2)``, float32 of shape ``(4, rows, columns)``, for the
+    discs whose coefficient rows are ``a`` (``_coefficient_rows``, or any
+    subset of its rows) at the circle samples whose columns are ``p``
+    (``_root_columns`` of any subset of the samples).
+
+    Each plane is one float32 matrix product ``A @ P``.  Each sample is
+    within ``(2 degree + 1) 2^-24 (1 + sum_j (|Re a_j| + |Im a_j|))`` of its
+    exact value, an error the ``_HAIRCUT`` test covers.  The last bits
+    depend on the BLAS kernel's summation order: OpenBLAS's Prescott sgemm
+    gives the last row of a product with an odd row count other bits, so an
+    odd row count is padded by one row (dropped from the result) and every
+    product has an even one; its Haswell and Zen sgemm's bits also depend
+    on the product's shape.
 
     With a thread ``pool``, a helper forms the two w-plane products while
     the calling thread forms the two z-plane ones: the same products of the
     same operands, so the same samples."""
-    samples = order.size
-    roots = _circle(samples)[np.outer(np.arange(1, az.shape[1] + 2), order) % samples]
-    p_re = np.empty((2 * roots.shape[0] - 1, samples), dtype=np.float32)
-    p_im = np.empty_like(p_re)
-    p_re[0], p_re[1::2], p_re[2::2] = roots[0].real, roots[1:].real, roots[1:].imag
-    p_im[0], p_im[1::2], p_im[2::2] = roots[0].imag, roots[1:].imag, -roots[1:].real
+    rows = a.shape[1]
+    if rows % 2:
+        a = np.concatenate((a, a[:, :1]), axis=1)
+    out = np.empty((4, a.shape[1], p.shape[2]), dtype=np.float32)
 
-    def planes(plane: int, coeffs: np.ndarray) -> None:
-        a = np.empty((coeffs.shape[0], p_re.shape[0]), dtype=np.float32)
-        a[:, 0] = 1.0
-        a[:, 1::2], a[:, 2::2] = coeffs.real, -coeffs.imag
-        np.matmul(a, p_re, out=out[plane])
-        np.matmul(a, p_im, out=out[plane + 1])
+    def planes(plane: int) -> None:
+        np.matmul(a[plane], p[0], out=out[2 * plane])
+        np.matmul(a[plane], p[1], out=out[2 * plane + 1])
 
-    w_planes = None if pool is None else pool.submit(planes, 2, bw)
-    planes(0, az)
+    w_planes = None if pool is None else pool.submit(planes, 1)
+    planes(0)
     if w_planes is None:
-        planes(2, bw)
+        planes(1)
     else:
         w_planes.result()
-    return out
+    return out[:, :rows]
 
 
 def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
@@ -1034,7 +1054,8 @@ def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
     ``cc * x`` and ``1 + cc * x`` equal the complex64 ``(cc + 0j) * (x + iy)``
     and ``1 + (cc + 0j) * (x + iy)`` component by component.
 
-    ``s`` may be any view of the samples (a column range, a row range).
+    ``s`` may be any view of samples (the live discs' coarse samples, a
+    part of their rows, a full-stage block's other samples).
     ``max(aw2, aw2 * az2^m)`` is written in place in three float32 arrays of
     the rows' shape (four when m is not a power of 2): the float32 operations
     of ``aw2 = (cc wr)^2 + (cc wi)^2``, ``az2 = (1 + cc zr)^2 + (cc zi)^2``
@@ -1061,47 +1082,47 @@ def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
         return np.any(v > thr2, axis=1)
 
 
-def _feasible(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32,
-              pool=None, threads: int = 1) -> tuple[np.ndarray, int]:
-    """Per disc ``i`` (row ``i`` of the planar samples ``s``, columns in
-    ``_coarse_first`` order): is it feasible at scale ``c[i]``?  Also returns
-    how many discs reached the full stage.
+def _feasible(c: np.ndarray, s: np.ndarray, a: np.ndarray, p: np.ndarray, m: int,
+              thr2: np.float32, pool=None, threads: int = 1) -> tuple[np.ndarray, int]:
+    """Per disc ``i``: is it feasible at scale ``c[i]``?  Row ``i`` of ``s``
+    holds the disc's coarse samples, every ``_COARSE``-th circle sample (the
+    first columns of the ``_coarse_first`` order), and row ``i`` of ``a``
+    its coefficient rows; ``p`` holds the root columns of the other
+    samples.  Also returns how many discs reached the full stage.
 
     With a thread ``pool`` and at least ``2 * _FULL_ROWS`` rows, the rows
     are split into ``min(threads, rows // _FULL_ROWS)`` contiguous parts.
     Helpers test all parts but the first, the calling thread tests the
-    first (``_feasible_rows``), and the verdicts are joined in order.  A
-    disc's verdict depends on its own row and scale alone, so it is that of
-    the unsplit call bit for bit."""
+    first (``_feasible_rows``), each part building its own full-stage
+    samples, and the verdicts are joined in order.  A disc's verdict depends
+    on its own rows and scale alone, so it is that of the unsplit call bit
+    for bit."""
     parts = 1 if pool is None else min(threads, c.size // _FULL_ROWS)
     if parts < 2:
-        return _feasible_rows(c, s, m, thr2)
+        return _feasible_rows(c, s, a, p, m, thr2)
     cuts = [c.size * i // parts for i in range(parts + 1)]
-    others = [pool.submit(_feasible_rows, c[a:b], s[:, a:b], m, thr2)
-              for a, b in zip(cuts[1:-1], cuts[2:])]
-    done = [_feasible_rows(c[:cuts[1]], s[:, :cuts[1]], m, thr2)]
+    others = [pool.submit(_feasible_rows, c[lo:hi], s[:, lo:hi], a[:, lo:hi], p, m, thr2)
+              for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    done = [_feasible_rows(c[:cuts[1]], s[:, :cuts[1]], a[:, :cuts[1]], p, m, thr2)]
     done += [part.result() for part in others]
     return np.concatenate([ok for ok, _ in done]), sum(n_full for _, n_full in done)
 
 
-def _feasible_rows(c: np.ndarray, s: np.ndarray, m: int,
+def _feasible_rows(c: np.ndarray, s: np.ndarray, a: np.ndarray, p: np.ndarray, m: int,
                    thr2: np.float32) -> tuple[np.ndarray, int]:
     """``_feasible`` of one part of the rows, unsplit.
 
-    Every disc is tested on the view of the first ``ceil(samples /
-    _COARSE)`` columns; a failure there is a failure.  Only the survivors are
-    tested on the other columns, ``_FULL_ROWS`` discs at a time: a block of
-    consecutive rows as a view of ``s``, any other block gathered.  The tests
-    are elementwise in the sample, so the verdict is that of one pass over
-    all columns."""
-    k = -(-s.shape[2] // _COARSE)
-    ok = ~_bad(c, s[:, :, :k], m, thr2)
+    Every disc is tested on its coarse samples ``s``; a failure there is a
+    failure.  Only the survivors are tested on the other samples,
+    ``_FULL_ROWS`` discs at a time, each block's samples built from its
+    coefficient rows (``_circle_samples(a[:, block], p)``).  The tests are
+    elementwise in the sample, so the verdict is that of one pass over all
+    samples."""
+    ok = ~_bad(c, s, m, thr2)
     survivors = np.flatnonzero(ok)
     for i in range(0, survivors.size, _FULL_ROWS):
         blk = survivors[i:i + _FULL_ROWS]
-        if blk[-1] - blk[0] == blk.size - 1:
-            blk = slice(blk[0], blk[-1] + 1)
-        ok[blk] = ~_bad(c[blk], s[:, blk, k:], m, thr2)
+        ok[blk] = ~_bad(c[blk], _circle_samples(a[:, blk], p), m, thr2)
     return ok, survivors.size
 
 
@@ -1164,19 +1185,22 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     cZ|^2 = 2 Re Z + 2c |Z|^2 > c |Z|^2 >= 0``.  So in exact arithmetic each
     disc's feasible scales form an interval from 0.
 
-    A scale test runs in two stages, on circle samples ordered so that every
-    ``_COARSE``-th one comes first.  The coarse stage tests every disc on
-    those ``ceil(samples / _COARSE)`` samples, and the full stage tests only
-    the discs that pass on the rest.  Both exact: a sample's test depends on
-    that sample alone, a disc fails if any sample fails, and the stages
-    compute the same float32 values as one pass over all samples would, so
-    ``min_alpha`` and ``scale_tests`` do not change by a bit.  When pruning
-    drops discs, the survivors' rows are copied to the front of the chunk's
-    buffer, so each test reads the live discs' samples as views of it.
+    A scale test runs in two stages.  The coarse stage tests every disc on
+    every ``_COARSE``-th circle sample, ``ceil(samples / _COARSE)`` of them,
+    and the full stage tests only the discs that pass on the rest.  Both
+    exact: a sample's test depends on that sample alone, a disc fails if any
+    sample fails, and the stages compute the same float32 values as one pass
+    over all samples would, so ``min_alpha`` and ``scale_tests`` do not
+    change by a bit.  A chunk keeps only its coarse samples and its discs'
+    coefficient rows (``_coefficient_rows``); the full stage builds a
+    block's other samples from its rows when the block gets there, and a
+    disc reaches that stage about once.  When pruning drops discs, only the
+    survivors' coarse samples and coefficient rows are kept.
 
-    The samples of a chunk are float32 matrix products (``_circle_samples``),
-    so their last bits, and ``min_alpha`` in its last digits, depend on the
-    BLAS kernel.  Rigor does not: the ``_HAIRCUT`` margin on the threshold
+    The samples are float32 matrix products (``_circle_samples``), so their
+    last bits, and ``min_alpha`` in its last digits, depend on the BLAS
+    kernel, with some kernels also on the product's shape.  Rigor does not:
+    the ``_HAIRCUT`` margin on the threshold
     covers the float32 error of the samples and of the test, for the range
     it is checked on, ``m <= 32`` and ``degree <= 6``; the oracle refuses
     larger ones with ``ValidationError``.
@@ -1184,10 +1208,11 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     A call whose chunks hold at least ``2 * _FULL_ROWS`` discs runs on one
     thread per usable CPU, the calling thread included (``_oracle_threads``,
     which holds numpy's OpenBLAS to one thread for the call): a helper forms
-    the w-plane samples while the calling thread forms the z-plane ones, and
-    each scale test over at least ``2 * _FULL_ROWS`` live discs is split by
-    rows (``_feasible``).  Every value is computed by the same kernel on the
-    same operands as in one thread, so the result is the same bit for bit.
+    the w-plane coarse samples while the calling thread forms the z-plane
+    ones, and each scale test over at least ``2 * _FULL_ROWS`` live discs is
+    split by rows (``_feasible``), each part building its own full-stage
+    samples.  Every value is computed by the same kernel on the same
+    operands as in one thread, so the result is the same bit for bit.
     """
     m = _int_at_least("m", m)
     count = _int_at_least("count", count)
@@ -1207,17 +1232,18 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     if thr <= 0.0:
         raise ValidationError("not enough circle samples for the Bernstein margin")
     order = _coarse_first(samples)
+    k = -(-samples // _COARSE)
+    coarse_p = _root_columns(order[:k], samples, degree)
+    other_p = _root_columns(order[k:], samples, degree)
     chunk = max(256, (1 << 21) // samples)
     thr2 = np.float32((thr * (1.0 - _HAIRCUT)) ** 2)
 
-    rows = min(chunk, count)
-    buf = np.empty((4, rows, samples), dtype=np.float32)
     best_tau = 0.0
     scale_tests = 0
     full_tests = 0
     done = 0
     ci = 0
-    with _oracle_threads(rows) as (pool, threads):
+    with _oracle_threads(min(chunk, count)) as (pool, threads):
         while done < count:
             b = min(chunk, count - done)
             rng = np.random.default_rng([seed, m, ci])
@@ -1225,12 +1251,13 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
             az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
             bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
 
-            s = _circle_samples(order, az, bw, out=buf[:, :b], pool=pool)
+            a = _coefficient_rows(az, bw)
+            s = _circle_samples(a, coarse_p, pool)
             lo = np.zeros(b)
             hi = np.full(b, np.inf)
             c = np.full(b, math.sqrt(2.0 / m))
             for _ in range(_ORACLE_STEPS):
-                ok, n_full = _feasible(c, s, m, thr2, pool, threads)
+                ok, n_full = _feasible(c, s, a, other_p, m, thr2, pool, threads)
                 scale_tests += c.size
                 full_tests += n_full
                 lo = np.where(ok, np.maximum(lo, c), lo)
@@ -1242,8 +1269,7 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
                     lo, hi, c = lo[keep], hi[keep], c[keep]
                     if lo.size == 0:
                         break
-                    s[:, :lo.size] = s[:, keep]
-                    s = s[:, :lo.size]
+                    s, a = s[:, keep], a[:, keep]
             if not np.all(lo > 0.0):
                 raise NumericalError("oracle found a disc with no feasible scale")
             done += b

@@ -15,8 +15,8 @@ from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
-                              _coarse_first, _log_moduli, _monomial_at, _monomial_grad,
-                              _validate_indices)
+                              _coarse_first, _coefficient_rows, _log_moduli, _monomial_at,
+                              _monomial_grad, _root_columns, _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
@@ -91,12 +91,13 @@ def single_pass_samples(az, bw, samples: int):
     """The disc oracle's circle samples ``(base_z, base_w)``, the float32
     planes of ``_circle_samples`` joined into complex64, in natural order.
 
-    They are built in the oracle's ``_coarse_first`` column order and put
-    back: with some BLAS kernels (OpenBLAS Haswell, Prescott) a sample's last
-    bit depends on its column in the matrix product, so a natural-order build
-    need not hold the oracle's samples."""
+    They are built for all discs and all samples in one product per plane,
+    in the oracle's ``_coarse_first`` column order, and put back: with some
+    BLAS kernels (OpenBLAS Haswell, Zen) a sample's last bit depends on its
+    column in the matrix product, so a natural-order build need not hold the
+    oracle's samples."""
     order = _coarse_first(samples)
-    s = _circle_samples(order, az, bw, np.empty((4, len(az), samples), dtype=np.float32))
+    s = _circle_samples(_coefficient_rows(az, bw), _root_columns(order, samples, az.shape[1] + 1))
     base = np.empty((2, len(az), samples), dtype=np.complex64)
     base.real[:, :, order], base.imag[:, :, order] = s[0::2], s[1::2]
     return base[0], base[1]

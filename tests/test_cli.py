@@ -6,6 +6,7 @@ import logging
 import math
 import os
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,31 @@ def test_bad_override_exit2(tmp_path, capsys, command, args):
     assert code == EXIT_CONFIG
     assert any(line.startswith("error: ")
                for line in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("doc, text", [
+    ({"a": "1e-10000"}, "1e-10000"),
+    ({"schedule": "margin", "margin_u": "5e+10000"}, "5e+10000"),
+    ({"sequence": ["1.5", "1.9e0_0000"]}, "1.9e0_0000"),
+], ids=["a", "margin_u", "sequence"])
+def test_long_rational_exponent_exit2(tmp_path, capsys, doc, text):
+    # Fraction(text) would build 10^|exponent| before any check; an exponent
+    # of more than four digits is refused first, naming the value
+    code = main(["build", "--out", str(tmp_path / "r"), "--config",
+                 _write_config(tmp_path, {"levels": 1, **doc})])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read {text!r} as an exact rational: its exponent has more than four " \
+           "digits" in err
+
+
+def test_rational_texts_read_exactly():
+    assert construct._to_fraction("3/2") == Fraction(3, 2)
+    assert construct._to_fraction("-2.5e-3") == Fraction(-1, 400)
+    assert construct._to_fraction("1E9999") == 10**9999
+    for text in ("1e-10000000", "1e+00001", "2E1_0000"):
+        with pytest.raises(ValidationError, match="more than four digits"):
+            construct._to_fraction(text)
 
 
 @pytest.mark.parametrize("command", ["estimate", "all"])

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,9 +32,9 @@ from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLA
                               DEFAULT_DISC_INDEXES, PolydiscModel,
                               ReinhardtAdapter, _bad, _boundary_matrix,
                               _caratheodory_objective, _circle_samples, _coarse_first,
-                              _disc_coordinate, _DiscTails, _edge_above, _feasible, _int_power,
-                              _ladder, _largest_feasible_tau, _log_moduli, _monomial_grad,
-                              _polyval, _top_seeds)
+                              _coefficient_rows, _disc_coordinate, _DiscTails, _edge_above,
+                              _feasible, _int_power, _ladder, _largest_feasible_tau,
+                              _log_moduli, _monomial_grad, _polyval, _root_columns, _top_seeds)
 
 from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
                      guarded_log_moduli, int_power_reference, polyval_reference, row,
@@ -871,7 +872,21 @@ class TestOracle:
 
     @staticmethod
     def _samples(order, az, bw):
-        return _circle_samples(order, az, bw, np.empty((4, len(az), order.size), np.float32))
+        """All samples of all discs, columns in ``order``."""
+        return _circle_samples(_coefficient_rows(az, bw),
+                               _root_columns(order, order.size, az.shape[1] + 1))
+
+    @staticmethod
+    def _stages(az, bw, samples):
+        """What ``_feasible`` reads, as the oracle builds it: the coarse
+        samples, the coefficient rows and the root columns of the other
+        samples."""
+        order = _coarse_first(samples)
+        k = -(-samples // _COARSE)
+        a = _coefficient_rows(az, bw)
+        degree = az.shape[1] + 1
+        return (_circle_samples(a, _root_columns(order[:k], samples, degree)), a,
+                _root_columns(order[k:], samples, degree))
 
     @staticmethod
     def _exact(az, bw, samples):
@@ -963,35 +978,66 @@ class TestOracle:
         c = np.concatenate([lo, np.tile(grid, len(az))])
 
         want = single_pass_feasible(c, base_z[rows], base_w[rows], m, thr2)
-        s = self._samples(_coarse_first(samples), az, bw)
-        got, n_full = _feasible(c, s[:, rows], m, thr2)
+        s, a, p = self._stages(az, bw, samples)
+        got, n_full = _feasible(c, s[:, rows], a[:, rows], p, m, thr2)
         assert np.array_equal(got, want)
-        coarse_ok = ~_bad(c, s[:, rows, :-(-samples // _COARSE)], m, thr2)
+        coarse_ok = ~_bad(c, s[:, rows], m, thr2)
         assert n_full == np.count_nonzero(coarse_ok)
         assert np.any(coarse_ok & ~want)
         assert np.any(want) and not np.any(want[c > 1e19])
 
     @pytest.mark.parametrize("m", [2, 32])
-    def test_full_stage_blocks_as_views_and_gathers(self, m):
-        """The first ``_FULL_ROWS`` coarse survivors are consecutive rows (the
-        full stage reads a view of them), the next ones skip every other row
-        (it gathers them); both verdicts are the single pass's."""
+    def test_full_stage_blocks_of_consecutive_and_gapped_rows(self, m):
+        """The first ``_FULL_ROWS`` coarse survivors are consecutive rows,
+        the next ones skip every other row; each block's samples are built
+        from its coefficient rows, and both verdicts are the single pass's.
+
+        The scales lie 1e-5 relative inside the coarse edges, far above the
+        last-bit differences of samples built in products of other shapes
+        (OpenBLAS's Haswell and Zen sgemm), so the verdicts do not depend
+        on the kernel."""
         samples, az, bw, _, thr2 = self._discs(m, 6, 3 * _FULL_ROWS, 7)
         base_z, base_w = single_pass_samples(az, bw, samples)
-        c = self._coarse_edges(base_z, base_w, m, thr2)
+        c = self._coarse_edges(base_z, base_w, m, thr2) * (1.0 - 1e-5)
         c[_FULL_ROWS + 1::2] = 1e3  # fails the coarse stage
-        s = self._samples(_coarse_first(samples), az, bw)
-        coarse_ok = ~_bad(c, s[:, :, :-(-samples // _COARSE)], m, thr2)
+        s, a, p = self._stages(az, bw, samples)
+        coarse_ok = ~_bad(c, s, m, thr2)
         survivors = np.flatnonzero(coarse_ok)
         assert np.array_equal(survivors[:_FULL_ROWS], np.arange(_FULL_ROWS))
         assert np.all(np.diff(survivors[_FULL_ROWS:2 * _FULL_ROWS]) == 2)
 
         want = single_pass_feasible(c, base_z, base_w, m, thr2)
-        got, n_full = _feasible(c, s, m, thr2)
+        got, n_full = _feasible(c, s, a, p, m, thr2)
         assert np.array_equal(got, want)
         assert n_full == survivors.size
         for blk in (survivors[:_FULL_ROWS], survivors[_FULL_ROWS:2 * _FULL_ROWS]):
             assert np.any(want[blk]) and not np.all(want[blk])
+
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_odd_row_products_are_padded(self, monkeypatch, m):
+        """Every sample product has an even row count: an odd block is
+        padded by one row, which the samples drop, so an odd block's samples
+        are those of its rows in an even block bit for bit (OpenBLAS's
+        Prescott sgemm gives the last row of an odd-row product other bits).
+        The full stage of 3 coarse survivors builds a 4-row product (their
+        scales 1e-5 relative inside their coarse edges, as above)."""
+        samples, az, bw, _, thr2 = self._discs(m, 6, 8, 3)
+        s, a, p = self._stages(az, bw, samples)
+        for rows in (1, 3, 7):
+            odd = _circle_samples(a[:, :rows], p)
+            assert odd.shape == (4, rows, p.shape[2])
+            assert odd.tobytes() == _circle_samples(a[:, :rows + 1], p)[:, :rows].tobytes()
+
+        base_z, base_w = single_pass_samples(az, bw, samples)
+        c = self._coarse_edges(base_z, base_w, m, thr2) * (1.0 - 1e-5)
+        c[3:] = 1e3  # fails the coarse stage
+        shapes = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda x, *args, **kwargs:
+                            shapes.append(x.shape) or matmul(x, *args, **kwargs))
+        got, n_full = _feasible(c, s, a, p, m, thr2)
+        assert n_full == 3 and shapes == [(4, p.shape[1])] * 4
+        assert np.array_equal(got, single_pass_feasible(c, base_z, base_w, m, thr2))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 4.0), st.floats(-math.pi, math.pi), st.floats(-4.0, 4.0),
@@ -1033,6 +1079,19 @@ class TestOracle:
     def test_pruning_skips_scale_tests(self):
         res = monomial_disc_oracle(2, count=2000, seed=11)
         assert 0 < res.scale_tests < 30 * res.count
+
+    def test_keeps_only_coarse_samples(self):
+        """A chunk keeps its coarse samples and coefficient rows, and a block
+        of full-stage discs builds its other samples when it gets there: the
+        traced peak of a two-chunk m = 2 call stays at or below 20 MB (all
+        samples of one of its chunks would take 32 MB)."""
+        tracemalloc.start()
+        try:
+            monomial_disc_oracle(2, count=32768, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
     @pytest.fixture
     def blas(self):
@@ -1078,29 +1137,31 @@ class TestOracle:
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_feasible_on_parts_matches_unsplit(self, threads):
         """Split into ``min(threads, rows // _FULL_ROWS)`` parts, on rows
-        whose samples hold infinities and NaNs in the coarse and the full
-        columns, the verdicts and the full-stage count are the unsplit
-        call's."""
+        whose samples hold infinities and NaNs in the coarse samples and,
+        through their coefficient rows, in the full-stage samples, the
+        verdicts and the full-stage count are the unsplit call's."""
         m = 8
         samples, az, bw, _, thr2 = self._discs(m, 6, 3 * _FULL_ROWS + 17, 9)
         base_z, base_w = single_pass_samples(az, bw, samples)
         c = self._coarse_edges(base_z, base_w, m, thr2)
-        s = self._samples(_coarse_first(samples), az, bw)
-        k = -(-samples // _COARSE)
+        s, a, p = self._stages(az, bw, samples)
         s[2, 5, 0] = np.inf
-        s[0, 300, k + 3] = -np.inf
+        a[0, 300, 3] = -np.inf  # full-stage z samples of row 300
         s[1, 301, 1] = np.nan
-        s[3, 600, k + 1] = np.nan
+        a[1, 600, 1] = np.nan  # full-stage w samples of row 600
         s[:, 700] = np.nan
+        a[:, 700] = np.nan
         s[3, 100] = np.inf
-        want, want_full = _feasible(c, s, m, thr2)
+        a[1, 100, 0] = np.inf
+        want, want_full = _feasible(c, s, a, p, m, thr2)
         with ThreadPoolExecutor(threads - 1) as pool:
             submit, submitted = pool.submit, []
             pool.submit = lambda *args: submitted.append(args) or submit(*args)
-            got, got_full = _feasible(c, s, m, thr2, pool, threads)
+            got, got_full = _feasible(c, s, a, p, m, thr2, pool, threads)
         assert len(submitted) == min(threads, 3) - 1
         assert np.array_equal(got, want) and got_full == want_full
-        assert want[700] and not want[5] and not want[100]
+        assert want[700] and not want[5] and not want[100] and not want[300]
+        assert np.all(~_bad(c[[300, 600, 700]], s[:, [300, 600, 700]], m, thr2))
         assert np.any(want) and not np.all(want) and 0 < want_full < c.size
 
     def test_blas_threads_restored(self, monkeypatch, blas):
@@ -1133,7 +1194,7 @@ class TestOracle:
             assert get_threads() == 2
         finally:
             set_threads(original)
-        assert during == [1, 1]
+        assert len(during) > 2 and set(during) == {1}
         assert threading.active_count() == threads
 
     def test_helpers_run_no_public_function(self, monkeypatch, blas):
@@ -1141,7 +1202,7 @@ class TestOracle:
         methods and keeps one call stack, so the helper threads may run
         private code only: no public squeeze function or method is called
         off the calling thread, and the helpers do run the scale test and
-        the sample build."""
+        the sample builds of both stages."""
         public = set()
         for name, mod in list(sys.modules.items()):
             if not name.startswith("squeeze."):
@@ -1171,4 +1232,4 @@ class TestOracle:
             threading.setprofile(None)
         assert not seen & public
         ran = {code.co_name for code in seen if code.co_filename == _bad.__code__.co_filename}
-        assert {"_feasible_rows", "_bad", "planes"} <= ran
+        assert {"_feasible_rows", "_bad", "_circle_samples", "planes"} <= ran
