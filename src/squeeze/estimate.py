@@ -950,6 +950,46 @@ _FULL_ROWS = 256  # discs per block in the full stage
 _HAIRCUT = 1e-4
 
 
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)`` for float32, ``u = 2^-24``: a
+    value rounded ``n`` times is within ``gamma_n`` relative of its exact
+    value (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., SIAM 2002, Lemma 3.1)."""
+    return n * 2.0**-24 / (1.0 - n * 2.0**-24)
+
+
+def _sum_bound_error(m: int, degree: int) -> float:
+    """Relative bound on how far the float32 scale test (``_circle_samples``,
+    then ``_bad``) can read above the coefficient-sum bound ``c^2 S_w^2 (1 +
+    c S_z)^(2m)`` of ``_proven``.
+
+    A sample part is a dot product of ``K = 2 degree - 1`` terms, each a row
+    entry times a root column entry rounded to float32; in any summation
+    order each term is rounded at most ``K + 2`` times (the float64 roots'
+    own error, under 1e-15, fits in one of them), so the part is within
+    ``gamma_{K+2}`` times the sum of its terms' moduli of its exact value.
+    Both parts together are within ``gamma_{K+2} T``, ``T = 1 + sum_j (|Re
+    a_j| + |Im a_j|) <= sqrt(2) S``, so ``|Z| <= (1 + sqrt(2) gamma_{K+2})
+    S_z`` and likewise ``|W|``.  In ``_bad`` (``cc`` the float32 scale)
+    ``|cc w|^2`` is rounded 6 times, ``|1 + cc z|^2`` is within ``(1 +
+    gamma_10) (1 + c |Z|)^2``, its ``m``-th power is rounded ``m - 1`` more
+    times (binary powering), and the product once: the tested value is at
+    most ``(1 + gamma_{11 m + 6}) (1 + sqrt(2) gamma_{K+2})^(2 m + 2)``
+    times the bound.  Gradual underflow adds at most ``2^-150`` per
+    operation, absolute, and the float64 bound's own rounding under 1e-13
+    relative: at the oracle's scales (at least ``2^-30``) and thresholds
+    both are far inside the margin."""
+    return ((1.0 + _gamma(11 * m + 6))
+            * (1.0 + math.sqrt(2.0) * _gamma(2 * degree + 1)) ** (2 * m + 2) - 1.0)
+
+
+# relative margin of the coefficient-sum bound under the float32 threshold:
+# the next power of ten above 10 times its float32 error at the oracle's
+# range limit, m = 32 and degree = 6 (9.4e-5), so a disc the bound proves
+# passes the sampled test on every sample
+_SUM_MARGIN = 10.0 ** math.ceil(math.log10(10.0 * _sum_bound_error(32, 6)))
+
+
 @dataclass(frozen=True)
 class OracleResult:
     m: int
@@ -986,15 +1026,36 @@ def _coarse_first(samples: int) -> np.ndarray:
     return np.argsort(np.arange(samples) % _COARSE != 0, kind="stable")
 
 
-def _coefficient_rows(az: np.ndarray, bw: np.ndarray) -> np.ndarray:
-    """Per disc, the rows ``1, Re a_j, -Im a_j`` of its z plane (``az``) and
-    of its w plane (``bw``): float32 of shape ``(2, discs, 2 degree - 1)``,
-    the left factors of ``_circle_samples``."""
-    a = np.empty((2, az.shape[0], 2 * az.shape[1] + 1), dtype=np.float32)
+def _draw_rows(rng: np.random.Generator, discs: int, degree: int) -> np.ndarray:
+    """The coefficient rows of ``discs`` random discs of the given degree:
+    float32 of shape ``(2, discs, 2 degree - 1)``, per disc the rows ``1, Re
+    a_j, -Im a_j`` of its z plane and of its w plane (the left factors of
+    ``_circle_samples``).  ``a_j = (x_j + i y_j) s_j``, ``s_j = 0.35 /
+    (j + 2)^2``, from four standard normal draws ``x, y`` (z plane) and
+    ``x, y`` (w plane), in that order: ``Re a_j = x_j s_j`` and ``-Im a_j =
+    -(y_j s_j)``, each rounded once from float64, which is what the complex
+    ``(x + 1j y) * s`` gives part by part, without its complex
+    temporaries."""
+    scales = 0.35 / (np.arange(2, degree + 1) ** 2)
+    a = np.empty((2, discs, 2 * degree - 1), dtype=np.float32)
     a[:, :, 0] = 1.0
-    a[0, :, 1::2], a[0, :, 2::2] = az.real, -az.imag
-    a[1, :, 1::2], a[1, :, 2::2] = bw.real, -bw.imag
+    draw = np.empty((discs, degree - 1))
+    for plane in a:
+        for part, s in ((plane[:, 1::2], scales), (plane[:, 2::2], -scales)):
+            rng.standard_normal(out=draw)
+            np.multiply(draw, s, out=part, casting="same_kind")
     return a
+
+
+def _coefficient_sums(a: np.ndarray) -> np.ndarray:
+    """Per disc, ``S = 1 + sum_j |a_j|`` of its z and of its w coefficients,
+    from its float32 coefficient rows ``a``, in float64: shape ``(2,
+    discs)``.  On the whole circle ``|Z| <= S_z`` and ``|W| <= S_w``.  The
+    squares of float32 parts are exact in float64, so each ``|a_j|`` is off
+    by two float64 roundings at most."""
+    square = np.square(a[:, :, 1:], dtype=np.float64)
+    modulus = square[:, :, 0::2] + square[:, :, 1::2]
+    return 1.0 + np.sqrt(modulus, out=modulus).sum(axis=2)
 
 
 def _root_columns(order: np.ndarray, samples: int, degree: int) -> np.ndarray:
@@ -1014,7 +1075,7 @@ def _root_columns(order: np.ndarray, samples: int, degree: int) -> np.ndarray:
 def _circle_samples(a: np.ndarray, p: np.ndarray, pool=None) -> np.ndarray:
     """The planar samples ``z.real, z.imag, w.real, w.imag`` of ``zeta +
     sum_j a_j zeta^(j+2)``, float32 of shape ``(4, rows, columns)``, for the
-    discs whose coefficient rows are ``a`` (``_coefficient_rows``, or any
+    discs whose coefficient rows are ``a`` (``_draw_rows``, or any
     subset of its rows) at the circle samples whose columns are ``p``
     (``_root_columns`` of any subset of the samples).
 
@@ -1082,13 +1143,31 @@ def _bad(c: np.ndarray, s: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
         return np.any(v > thr2, axis=1)
 
 
-def _feasible(c: np.ndarray, s: np.ndarray, a: np.ndarray, p: np.ndarray, m: int,
-              thr2: np.float32, pool=None, threads: int = 1) -> tuple[np.ndarray, int]:
+def _proven(c: np.ndarray, sums: np.ndarray, m: int, thr2: np.float32) -> np.ndarray:
+    """Per disc: does the coefficient-sum bound prove it feasible at scale
+    ``c``, with no sample?  On the whole circle ``|W| <= S_w`` and ``|1 +
+    cZ| <= 1 + c S_z`` (``sums``, ``_coefficient_sums``), so ``c^2 S_w^2
+    (1 + c S_z)^(2m)`` bounds the sup of the test value ``c^2 |W|^2 max(1,
+    |1 + cZ|^(2m))``.  Where that is at most ``thr2 (1 - _SUM_MARGIN)``,
+    every float32 sample passes ``_bad`` (``_sum_bound_error``), so the
+    verdict is the sampled one.  An infinite or NaN sum, or a bound that
+    overflows, proves nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sz, sw = sums
+        cw = c * sw
+        bound = _int_power(1.0 + c * sz, 2 * m)
+        bound *= cw * cw
+        return bound <= float(thr2) * (1.0 - _SUM_MARGIN)
+
+
+def _feasible(c: np.ndarray, s: np.ndarray, a: np.ndarray, sums: np.ndarray, p: np.ndarray,
+              m: int, thr2: np.float32, pool=None, threads: int = 1) -> tuple[np.ndarray, int, int]:
     """Per disc ``i``: is it feasible at scale ``c[i]``?  Row ``i`` of ``s``
     holds the disc's coarse samples, every ``_COARSE``-th circle sample (the
-    first columns of the ``_coarse_first`` order), and row ``i`` of ``a``
-    its coefficient rows; ``p`` holds the root columns of the other
-    samples.  Also returns how many discs reached the full stage.
+    first columns of the ``_coarse_first`` order), row ``i`` of ``a`` its
+    coefficient rows and column ``i`` of ``sums`` their sums; ``p`` holds
+    the root columns of the other samples.  Also returns how many discs the
+    coefficient-sum bound proved and how many reached the full stage.
 
     With a thread ``pool`` and at least ``2 * _FULL_ROWS`` rows, the rows
     are split into ``min(threads, rows // _FULL_ROWS)`` contiguous parts.
@@ -1099,31 +1178,36 @@ def _feasible(c: np.ndarray, s: np.ndarray, a: np.ndarray, p: np.ndarray, m: int
     for bit."""
     parts = 1 if pool is None else min(threads, c.size // _FULL_ROWS)
     if parts < 2:
-        return _feasible_rows(c, s, a, p, m, thr2)
+        return _feasible_rows(c, s, a, sums, p, m, thr2)
     cuts = [c.size * i // parts for i in range(parts + 1)]
-    others = [pool.submit(_feasible_rows, c[lo:hi], s[:, lo:hi], a[:, lo:hi], p, m, thr2)
+    others = [pool.submit(_feasible_rows, c[lo:hi], s[:, lo:hi], a[:, lo:hi], sums[:, lo:hi],
+                          p, m, thr2)
               for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    done = [_feasible_rows(c[:cuts[1]], s[:, :cuts[1]], a[:, :cuts[1]], p, m, thr2)]
+    cut = cuts[1]
+    done = [_feasible_rows(c[:cut], s[:, :cut], a[:, :cut], sums[:, :cut], p, m, thr2)]
     done += [part.result() for part in others]
-    return np.concatenate([ok for ok, _ in done]), sum(n_full for _, n_full in done)
+    oks, proven, full = zip(*done)
+    return np.concatenate(oks), sum(proven), sum(full)
 
 
-def _feasible_rows(c: np.ndarray, s: np.ndarray, a: np.ndarray, p: np.ndarray, m: int,
-                   thr2: np.float32) -> tuple[np.ndarray, int]:
+def _feasible_rows(c: np.ndarray, s: np.ndarray, a: np.ndarray, sums: np.ndarray,
+                   p: np.ndarray, m: int, thr2: np.float32) -> tuple[np.ndarray, int, int]:
     """``_feasible`` of one part of the rows, unsplit.
 
     Every disc is tested on its coarse samples ``s``; a failure there is a
-    failure.  Only the survivors are tested on the other samples,
-    ``_FULL_ROWS`` discs at a time, each block's samples built from its
-    coefficient rows (``_circle_samples(a[:, block], p)``).  The tests are
-    elementwise in the sample, so the verdict is that of one pass over all
-    samples."""
+    failure.  A survivor that the coefficient-sum bound proves (``_proven``)
+    is feasible: every other sample would pass too.  Only the rest are
+    tested on the other samples, ``_FULL_ROWS`` discs at a time, each
+    block's samples built from its coefficient rows (``_circle_samples(a[:,
+    block], p)``).  The tests are elementwise in the sample, so the verdict
+    is that of one pass over all samples."""
     ok = ~_bad(c, s, m, thr2)
     survivors = np.flatnonzero(ok)
-    for i in range(0, survivors.size, _FULL_ROWS):
-        blk = survivors[i:i + _FULL_ROWS]
+    full = survivors[~_proven(c[survivors], sums[:, survivors], m, thr2)]
+    for i in range(0, full.size, _FULL_ROWS):
+        blk = full[i:i + _FULL_ROWS]
         ok[blk] = ~_bad(c[blk], _circle_samples(a[:, blk], p), m, thr2)
-    return ok, survivors.size
+    return ok, survivors.size - full.size, full.size
 
 
 @contextlib.contextmanager
@@ -1185,25 +1269,32 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     cZ|^2 = 2 Re Z + 2c |Z|^2 > c |Z|^2 >= 0``.  So in exact arithmetic each
     disc's feasible scales form an interval from 0.
 
-    A scale test runs in two stages.  The coarse stage tests every disc on
-    every ``_COARSE``-th circle sample, ``ceil(samples / _COARSE)`` of them,
-    and the full stage tests only the discs that pass on the rest.  Both
-    exact: a sample's test depends on that sample alone, a disc fails if any
-    sample fails, and the stages compute the same float32 values as one pass
-    over all samples would, so ``min_alpha`` and ``scale_tests`` do not
-    change by a bit.  A chunk keeps only its coarse samples and its discs'
-    coefficient rows (``_coefficient_rows``); the full stage builds a
-    block's other samples from its rows when the block gets there, and a
-    disc reaches that stage about once.  When pruning drops discs, only the
-    survivors' coarse samples and coefficient rows are kept.
+    A scale test runs in stages.  The coarse stage tests every disc on
+    every ``_COARSE``-th circle sample, ``ceil(samples / _COARSE)`` of them.
+    A survivor whose coefficient-sum bound ``c^2 S_w^2 (1 + c S_z)^(2m)``
+    (``S = 1 + sum_j |a_j|``, ``_coefficient_sums``) is at most the float32
+    threshold less ``_SUM_MARGIN`` is feasible with no further sample
+    (``_proven``): the bound is at least the test value's sup over the whole
+    circle, and the float32 samples and test read at most
+    ``_sum_bound_error`` above it, under a tenth of the margin, so every
+    sample would pass.  The full stage tests only the other survivors, on
+    the rest of the samples.  All exact: a sample's test depends on that
+    sample alone, a disc fails if any sample fails, and the stages compute
+    the same float32 values as one pass over all samples would, so
+    ``min_alpha`` and ``scale_tests`` do not change by a bit.  A chunk keeps
+    only its coarse samples, its discs' coefficient rows (``_draw_rows``)
+    and their sums; the full stage builds a block's other samples from its
+    rows when the block gets there.  When pruning drops discs, only the
+    survivors' coarse samples, rows and sums are kept.
 
     The samples are float32 matrix products (``_circle_samples``), so their
     last bits, and ``min_alpha`` in its last digits, depend on the BLAS
     kernel, with some kernels also on the product's shape.  Rigor does not:
-    the ``_HAIRCUT`` margin on the threshold
-    covers the float32 error of the samples and of the test, for the range
-    it is checked on, ``m <= 32`` and ``degree <= 6``; the oracle refuses
-    larger ones with ``ValidationError``.
+    the ``_HAIRCUT`` margin on the threshold covers the float32 error of the
+    samples and of the test, for the range it is checked on, ``m <= 32``
+    and ``degree <= 6``; the oracle refuses larger ones with
+    ``ValidationError``.  A disc the coefficient-sum bound proves is
+    feasible by that bound alone, with no sampling or haircut behind it.
 
     A call whose chunks hold at least ``2 * _FULL_ROWS`` discs runs on one
     thread per usable CPU, the calling thread included (``_oracle_threads``,
@@ -1240,25 +1331,23 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
 
     best_tau = 0.0
     scale_tests = 0
+    proven_tests = 0
     full_tests = 0
     done = 0
     ci = 0
     with _oracle_threads(min(chunk, count)) as (pool, threads):
         while done < count:
             b = min(chunk, count - done)
-            rng = np.random.default_rng([seed, m, ci])
-            scales = 0.35 / (np.arange(2, degree + 1) ** 2)
-            az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
-            bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
-
-            a = _coefficient_rows(az, bw)
+            a = _draw_rows(np.random.default_rng([seed, m, ci]), b, degree)
+            sums = _coefficient_sums(a)
             s = _circle_samples(a, coarse_p, pool)
             lo = np.zeros(b)
             hi = np.full(b, np.inf)
             c = np.full(b, math.sqrt(2.0 / m))
             for _ in range(_ORACLE_STEPS):
-                ok, n_full = _feasible(c, s, a, other_p, m, thr2, pool, threads)
+                ok, n_proven, n_full = _feasible(c, s, a, sums, other_p, m, thr2, pool, threads)
                 scale_tests += c.size
+                proven_tests += n_proven
                 full_tests += n_full
                 lo = np.where(ok, np.maximum(lo, c), lo)
                 hi = np.where(ok, hi, np.minimum(hi, c))
@@ -1269,15 +1358,16 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
                     lo, hi, c = lo[keep], hi[keep], c[keep]
                     if lo.size == 0:
                         break
-                    s, a = s[:, keep], a[:, keep]
+                    s, a, sums = s[:, keep], a[:, keep], sums[:, keep]
             if not np.all(lo > 0.0):
                 raise NumericalError("oracle found a disc with no feasible scale")
             done += b
             ci += 1
 
-    log.debug("disc oracle m=%d: %d discs, %d scale tests (%d reached the full "
-              "stage), %.1f%% pruned; %d thread(s), OpenBLAS %s", m, count, scale_tests,
-              full_tests, 100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)), threads,
+    log.debug("disc oracle m=%d: %d discs, %d scale tests (%d settled by the "
+              "coefficient-sum bound, %d reached the full stage), %.1f%% pruned; "
+              "%d thread(s), OpenBLAS %s", m, count, scale_tests, proven_tests, full_tests,
+              100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)), threads,
               "held to one thread" if pool is not None else "not held")
     return OracleResult(
         m=m, count=count, degree=degree, samples=samples,

@@ -15,7 +15,7 @@ from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
 from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
                               DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
-                              _coarse_first, _coefficient_rows, _log_moduli, _monomial_at,
+                              _coarse_first, _log_moduli, _monomial_at,
                               _monomial_grad, _root_columns, _validate_indices)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
@@ -87,6 +87,32 @@ def fd_hessian_mismatch(sd, rng, n_points: int) -> float:
     return worst
 
 
+def random_disc_coefficients(rng: np.random.Generator, discs: int, degree: int):
+    """``(az, bw)``: the complex coefficients ``a_j = (x_j + i y_j) s_j``,
+    ``s_j = 0.35 / (j + 2)^2``, of ``discs`` random discs, drawn as complex128
+    arrays; the disc oracle's ``_draw_rows`` must give their rows bit for
+    bit."""
+    scales = 0.35 / (np.arange(2, degree + 1) ** 2)
+
+    def draw():
+        return (rng.standard_normal((discs, degree - 1))
+                + 1j * rng.standard_normal((discs, degree - 1))) * scales
+
+    az = draw()
+    return az, draw()
+
+
+def coefficient_rows(az: np.ndarray, bw: np.ndarray) -> np.ndarray:
+    """Per disc, the rows ``1, Re a_j, -Im a_j`` of its z plane (``az``) and
+    of its w plane (``bw``): float32 of shape ``(2, discs, 2 degree - 1)``,
+    the left factors of ``_circle_samples``, from complex coefficients."""
+    a = np.empty((2, az.shape[0], 2 * az.shape[1] + 1), dtype=np.float32)
+    a[:, :, 0] = 1.0
+    a[0, :, 1::2], a[0, :, 2::2] = az.real, -az.imag
+    a[1, :, 1::2], a[1, :, 2::2] = bw.real, -bw.imag
+    return a
+
+
 def single_pass_samples(az, bw, samples: int):
     """The disc oracle's circle samples ``(base_z, base_w)``, the float32
     planes of ``_circle_samples`` joined into complex64, in natural order.
@@ -97,7 +123,7 @@ def single_pass_samples(az, bw, samples: int):
     column in the matrix product, so a natural-order build need not hold the
     oracle's samples."""
     order = _coarse_first(samples)
-    s = _circle_samples(_coefficient_rows(az, bw), _root_columns(order, samples, az.shape[1] + 1))
+    s = _circle_samples(coefficient_rows(az, bw), _root_columns(order, samples, az.shape[1] + 1))
     base = np.empty((2, len(az), samples), dtype=np.complex64)
     base.real[:, :, order], base.imag[:, :, order] = s[0::2], s[1::2]
     return base[0], base[1]
@@ -134,9 +160,11 @@ def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
 
 def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
                          seed: int = 1234, samples: int | None = None):
-    """The disc oracle without branch-and-bound pruning: every disc runs
-    all 30 bracket steps.  Returns ``(min_alpha, count)``; the pruned
-    ``monomial_disc_oracle`` must agree bit for bit."""
+    """The disc oracle without branch-and-bound pruning or the
+    coefficient-sum bound: every disc runs all 30 bracket steps on all its
+    samples, its coefficients drawn as complex arrays.  Returns
+    ``(min_alpha, count)``; the pruned ``monomial_disc_oracle`` must agree
+    bit for bit."""
     if m < 1:
         raise ValidationError("m must be a positive integer")
     d_eff = degree * (m + 1)
@@ -155,11 +183,7 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     ci = 0
     while done < count:
         b = min(chunk, count - done)
-        rng = np.random.default_rng([seed, m, ci])
-        scales = 0.35 / (np.arange(2, degree + 1) ** 2)
-        az = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
-        bw = (rng.standard_normal((b, degree - 1)) + 1j * rng.standard_normal((b, degree - 1))) * scales
-
+        az, bw = random_disc_coefficients(np.random.default_rng([seed, m, ci]), b, degree)
         base_z, base_w = single_pass_samples(az, bw, samples)
         lo = np.zeros(b)
         hi = np.full(b, np.inf)

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -28,17 +29,19 @@ from squeeze import (
 from squeeze.construct import certify_levels
 from squeeze import estimate
 from squeeze.estimate import (_COARSE, _FULL_ROWS, _HAIRCUT, _SEARCH_BLOCK, _SLACK, _STRIDE,
-                              _TAIL_MEMO, BallModel, DEFAULT_ANNULUS_INDEXES,
+                              _SUM_MARGIN, _TAIL_MEMO, BallModel, DEFAULT_ANNULUS_INDEXES,
                               DEFAULT_DISC_INDEXES, PolydiscModel,
                               ReinhardtAdapter, _bad, _boundary_matrix,
                               _caratheodory_objective, _circle_samples, _coarse_first,
-                              _coefficient_rows, _disc_coordinate, _DiscTails, _edge_above,
-                              _feasible, _int_power, _ladder, _largest_feasible_tau,
-                              _log_moduli, _monomial_grad, _polyval, _root_columns, _top_seeds)
+                              _coefficient_sums, _disc_coordinate, _DiscTails, _draw_rows,
+                              _edge_above, _feasible, _int_power, _ladder,
+                              _largest_feasible_tau, _log_moduli, _monomial_grad, _polyval,
+                              _proven, _root_columns, _sum_bound_error, _top_seeds)
 
-from helpers import (MonomialModel, coefficient_bound_check, disc_coefficients, evaluate,
-                     guarded_log_moduli, int_power_reference, polyval_reference, row,
-                     single_pass_feasible, single_pass_samples, stacked_boundary_matrix,
+from helpers import (MonomialModel, coefficient_bound_check, coefficient_rows,
+                     disc_coefficients, evaluate, guarded_log_moduli, int_power_reference,
+                     polyval_reference, random_disc_coefficients, row, single_pass_feasible,
+                     single_pass_samples, stacked_boundary_matrix,
                      unpruned_caratheodory_lower_search, unpruned_disc_oracle,
                      unpruned_kobayashi_upper_search, unpruned_largest_feasible_tau)
 
@@ -850,30 +853,29 @@ class TestOracle:
             monomial_disc_oracle(**{"m": 2, "count": 300, **kwargs})
 
     @staticmethod
-    def _discs(m, degree, b, seed, samples=None):
-        """Sample count, coefficients, Bernstein threshold and margined float32
-        threshold as the oracle draws them for its first chunk."""
+    def _thresholds(m, degree, samples=None):
+        """Sample count, Bernstein threshold and margined float32 threshold
+        as the oracle sets them."""
         d_eff = degree * (m + 1)
         if samples is None:
             samples = 128
             while samples < 5 * d_eff:
                 samples *= 2
-        rng = np.random.default_rng([seed, m, 0])
-        scales = 0.35 / (np.arange(2, degree + 1) ** 2)
-
-        def draw():
-            return (rng.standard_normal((b, degree - 1))
-                    + 1j * rng.standard_normal((b, degree - 1))) * scales
-
-        az = draw()
-        bw = draw()
         thr = 1.0 - math.pi * d_eff / samples
-        return samples, az, bw, thr, np.float32((thr * (1.0 - _HAIRCUT)) ** 2)
+        return samples, thr, np.float32((thr * (1.0 - _HAIRCUT)) ** 2)
+
+    @classmethod
+    def _discs(cls, m, degree, b, seed, samples=None):
+        """Sample count, coefficients, Bernstein threshold and margined float32
+        threshold as the oracle draws them for its first chunk."""
+        samples, thr, thr2 = cls._thresholds(m, degree, samples)
+        az, bw = random_disc_coefficients(np.random.default_rng([seed, m, 0]), b, degree)
+        return samples, az, bw, thr, thr2
 
     @staticmethod
     def _samples(order, az, bw):
         """All samples of all discs, columns in ``order``."""
-        return _circle_samples(_coefficient_rows(az, bw),
+        return _circle_samples(coefficient_rows(az, bw),
                                _root_columns(order, order.size, az.shape[1] + 1))
 
     @staticmethod
@@ -883,7 +885,7 @@ class TestOracle:
         samples."""
         order = _coarse_first(samples)
         k = -(-samples // _COARSE)
-        a = _coefficient_rows(az, bw)
+        a = coefficient_rows(az, bw)
         degree = az.shape[1] + 1
         return (_circle_samples(a, _root_columns(order[:k], samples, degree)), a,
                 _root_columns(order[k:], samples, degree))
@@ -955,6 +957,82 @@ class TestOracle:
             assert np.all(np.abs(v32 - v64) <= 5e-5 * v64)
         assert np.all(lo > 0.0)
 
+    @pytest.mark.parametrize("degree", [1, 2, 6])
+    def test_draw_rows_match_the_complex_draw(self, degree):
+        """The rows drawn part by part are those of the complex coefficients
+        drawn from the same stream, bit for bit."""
+        want = coefficient_rows(*random_disc_coefficients(np.random.default_rng([5, 2, 0]),
+                                                          3000, degree))
+        got = _draw_rows(np.random.default_rng([5, 2, 0]), 3000, degree)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    def test_sum_margin_covers_the_float32_error(self):
+        """The margin is at least ten times the error bound at the oracle's
+        range limit, which bounds every m <= 32 and degree <= 6."""
+        worst = _sum_bound_error(32, 6)
+        assert 10.0 * worst <= _SUM_MARGIN <= 1e-3
+        assert all(_sum_bound_error(m, d) <= worst for m in range(1, 33) for d in range(1, 7))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 32), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.booleans(), st.floats(0.05, 20.0))
+    @example(32, 6, 0, True, 1.0)
+    @example(1, 1, 0, False, 1.0)
+    def test_sum_bound_proves_only_discs_every_sample_passes(self, m, degree, seed, aligned,
+                                                              size):
+        """Random discs, their coefficients ``size`` times the oracle's
+        scale, at scales up to the edge of the coefficient-sum bound: every
+        disc the bound proves passes ``_bad`` on all its float32 samples.
+        With ``aligned`` coefficients (all real and positive) the bound is
+        the test value at ``zeta = 1``, a coarse sample, so just past the
+        edge that sample fails: the margin is not loose by more than 2e-3."""
+        samples, _, thr2 = self._thresholds(m, degree)
+        rng = np.random.default_rng(seed)
+        discs = 24
+        scale = size * 0.35 / (np.arange(2, degree + 1) ** 2)
+        mod = rng.exponential(size=(2, discs, degree - 1)) * scale
+        phase = 0.0 if aligned else rng.uniform(0.0, 2.0 * math.pi, mod.shape)
+        az, bw = mod * np.exp(1j * phase)
+        a = coefficient_rows(az, bw)
+        sz, sw = sums = _coefficient_sums(a)
+
+        lo, hi = np.zeros(discs), 1.0 / sw
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            ok = _proven(mid, sums, m, thr2)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        # the edge is that of c^2 S_w^2 (1 + c S_z)^(2m) <= thr2 (1 - margin)
+        limit = float(thr2) * (1.0 - _SUM_MARGIN)
+        past = lo * (1.0 + 2e-3)
+        for c, below in ((lo * (1.0 - 1e-12), True), (past, False)):
+            assert np.all((c**2 * sw**2 * (1.0 + c * sz)**(2 * m) <= limit) == below)
+        s = _circle_samples(a, _root_columns(_coarse_first(samples), samples, degree))
+        for u in (1.0, 1.0 - 1e-12, 1.0 - 1e-6, 0.999, 0.9, 0.5, 0.1, 1e-3):
+            c = lo * u
+            assert np.all(_proven(c, sums, m, thr2))
+            assert not np.any(_bad(c, s, m, thr2))
+        assert not np.any(_proven(past, sums, m, thr2))
+        if aligned:
+            assert np.all(_bad(past, s[:, :, :1], m, thr2))
+
+    def test_sum_bound_proves_nothing_infinite_nan_or_overflowing(self):
+        """Coefficient rows holding an infinity or a NaN, and scales whose
+        bound overflows (or that are themselves infinite or NaN), are never
+        proven; the clean discs at small scales are."""
+        m = 8
+        _, az, bw, _, thr2 = self._discs(m, 6, 8, 4)
+        a = coefficient_rows(az, bw)
+        a[0, 1, 3] = np.inf
+        a[1, 2, 2] = -np.inf
+        a[0, 3, 1] = np.nan
+        a[1, 4, 4] = np.nan
+        a[1, 5, 4], a[1, 5, 3] = np.nan, np.inf
+        sums = _coefficient_sums(a)
+        c = np.full(8, 1e-3)
+        assert _proven(c, sums, m, thr2).tolist() == [True] + [False] * 5 + [True] * 2
+        for big in (1e5, 1e40, 1e154, 1e160, 1e300, np.inf, np.nan):
+            assert not np.any(_proven(np.full(3, big), sums[:, [0, 6, 7]], m, thr2))
+
     @staticmethod
     def _coarse_edges(base_z, base_w, m, thr2):
         """Per disc, a scale at the edge of feasibility on the coarse samples
@@ -979,12 +1057,24 @@ class TestOracle:
 
         want = single_pass_feasible(c, base_z[rows], base_w[rows], m, thr2)
         s, a, p = self._stages(az, bw, samples)
-        got, n_full = _feasible(c, s[:, rows], a[:, rows], p, m, thr2)
+        got, n_proven, n_full = _feasible(c, s[:, rows], a[:, rows],
+                                          _coefficient_sums(a)[:, rows], p, m, thr2)
         assert np.array_equal(got, want)
         coarse_ok = ~_bad(c, s[:, rows], m, thr2)
-        assert n_full == np.count_nonzero(coarse_ok)
         assert np.any(coarse_ok & ~want)
         assert np.any(want) and not np.any(want[c > 1e19])
+        # the full stage tests the coarse survivors the coefficient-sum
+        # bound does not prove; the bound proves only feasible discs, and
+        # the grid's small scales
+        sz, sw = (1.0 + np.abs(coeffs).sum(axis=1)[rows]
+                  for coeffs in (a[0, :, 1::2] - 1j * a[0, :, 2::2].astype(float),
+                                 a[1, :, 1::2] - 1j * a[1, :, 2::2].astype(float)))
+        with np.errstate(over="ignore"):
+            proven = c**2 * sw**2 * (1.0 + c * sz)**(2 * m) <= float(thr2) * (1.0 - _SUM_MARGIN)
+        assert np.all(want[proven])
+        assert n_proven == np.count_nonzero(coarse_ok & proven)
+        assert n_full == np.count_nonzero(coarse_ok & ~proven)
+        assert np.all(proven[c <= 1e-2]) and n_full > 0
 
     @pytest.mark.parametrize("m", [2, 32])
     def test_full_stage_blocks_of_consecutive_and_gapped_rows(self, m):
@@ -1007,9 +1097,9 @@ class TestOracle:
         assert np.all(np.diff(survivors[_FULL_ROWS:2 * _FULL_ROWS]) == 2)
 
         want = single_pass_feasible(c, base_z, base_w, m, thr2)
-        got, n_full = _feasible(c, s, a, p, m, thr2)
+        got, n_proven, n_full = _feasible(c, s, a, _coefficient_sums(a), p, m, thr2)
         assert np.array_equal(got, want)
-        assert n_full == survivors.size
+        assert (n_proven, n_full) == (0, survivors.size)
         for blk in (survivors[:_FULL_ROWS], survivors[_FULL_ROWS:2 * _FULL_ROWS]):
             assert np.any(want[blk]) and not np.all(want[blk])
 
@@ -1035,8 +1125,8 @@ class TestOracle:
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", lambda x, *args, **kwargs:
                             shapes.append(x.shape) or matmul(x, *args, **kwargs))
-        got, n_full = _feasible(c, s, a, p, m, thr2)
-        assert n_full == 3 and shapes == [(4, p.shape[1])] * 4
+        got, n_proven, n_full = _feasible(c, s, a, _coefficient_sums(a), p, m, thr2)
+        assert (n_proven, n_full) == (0, 3) and shapes == [(4, p.shape[1])] * 4
         assert np.array_equal(got, single_pass_feasible(c, base_z, base_w, m, thr2))
 
     @settings(max_examples=300, deadline=None)
@@ -1075,6 +1165,17 @@ class TestOracle:
         res = monomial_disc_oracle(m, count=count, degree=degree, seed=seed)
         assert (res.min_alpha, res.count) == unpruned_disc_oracle(
             m, count=count, degree=degree, seed=seed)
+
+    def test_debug_line_counts_the_bound_and_the_full_stage(self, caplog):
+        """The debug line counts the scale tests, those the coefficient-sum
+        bound settled and those that reached the full stage."""
+        with caplog.at_level(logging.DEBUG, logger="squeeze.estimate"):
+            res = monomial_disc_oracle(8, count=2000, seed=11)
+        found = re.search(r"(\d+) scale tests \((\d+) settled by the coefficient-sum bound, "
+                          r"(\d+) reached the full stage\)", caplog.records[-1].getMessage())
+        tests, settled, full = map(int, found.groups())
+        assert tests == res.scale_tests and settled > 0 and full > 0
+        assert settled + full <= tests
 
     def test_pruning_skips_scale_tests(self):
         res = monomial_disc_oracle(2, count=2000, seed=11)
@@ -1138,8 +1239,10 @@ class TestOracle:
     def test_feasible_on_parts_matches_unsplit(self, threads):
         """Split into ``min(threads, rows // _FULL_ROWS)`` parts, on rows
         whose samples hold infinities and NaNs in the coarse samples and,
-        through their coefficient rows, in the full-stage samples, the
-        verdicts and the full-stage count are the unsplit call's."""
+        through their coefficient rows, in the full-stage samples and the
+        coefficient sums, the verdicts and the counts of the discs the bound
+        proved and of those that reached the full stage are the unsplit
+        call's."""
         m = 8
         samples, az, bw, _, thr2 = self._discs(m, 6, 3 * _FULL_ROWS + 17, 9)
         base_z, base_w = single_pass_samples(az, bw, samples)
@@ -1153,16 +1256,20 @@ class TestOracle:
         a[:, 700] = np.nan
         s[3, 100] = np.inf
         a[1, 100, 0] = np.inf
-        want, want_full = _feasible(c, s, a, p, m, thr2)
+        c[::7] *= 0.01  # proven by the coefficient-sum bound
+        sums = _coefficient_sums(a)
+        want, *want_counts = _feasible(c, s, a, sums, p, m, thr2)
         with ThreadPoolExecutor(threads - 1) as pool:
             submit, submitted = pool.submit, []
             pool.submit = lambda *args: submitted.append(args) or submit(*args)
-            got, got_full = _feasible(c, s, a, p, m, thr2, pool, threads)
+            got, *got_counts = _feasible(c, s, a, sums, p, m, thr2, pool, threads)
         assert len(submitted) == min(threads, 3) - 1
-        assert np.array_equal(got, want) and got_full == want_full
+        assert np.array_equal(got, want) and got_counts == want_counts
+        want_proven, want_full = want_counts
         assert want[700] and not want[5] and not want[100] and not want[300]
         assert np.all(~_bad(c[[300, 600, 700]], s[:, [300, 600, 700]], m, thr2))
         assert np.any(want) and not np.all(want) and 0 < want_full < c.size
+        assert 0 < want_proven < c.size
 
     def test_blas_threads_restored(self, monkeypatch, blas):
         """OpenBLAS is held to one thread during a threaded call and its
