@@ -256,59 +256,48 @@ def _timed(search):
 _worker_searches: list = []  # in a pool worker: the run's searches, set through the fork
 
 
-def _init_worker(searches: list, set_blas_threads) -> None:
+def _init_worker(searches: list) -> None:
     global _worker_searches
     _worker_searches = searches
-    set_blas_threads(1)
 
 
 def _search_in_worker(i: int):
     return _timed(_worker_searches[i])
 
 
-def _worker_count(n_searches: int) -> int:
-    """One worker per CPU this process may run on, at most one per search;
-    1 (in process) where the platform cannot fork or name those CPUs."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(est._usable_cpus(), n_searches)
-
-
 def _run_searches(searches: list) -> list:
     """The results of the zero-argument calls ``searches``, in order.
 
-    With one worker, or where no OpenBLAS is loaded whose threads a worker
-    could limit, they run in process, one after another.  Otherwise they
-    run on a pool of workers started with ``fork``: each worker inherits
-    the searches, closures over the run's domain and its cached tables,
-    through the fork (the initializer's arguments are not pickled), gets
-    only indices and sends back pickled results.  The searches share no
-    mutable state and each draws from its own seeded generator, so the
-    results are those of the in-process run bit for bit.  The pool is shut
-    down, its workers joined, before this returns or raises; an error
-    raised in a worker is raised here."""
-    workers = _worker_count(len(searches))
-    blas = est._openblas_threads() if workers > 1 else None
-    if blas is None:
-        workers = 1
-        timed = [_timed(search) for search in searches]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    They run on the CPUs ``est._parallel_cpus`` gives them, in process, one
+    after another, where that is one CPU or the platform cannot fork.
+    Otherwise they run on a pool of one worker per CPU started with
+    ``fork``: each worker inherits the searches, closures over the run's
+    domain and its cached tables, and the OpenBLAS hold through the fork
+    (the initializer's arguments are not pickled), gets only indices and
+    sends back pickled results.  The searches share no mutable state and
+    each draws from its own seeded generator, so the results are those of
+    the in-process run bit for bit.  The pool is shut down, its workers
+    joined, before this returns or raises; an error raised in a worker is
+    raised here."""
+    import multiprocessing
 
-        # numpy loads numpy.random on first use; every search draws from it,
-        # so it is loaded here once rather than in each worker
-        import numpy.random  # noqa: F401
+    jobs = len(searches) if "fork" in multiprocessing.get_all_start_methods() else 1
+    with est._parallel_cpus(jobs) as workers:
+        if workers == 1:
+            timed = [_timed(search) for search in searches]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_worker,
-                                   initargs=(searches, blas[1]))
-        try:
-            timed = list(pool.map(_search_in_worker, range(len(searches))))
-        finally:
-            pool.shutdown(cancel_futures=True)
+            # numpy loads numpy.random on first use; every search draws from
+            # it, so it is loaded here once rather than in each worker
+            import numpy.random  # noqa: F401
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_init_worker, initargs=(searches,))
+            try:
+                timed = list(pool.map(_search_in_worker, range(len(searches))))
+            finally:
+                pool.shutdown(cancel_futures=True)
     log.debug("estimate: %d searches on %d worker(s); wall ms per search: %s",
               len(searches), workers, ", ".join(f"{ms:.1f}" for _, ms in timed))
     return [result for result, _ in timed]

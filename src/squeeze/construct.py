@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .domain import RadialProfile, ReinhardtDomain, PointC2, fmt
+from .domain import RadialProfile, ReinhardtDomain, PointC2, _EXPONENT_DIGITS, fmt
 from .errors import CertificationError, ValidationError
 from .metrics import (
     Bound,
@@ -41,8 +41,7 @@ from .metrics import (
 
 EXPONENT_LIMIT = 2**62
 # The decimal exponent of a rational's text, as Fraction reads it: refused past
-# four digits, the limit of a domain document's heights, since Fraction builds
-# 10^|exponent| before any check (10^10000000: seconds).
+# _EXPONENT_DIGITS digits, as in a domain document's heights.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
 
 
@@ -55,7 +54,7 @@ def _to_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         exponent = _EXPONENT.search(x)
-        if exponent and len(exponent[1].replace("_", "")) > 4:
+        if exponent and len(exponent[1].replace("_", "")) > _EXPONENT_DIGITS:
             raise ValidationError(f"cannot read {x!r} as an exact rational: its "
                                   "exponent has more than four digits")
         try:

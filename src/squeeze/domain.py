@@ -454,9 +454,12 @@ def _doc_reals(what: str, items) -> tuple[float, ...]:
         raise ValidationError(f"domain document {what} must be decimal strings") from None
 
 
-# A height's text: a decimal numeral with at most a four-digit exponent, so that
-# reading it exactly builds no power of ten past 10^9999 (10^10000000: seconds).
-_HEIGHT_TEXT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?")
+# The most digits of a decimal exponent read exactly: Fraction builds
+# 10^|exponent| before any check, so reading one builds no power of ten past
+# 10^9999 (10^10000000: seconds).
+_EXPONENT_DIGITS = 4
+# A height's text: a decimal numeral with an exponent of at most _EXPONENT_DIGITS digits.
+_HEIGHT_TEXT = re.compile(rf"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d{{1,{_EXPONENT_DIGITS}}})?")
 
 
 def _doc_heights(texts) -> tuple[Fraction, ...]:

@@ -701,8 +701,7 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
     """The objective ``|d.c| / (safety * max |b @ c|)`` of the Carathéodory
     search for ``_adaptive_search``, and its counts: objective calls,
     proposals settled on the incumbent's worst row, on the witness block and
-    on the strided subset, evaluations over all rows, and points given the
-    value of an earlier evaluation.
+    on the strided subset, and evaluations over all rows.
 
     For ``bar > 0`` the objective first tries to show that the value cannot
     exceed ``bar`` without the product over all rows, and returns 0.0 if it
@@ -730,18 +729,14 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
       subset ``b[::_STRIDE]``, copied once.
 
     Otherwise the value over all rows is computed exactly as without these
-    bounds, unless the point has beaten its bar before: a polish run starts
-    from a seed the pool has scored exactly.  Such a point gets back the
-    value and worst row kept from that evaluation, and becomes the
-    incumbent as it did then."""
+    bounds."""
     blocks = [b[i:i + _SEARCH_BLOCK] for i in range(0, len(b), _SEARCH_BLOCK)]
     block_norms = [float(np.max(np.linalg.norm(blk, axis=1))) for blk in blocks]
     strided = b[::_STRIDE].copy()
     strided_norm = float(np.max(np.linalg.norm(strided, axis=1)))
     witness = 0
     held = None  # the incumbent: value, |d.c|, b[r] != 0, c where b[r] != 0
-    scored = {}  # each point that beat its bar, as bytes: its value and worst row
-    counts = [0, 0, 0, 0, 0, 0]
+    counts = [0, 0, 0, 0, 0]
 
     def objective(x: np.ndarray, bar: float = -math.inf) -> float:
         nonlocal witness, held
@@ -760,20 +755,14 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
                 if dc <= bar * safety * (v - _SLACK * norm * c_norm) * (1.0 - _SLACK):
                     counts[k] += 1
                     return 0.0
-        key = x.tobytes()
-        if key in scored:
-            counts[5] += 1
-            value, worst = scored[key]
-        else:
-            counts[4] += 1
-            a = np.abs(b @ c)
-            worst = int(a.argmax())
-            sup = float(a[worst])
-            if sup <= 0.0:
-                return 0.0
-            value = float(dc / (safety * sup))
+        counts[4] += 1
+        a = np.abs(b @ c)
+        worst = int(a.argmax())
+        sup = float(a[worst])
+        if sup <= 0.0:
+            return 0.0
+        value = float(dc / (safety * sup))
         if value > bar:
-            scored[key] = value, worst
             witness = worst // _SEARCH_BLOCK
             live = b[worst] != 0.0
             held = (value, dc, live, c[live])
@@ -871,8 +860,7 @@ def caratheodory_lower_search(domain, p, xi: Direction,
 
     log.debug("function search: %d objective calls, %d settled on the incumbent's "
               "worst row, %d on the witness block, %d on the strided subset, %d "
-              "evaluations over all samples (%d of them scoring seeds), %d polish "
-              "starts given their seed's score", *counts[:5], seed_passes, counts[5])
+              "evaluations over all samples (%d of them scoring seeds)", *counts, seed_passes)
     bound = Bound(
         quantity="caratheodory", side="lower", value=best_val, basepoint=p,
         direction=xi, certified=False,
@@ -909,12 +897,7 @@ def _openblas_threads():
     """``(get, set)``: ``openblas_get_num_threads`` and
     ``openblas_set_num_threads`` of the OpenBLAS this process has loaded
     (numpy's BLAS), found among the mapped libraries once per process; None
-    if there is none.
-
-    Code that runs numpy on several CPUs at once holds this BLAS to one
-    thread: with a BLAS thread per CPU, a matrix product waits for threads
-    that spin on the CPUs the other workers need, and the estimate searches
-    ran several times slower than in process."""
+    if there is none."""
     import ctypes
 
     try:
@@ -935,6 +918,32 @@ def _openblas_threads():
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 return getter, setter
     return None
+
+
+@contextlib.contextmanager
+def _parallel_cpus(jobs: int):
+    """The number of CPUs to run ``jobs`` independent jobs on: one per usable
+    CPU (``_usable_cpus``), at most one per job, or 1 where fewer than two
+    CPUs are usable or no OpenBLAS can be held (``_openblas_threads``).
+
+    While more than one is in use, numpy's OpenBLAS is held to one thread:
+    with a BLAS thread per CPU, a matrix product waits for threads that spin
+    on the CPUs the other jobs need, and the estimate searches ran several
+    times slower than in process.  A process forked inside the block
+    inherits the hold.  On exit the thread count is restored, also on an
+    error."""
+    cpus = min(_usable_cpus(), jobs)
+    blas = _openblas_threads() if cpus > 1 else None
+    if blas is None:
+        yield 1
+        return
+    get_blas_threads, set_blas_threads = blas
+    before = get_blas_threads()
+    set_blas_threads(1)
+    try:
+        yield cpus
+    finally:
+        set_blas_threads(before)
 
 
 # ------------------------------------------------------------- disc oracle
@@ -1210,34 +1219,6 @@ def _feasible_rows(c: np.ndarray, s: np.ndarray, a: np.ndarray, sums: np.ndarray
     return ok, survivors.size - full.size, full.size
 
 
-@contextlib.contextmanager
-def _oracle_threads(rows: int):
-    """``(pool, threads)`` for an oracle call whose chunks hold ``rows``
-    discs: a pool of one helper thread per usable CPU past the first, and
-    the thread count with the calling thread.  While the pool is open,
-    numpy's OpenBLAS is held to one thread, so the threads' matrix products
-    do not wait on BLAS threads that spin on the other CPUs; on exit the
-    pool is joined and then the BLAS's thread count restored, also on an
-    error.  ``(None, 1)``, the calling thread alone, where one CPU is usable,
-    no OpenBLAS can be held, or ``rows`` is below the split size
-    ``2 * _FULL_ROWS``."""
-    threads = _usable_cpus() if rows >= 2 * _FULL_ROWS else 1
-    blas = _openblas_threads() if threads > 1 else None
-    if blas is None:
-        yield None, 1
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    get_blas_threads, set_blas_threads = blas
-    before = get_blas_threads()
-    set_blas_threads(1)
-    try:
-        with ThreadPoolExecutor(threads - 1) as pool:
-            yield pool, threads
-    finally:
-        set_blas_threads(before)
-
-
 def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
                        seed: int = 1234, samples: int | None = None) -> OracleResult:
     """Minimum |alpha| over random rigorously feasible polynomial discs in the
@@ -1296,14 +1277,16 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     ``ValidationError``.  A disc the coefficient-sum bound proves is
     feasible by that bound alone, with no sampling or haircut behind it.
 
-    A call whose chunks hold at least ``2 * _FULL_ROWS`` discs runs on one
-    thread per usable CPU, the calling thread included (``_oracle_threads``,
-    which holds numpy's OpenBLAS to one thread for the call): a helper forms
-    the w-plane coarse samples while the calling thread forms the z-plane
-    ones, and each scale test over at least ``2 * _FULL_ROWS`` live discs is
-    split by rows (``_feasible``), each part building its own full-stage
-    samples.  Every value is computed by the same kernel on the same
-    operands as in one thread, so the result is the same bit for bit.
+    A call runs on the threads ``_parallel_cpus`` gives a chunk's
+    ``rows // _FULL_ROWS`` parts, the calling thread included, with numpy's
+    OpenBLAS held to one thread for the call; so a call whose chunks hold
+    fewer than ``2 * _FULL_ROWS`` discs runs in the calling thread alone.
+    On more threads a helper forms the w-plane coarse samples while the
+    calling thread forms the z-plane ones, and each scale test over at
+    least ``2 * _FULL_ROWS`` live discs is split by rows (``_feasible``),
+    each part building its own full-stage samples.  Every value is computed
+    by the same kernel on the same operands as in one thread, so the result
+    is the same bit for bit.
     """
     m = _int_at_least("m", m)
     count = _int_at_least("count", count)
@@ -1335,7 +1318,10 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     full_tests = 0
     done = 0
     ci = 0
-    with _oracle_threads(min(chunk, count)) as (pool, threads):
+    from concurrent.futures import ThreadPoolExecutor
+
+    with (_parallel_cpus(min(chunk, count) // _FULL_ROWS) as threads,
+          ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool):
         while done < count:
             b = min(chunk, count - done)
             a = _draw_rows(np.random.default_rng([seed, m, ci]), b, degree)

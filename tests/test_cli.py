@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
 import os
 from collections import Counter
 from fractions import Fraction
@@ -477,7 +478,7 @@ def _no_child_process_left():
 def _estimate_with_workers(tmp_path, monkeypatch, caplog, workers, args):
     """Runs ``squeeze estimate`` with the worker count forced to ``workers``;
     its exit code and run directory."""
-    monkeypatch.setattr(cli, "_worker_count", lambda n: min(workers, n))
+    monkeypatch.setattr(est, "_usable_cpus", lambda: workers)
     out = tmp_path / f"w{workers}"
     with caplog.at_level(logging.DEBUG, logger="squeeze"):
         code = main(["estimate", "--config", _write_config(tmp_path, TINY_ESTIMATE),
@@ -523,11 +524,56 @@ def test_estimate_error_in_a_search_exits_as_in_process(tmp_path, monkeypatch, c
     assert not (out / ".lock").exists()
 
 
-def test_worker_count_follows_the_usable_cpus(monkeypatch):
-    for cpus, searches, want in [({0}, 13, 1), ({0, 1}, 13, 2), ({0, 2, 5, 7}, 13, 4),
-                                 ({0, 1, 2, 3}, 3, 3)]:
+def test_worker_count_follows_the_usable_cpus(monkeypatch, caplog):
+    """``_parallel_cpus`` gives each usable CPU, at most one per job, and
+    holds OpenBLAS to one thread while it gives more than one, restoring it
+    after; it gives 1, holding nothing, where one CPU is usable, there is one
+    job or no OpenBLAS can be held.  Where the platform cannot fork, the
+    searches run in process whatever the CPUs."""
+    blas = []
+    monkeypatch.setattr(est, "_openblas_threads", lambda: (lambda: 4, blas.append))
+    for cpus, jobs, want in [({0}, 13, 1), ({0, 1}, 13, 2), ({0, 2, 5, 7}, 13, 4),
+                             ({0, 1, 2, 3}, 3, 3), ({0, 1, 2, 3}, 1, 1)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus)
-        assert cli._worker_count(searches) == want
+        with est._parallel_cpus(jobs) as got:
+            assert got == want
+            assert blas[-1:] == ([1] if want > 1 else [])
+        assert blas == ([1, 4] if want > 1 else [])
+        blas.clear()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with caplog.at_level(logging.DEBUG, logger="squeeze"):
+        assert cli._run_searches([os.getpid] * 3) == [os.getpid()] * 3
+    assert "3 searches on 1 worker(s)" in caplog.text and blas == []
+    monkeypatch.setattr(est, "_openblas_threads", lambda: None)
+    with est._parallel_cpus(13) as got:
+        assert got == 1
+
+
+def test_forked_workers_read_openblas_at_one_thread(monkeypatch):
+    """A forked worker inherits the OpenBLAS hold: it reads one thread where
+    the parent had two.  After the pool the parent's count is restored, also
+    when a search raises, and no worker outlives the searches."""
+    blas = est._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be held")
+    get_threads, set_threads = blas
+    original = get_threads()
+    monkeypatch.setattr(est, "_usable_cpus", lambda: 2)
+
+    def failing():
+        raise NumericalError("search failed")
+
+    try:
+        set_threads(2)
+        got = cli._run_searches([get_threads, os.getpid, get_threads])
+        assert get_threads() == 2
+        with pytest.raises(NumericalError, match="search failed"):
+            cli._run_searches([get_threads, failing])
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+    _no_child_process_left()
+    assert got[0] == got[2] == 1 and got[1] != os.getpid()
 
 
 class TestDeterminism:

@@ -588,18 +588,17 @@ def test_caratheodory_full_passes_on_a_staircase_call(monkeypatch):
     seed and the strided subset keep the function search at the second
     level of the L3 staircase (seed 3, budget 150) under 120 evaluations
     over all samples; with only the witness block it made 407, and now
-    makes 106.  Each of the three polish runs starts from its seed's score,
-    without a pass."""
+    makes 109, three of them the starts of the polish runs."""
     made = []
     objective = estimate._caratheodory_objective
     monkeypatch.setattr(estimate, "_caratheodory_objective",
                         lambda *a: made.append(objective(*a)) or made[-1])
     domain, p, xi, k = list(_staircase_calls(3))[1]
     caratheodory_lower_search(domain, p, xi, seed=1 + k, budget=150)
-    calls, worst_row, witness, strided, full, reused = made[0][1]
-    assert calls == 577 and worst_row + witness + strided + full + reused == calls
+    calls, worst_row, witness, strided, full = made[0][1]
+    assert calls == 577 and worst_row + witness + strided + full == calls
     assert min(worst_row, witness, strided) > 0
-    assert full <= 120 and reused == 3
+    assert full <= 120
 
 
 def test_worst_row_rule_settles_only_losers(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from squeeze import (
 )
 from squeeze.smooth import (
     BUMP_ABS_MOMENT,
+    BUMP_NORM,
     MollifiedProfile,
     bump,
     bump_cdf,
+    bump_first_moment,
     default_widths,
 )
 
@@ -122,6 +125,40 @@ class TestKernel:
         x = np.linspace(-1, 1, 20001)
         riemann = np.trapezoid(np.abs(x) * bump(x), x)
         assert riemann == pytest.approx(BUMP_ABS_MOMENT, abs=1e-8)
+
+    def test_kink_correction_is_nonnegative_exactly(self):
+        """The unit kink correction ``K(x) = x Z(x) - M(x) - relu(x)``, with
+        ``bump_cdf`` and ``bump_first_moment`` as polynomials in exact
+        rationals, is at least 0 at rational ``x`` in ``[-1, 1]`` and 0 at
+        both ends; a kink's term of the gap is ``drop h K((t - t_j) / h)``
+        (to float rounding), so ``phi_tilde <= phi`` needs no check."""
+        norm = Fraction(315, 256)
+        assert BUMP_NORM == norm
+
+        def cdf(x):
+            y = x * x
+            return Fraction(1, 2) + norm * x * (1 + y * (Fraction(-4, 3) + y * (
+                Fraction(6, 5) + y * (Fraction(-4, 7) + y / 9))))
+
+        def first_moment(x):
+            return -norm / 10 * (1 - x * x) ** 5
+
+        def kink(x):
+            return x * cdf(x) - first_moment(x) - max(x, 0)
+
+        edges = [1 - Fraction(1, 10**k) for k in range(1, 31)]
+        edges += [Fraction(1, 10**k) for k in range(1, 31)]
+        xs = [Fraction(k, 1000) for k in range(-1000, 1001)] + edges + [-x for x in edges]
+        assert all(kink(x) >= 0 for x in xs)
+        assert kink(Fraction(1)) == kink(Fraction(-1)) == 0
+        for x in xs[::50]:
+            assert bump_cdf(float(x)) == pytest.approx(float(cdf(x)), abs=1e-15)
+            assert bump_first_moment(float(x)) == pytest.approx(float(first_moment(x)), abs=1e-15)
+        m, h = 7, 0.25
+        prof = smooth(corner_domain(m), h=h, eps=0.0).profile
+        xs = xs[::10]
+        want = [m * h * float(kink(x)) for x in xs]
+        assert prof.gap(h * np.asarray(xs, dtype=float)) == pytest.approx(want, abs=1e-14)
 
 
 class TestMollifiedProfile:
