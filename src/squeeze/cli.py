@@ -265,8 +265,10 @@ def _search_in_worker(i: int):
     return _timed(_worker_searches[i])
 
 
-def _run_searches(searches: list) -> list:
-    """The results of the zero-argument calls ``searches``, in order.
+def _run_searches(searches: dict) -> dict:
+    """The results of the zero-argument calls ``searches``, a dict keyed by
+    ``(label, quantity)`` pairs, under the same keys; the DEBUG line names
+    each search's wall ms by its key.
 
     They run on the CPUs ``est._parallel_cpus`` gives them, in process, one
     after another, where that is one CPU or the platform cannot fork.
@@ -281,10 +283,11 @@ def _run_searches(searches: list) -> list:
     raised here."""
     import multiprocessing
 
-    jobs = len(searches) if "fork" in multiprocessing.get_all_start_methods() else 1
+    calls = list(searches.values())
+    jobs = len(calls) if "fork" in multiprocessing.get_all_start_methods() else 1
     with est._parallel_cpus(jobs) as workers:
         if workers == 1:
-            timed = [_timed(search) for search in searches]
+            timed = [_timed(search) for search in calls]
         else:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -293,36 +296,37 @@ def _run_searches(searches: list) -> list:
             import numpy.random  # noqa: F401
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_init_worker, initargs=(searches,))
+                                       initializer=_init_worker, initargs=(calls,))
             try:
-                timed = list(pool.map(_search_in_worker, range(len(searches))))
+                timed = list(pool.map(_search_in_worker, range(len(calls))))
             finally:
                 pool.shutdown(cancel_futures=True)
-    log.debug("estimate: %d searches on %d worker(s); wall ms per search: %s",
-              len(searches), workers, ", ".join(f"{ms:.1f}" for _, ms in timed))
-    return [result for result, _ in timed]
+    log.debug("estimate: %d searches on %d worker(s); wall ms per search: %s", len(calls), workers,
+              ", ".join(f"{label} {quantity} {ms:.1f}"
+                        for (label, quantity), (_, ms) in zip(searches, timed)))
+    return {key: result for key, (result, _) in zip(searches, timed)}
 
 
 def _estimate_payload(config: RunConfig):
     domain, levels = config.staircase
-    disc_kw = dict(degree=config.est_degree, budget=config.est_budget,
-                   samples=config.est_samples, restarts=config.est_restarts)
-    p1 = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
+    p1, zero = PointC2(1.0 + 0.0j, 0.0 + 0.0j), PointC2(0.0 + 0.0j, 0.0 + 0.0j)
     xi1 = Direction(1.0 + 0.0j, 1.0 + 0.0j)
-    cases = [
-        ("bidisc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
-        ("ball", est.BallModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 1.0 + 0.0j)),
-        ("disc", est.PolydiscModel(), PointC2(0.0 + 0.0j, 0.0 + 0.0j),
-         Direction(1.0 + 0.0j, 0.0 + 0.0j)),
-    ]
+    # the calibration models: name, model, direction at the origin
+    cases = [("bidisc", est.PolydiscModel(), xi1), ("ball", est.BallModel(), xi1),
+             ("disc", est.PolydiscModel(), Direction(1.0 + 0.0j, 0.0 + 0.0j))]
+    # each search's function and options, by the quantity it estimates
+    kinds = {"kobayashi": (est.kobayashi_upper_search,
+                           dict(degree=config.est_degree, budget=config.est_budget,
+                                samples=config.est_samples, restarts=config.est_restarts)),
+             "caratheodory": (est.caratheodory_lower_search, dict(budget=config.est_budget))}
+    searches = {}  # every search of the run, keyed by the entry it fills
 
-    # every search of the run, in the order of the document: a Kobayashi
-    # and a Carathéodory search per level, the Carathéodory search at
-    # (1, 0), and both searches per calibration model
-    searches = []
-    searched = set()
+    def add(label, quantities, target, p, xi, seed):
+        for quantity in quantities:
+            search, options = kinds[quantity]
+            searches[label, quantity] = functools.partial(
+                search, target, p, xi, seed=seed, return_trace=True, **options)
+
     for rec in levels:
         t_k = math.log(rec.a_k)
         beta = math.exp(domain.profile.eval(t_k))
@@ -330,38 +334,27 @@ def _estimate_payload(config: RunConfig):
             p = PointC2(complex(rec.a_k, 0.0), 0.0 + 0.0j)
             # direction of the certified bound, pulled back through the shear
             xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
-            searched.add(rec.k)
-            searches += [
-                functools.partial(est.kobayashi_upper_search, domain, p, xi,
-                                  seed=config.seed + rec.k, return_trace=True, **disc_kw),
-                functools.partial(est.caratheodory_lower_search, domain, p, xi,
-                                  budget=config.est_budget, seed=config.seed + rec.k,
-                                  return_trace=True)]
+            add(f"(a_{rec.k},0)", kinds, domain, p, xi, config.seed + rec.k)
         else:
             # profile so deep that exp(phi(t_k)) underflows: the pulled-back
             # direction is not representable, so no estimate is paired
             log.warning("level %d: face height underflows; skipping estimates",
                         rec.k)
-    searches.append(functools.partial(est.caratheodory_lower_search, domain, p1, xi1,
-                                      budget=config.est_budget, seed=config.seed,
-                                      return_trace=True))
-    for _name, model, p, xi in cases:
-        searches += [
-            functools.partial(est.kobayashi_upper_search, model, p, xi,
-                              seed=config.seed, **disc_kw),
-            functools.partial(est.caratheodory_lower_search, model, p, xi,
-                              budget=config.est_budget, seed=config.seed)]
-    results = iter(_run_searches(searches))
+    add("(1,0)", ["caratheodory"], domain, p1, xi1, config.seed)
+    for name, model, xi in cases:
+        add(name, kinds, model, zero, xi, config.seed)
+    results = _run_searches(searches)
 
     points = []
     verdicts = []
     trace_rows = [["point", "quantity", "restart", "objective", "feasibility_margin"]]
 
-    def paired(label, certified, bound, trace):
-        """The entry pairing an estimate with its certified bound: a
-        Kobayashi estimate must not fall below it nor a Carathéodory one
-        rise above it, up to 1e-9 relative.  Adds the search's trace rows."""
-        quantity = bound.quantity
+    def paired(label, quantity, certified):
+        """The entry pairing the estimate of the search ``(label,
+        quantity)`` with its certified bound: a Kobayashi estimate must not
+        fall below it nor a Carathéodory one rise above it, up to 1e-9
+        relative.  Adds the search's trace rows."""
+        bound, _candidate, trace = results[label, quantity]
         if quantity == "kobayashi":
             ok = bound.value >= certified * (1.0 - 1e-9)
             keys = "certified_lower", "estimate_upper"
@@ -374,35 +367,32 @@ def _estimate_payload(config: RunConfig):
         return {keys[0]: fmt(certified), keys[1]: bound_to_record(bound), "sandwich_ok": ok}
 
     for rec in levels:
+        label = f"(a_{rec.k},0)"
         entry = {"point": f"(a_{rec.k}, 0)"}
-        if rec.k in searched:
-            k_est, _disc, ktrace = next(results)
-            c_est, _cand, ctrace = next(results)
-            label = f"(a_{rec.k},0)"
-            entry["kobayashi"] = paired(label, math.sqrt(rec.m_k / 2.0), k_est, ktrace)
-            entry["caratheodory"] = paired(label, float(rec.c_k), c_est, ctrace)
+        if (label, "kobayashi") in results:
+            entry["kobayashi"] = paired(label, "kobayashi", math.sqrt(rec.m_k / 2.0))
+            entry["caratheodory"] = paired(label, "caratheodory", float(rec.c_k))
         else:
             entry["skipped"] = "face height underflows double precision"
         points.append(entry)
 
     c_up = caratheodory_upper_slices(domain, p1, xi1)
-    c_est1, _cand, ctrace1 = next(results)
     points.append({"point": "(1, 0)",
-                   "caratheodory": paired("(1,0)", c_up.value, c_est1, ctrace1)})
+                   "caratheodory": paired("(1,0)", "caratheodory", c_up.value)})
     sandwich_ok = all(verdicts)
 
     calibration = []
-    for name, _model, p, xi in cases:
-        k_ref, c_ref = est.reference_metric(
-            "bidisc" if name == "disc" else name, p, xi)
-        k_est2, c_est2 = next(results), next(results)
+    for name, _model, xi in cases:
+        k_ref, c_ref = est.reference_metric("bidisc" if name == "disc" else name, zero, xi)
+        k_est = results[name, "kobayashi"][0].value
+        c_est = results[name, "caratheodory"][0].value
         calibration.append({
             "model": name,
             "reference": fmt(k_ref),
-            "kobayashi_estimate": fmt(k_est2.value),
-            "caratheodory_estimate": fmt(c_est2.value),
-            "kobayashi_within_5pct": abs(k_est2.value - k_ref) <= 0.05 * k_ref,
-            "caratheodory_within_5pct": abs(c_est2.value - c_ref) <= 0.05 * c_ref,
+            "kobayashi_estimate": fmt(k_est),
+            "caratheodory_estimate": fmt(c_est),
+            "kobayashi_within_5pct": abs(k_est - k_ref) <= 0.05 * k_ref,
+            "caratheodory_within_5pct": abs(c_est - c_ref) <= 0.05 * c_ref,
         })
 
     doc = {

@@ -240,6 +240,9 @@ class ReinhardtDomain:
     t_min: float
     t_max: float
 
+    # why ``outer_radius_upper`` bounds the domain, for provenance texts
+    outer_radius_basis = "circumscribed box"
+
     def __post_init__(self):
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
             raise ValidationError("annulus edges must be finite")

@@ -926,12 +926,12 @@ def _parallel_cpus(jobs: int):
     CPU (``_usable_cpus``), at most one per job, or 1 where fewer than two
     CPUs are usable or no OpenBLAS can be held (``_openblas_threads``).
 
-    While more than one is in use, numpy's OpenBLAS is held to one thread:
-    with a BLAS thread per CPU, a matrix product waits for threads that spin
-    on the CPUs the other jobs need, and the estimate searches ran several
-    times slower than in process.  A process forked inside the block
-    inherits the hold.  On exit the thread count is restored, also on an
-    error."""
+    While more than one is in use, numpy's OpenBLAS is held to one thread,
+    and a DEBUG line says so: with a BLAS thread per CPU, a matrix product
+    waits for threads that spin on the CPUs the other jobs need, and the
+    estimate searches ran several times slower than in process.  A process
+    forked inside the block inherits the hold.  On exit the thread count is
+    restored, also on an error."""
     cpus = min(_usable_cpus(), jobs)
     blas = _openblas_threads() if cpus > 1 else None
     if blas is None:
@@ -940,6 +940,7 @@ def _parallel_cpus(jobs: int):
     get_blas_threads, set_blas_threads = blas
     before = get_blas_threads()
     set_blas_threads(1)
+    log.debug("OpenBLAS held to one thread (from %d) for %d CPUs", before, cpus)
     try:
         yield cpus
     finally:
@@ -1352,9 +1353,8 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
 
     log.debug("disc oracle m=%d: %d discs, %d scale tests (%d settled by the "
               "coefficient-sum bound, %d reached the full stage), %.1f%% pruned; "
-              "%d thread(s), OpenBLAS %s", m, count, scale_tests, proven_tests, full_tests,
-              100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)), threads,
-              "held to one thread" if pool is not None else "not held")
+              "%d thread(s)", m, count, scale_tests, proven_tests, full_tests,
+              100.0 * (1.0 - scale_tests / (_ORACLE_STEPS * count)), threads)
     return OracleResult(
         m=m, count=count, degree=degree, samples=samples,
         min_alpha=1.0 / best_tau,

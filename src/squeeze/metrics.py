@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .domain import (
     DEFAULT_GRID,
@@ -35,6 +36,9 @@ from .domain import (
     fmt,
 )
 from .errors import CertificationError, ValidationError
+
+if TYPE_CHECKING:
+    from .smooth import SmoothDomain
 
 # Relative guard band for certified float comparisons: subtracted from lower
 # bounds, added to upper bounds, to absorb rounding errors below that size.
@@ -287,12 +291,14 @@ def squeezing_upper_quotient(c_upper: Bound, k_lower: Bound) -> Bound:
     )
 
 
-def squeezing_lower_inclusion(domain: ReinhardtDomain, p,
+def squeezing_lower_inclusion(domain: ReinhardtDomain | SmoothDomain, p,
                               resolution: int = DEFAULT_GRID) -> Bound:
     """Certified squeezing lower bound dist(p, bD) / R.
 
     ``q -> (q - p)/R`` embeds the domain in the unit ball and the image
-    contains the ball of radius ``dist(p, bD)/R``.
+    contains the ball of radius ``dist(p, bD)/R``.  ``domain`` is a staircase
+    or a smoothed domain: both certify the distance and the outer radius,
+    and the provenance names the latter's ``outer_radius_basis``.
     """
     p = _as_point(p)
     d = domain.boundary_distance_lower(p, resolution)
@@ -307,7 +313,7 @@ def squeezing_lower_inclusion(domain: ReinhardtDomain, p,
         certified=True,
         provenance=(
             f"inclusion bound: certified dist>= {d!r} (grid {resolution}, per-cell "
-            f"moduli boxes), outer radius <= {r!r} (circumscribed box)"
+            f"moduli boxes), outer radius <= {r!r} ({domain.outer_radius_basis})"
         ),
     )
 

@@ -51,7 +51,7 @@ from .domain import (
     fmt,
 )
 from .errors import CertificationError, NumericalError, ValidationError
-from .metrics import Bound
+from .metrics import Bound, squeezing_lower_inclusion
 from .construct import (
     ConstructionCertificate,
     LevelRecord,
@@ -431,6 +431,13 @@ class SmoothDomain:
             raise ValidationError("basepoint must lie inside the smoothed domain")
         return _distance_lower(self._boxes, resolution, *p.moduli())
 
+    outer_radius_basis = "base circumscribed box; the smoothed domain lies inside the base"
+
+    def outer_radius_upper(self, p) -> float:
+        """Certified ``R >= sup_{q in D~} |q - p|``: the base's bound, as the
+        smoothed domain lies inside the base."""
+        return self.base.outer_radius_upper(p)
+
     def _boxes(self, resolution: int) -> tuple[np.ndarray, ...]:
         """The moduli boxes ``(u0, u1, r_lo, r_hi)`` of the face cells at
         ``resolution``, then of the two closing strips."""
@@ -529,8 +536,8 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
     monotonicity: the smoothed domain sits inside the base (structural
     ``phi_tilde <= phi`` plus caps), whose shear containment in the model of
     exponent ``m_k`` is re-verified from the exact slope drop at ``t_k``.
-    The squeezing lower at ``(1, 0)`` is the inclusion bound computed on the
-    smoothed boundary.
+    The squeezing lower at ``(1, 0)`` is ``squeezing_lower_inclusion`` on the
+    smoothed domain.
     """
     base = sd.base
     if not base.profile.symmetric or base.t_max != -base.t_min:
@@ -584,15 +591,5 @@ def certify_smoothed(sd: SmoothDomain, base_levels: Sequence[LevelRecord],
         records.append(replace(rec, s_upper=s_up, s_upper_mirror=s_up_mirror,
                                target_met=bool(s_val < float(rec.target))))
 
-    p_center = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
-    d = sd.boundary_distance_lower(p_center, resolution)
-    r = base.outer_radius_upper(p_center)  # the smoothed domain lies inside the base
-    s_lower = Bound(
-        quantity="squeezing", side="lower", value=min(1.0, d / r),
-        basepoint=p_center, direction=None, certified=True,
-        provenance=(
-            f"inclusion bound on the smoothed domain: certified dist >= {d!r} "
-            f"(grid {resolution}), outer radius <= {r!r} (base circumscribed box)"
-        ),
-    )
+    s_lower = squeezing_lower_inclusion(sd, PointC2(1.0 + 0.0j, 0.0 + 0.0j), resolution)
     return assemble_certificate(tuple(records), s_lower, margin_guard, smoothed=True)

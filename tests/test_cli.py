@@ -29,7 +29,7 @@ from squeeze.cli import (
     cmd_plotdata,
     main,
 )
-from squeeze.domain import domain_from_doc, fmt
+from squeeze.domain import ReinhardtDomain, domain_from_doc, fmt
 
 from helpers import fmt_csv_table
 
@@ -454,7 +454,7 @@ def test_estimate_on_the_wrong_side_exit3(tmp_path, monkeypatch, search, quantit
 
     def wrong_side(*args, **kwargs):
         out = real(*args, **kwargs)
-        if not kwargs.get("return_trace"):
+        if not isinstance(args[0], ReinhardtDomain):
             return out  # a calibration row, outside the sandwich
         bound, candidate, trace = out
         return dataclasses.replace(bound, value=bound.value * factor), candidate, trace
@@ -512,7 +512,7 @@ def test_estimate_error_in_a_search_exits_as_in_process(tmp_path, monkeypatch, c
     real = est.caratheodory_lower_search
 
     def failing(*args, **kwargs):
-        if not kwargs.get("return_trace"):  # the calibration rows
+        if not isinstance(args[0], ReinhardtDomain):  # the calibration rows
             raise error(f"calibration search failed in process {os.getpid()}")
         return real(*args, **kwargs)
 
@@ -527,23 +527,30 @@ def test_estimate_error_in_a_search_exits_as_in_process(tmp_path, monkeypatch, c
 def test_worker_count_follows_the_usable_cpus(monkeypatch, caplog):
     """``_parallel_cpus`` gives each usable CPU, at most one per job, and
     holds OpenBLAS to one thread while it gives more than one, restoring it
-    after; it gives 1, holding nothing, where one CPU is usable, there is one
-    job or no OpenBLAS can be held.  Where the platform cannot fork, the
-    searches run in process whatever the CPUs."""
+    after and saying so at DEBUG; it gives 1, holding nothing, where one CPU
+    is usable, there are fewer than two jobs or no OpenBLAS can be held.
+    Where the platform cannot fork, the searches run in process whatever the
+    CPUs, and the DEBUG line names each by its key."""
     blas = []
     monkeypatch.setattr(est, "_openblas_threads", lambda: (lambda: 4, blas.append))
     for cpus, jobs, want in [({0}, 13, 1), ({0, 1}, 13, 2), ({0, 2, 5, 7}, 13, 4),
-                             ({0, 1, 2, 3}, 3, 3), ({0, 1, 2, 3}, 1, 1)]:
+                             ({0, 1, 2, 3}, 3, 3), ({0, 1, 2, 3}, 1, 1), ({0, 1}, 0, 1)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus)
-        with est._parallel_cpus(jobs) as got:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="squeeze"), est._parallel_cpus(jobs) as got:
             assert got == want
             assert blas[-1:] == ([1] if want > 1 else [])
         assert blas == ([1, 4] if want > 1 else [])
+        held = f"OpenBLAS held to one thread (from 4) for {want} CPUs"
+        assert (held in caplog.text) == (want > 1)
         blas.clear()
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    searches = {(f"(a_{k},0)", "kobayashi"): os.getpid for k in (1, 2, 3)}
+    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="squeeze"):
-        assert cli._run_searches([os.getpid] * 3) == [os.getpid()] * 3
+        assert cli._run_searches(searches) == dict.fromkeys(searches, os.getpid())
     assert "3 searches on 1 worker(s)" in caplog.text and blas == []
+    assert all(f"(a_{k},0) kobayashi " in caplog.text for k in (1, 2, 3))
     monkeypatch.setattr(est, "_openblas_threads", lambda: None)
     with est._parallel_cpus(13) as got:
         assert got == 1
@@ -565,15 +572,16 @@ def test_forked_workers_read_openblas_at_one_thread(monkeypatch):
 
     try:
         set_threads(2)
-        got = cli._run_searches([get_threads, os.getpid, get_threads])
+        got = cli._run_searches({("a", "threads"): get_threads, ("b", "pid"): os.getpid,
+                                 ("c", "threads"): get_threads})
         assert get_threads() == 2
         with pytest.raises(NumericalError, match="search failed"):
-            cli._run_searches([get_threads, failing])
+            cli._run_searches({("a", "threads"): get_threads, ("b", "failing"): failing})
         assert get_threads() == 2
     finally:
         set_threads(original)
     _no_child_process_left()
-    assert got[0] == got[2] == 1 and got[1] != os.getpid()
+    assert got["a", "threads"] == got["c", "threads"] == 1 and got["b", "pid"] != os.getpid()
 
 
 class TestDeterminism:

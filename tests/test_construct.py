@@ -183,6 +183,23 @@ def test_assembled_certificate_runs_the_sandwich_check(headline):
         assemble_certificate((below,), cert.s_lower, cert.margin_guard, smoothed=True)
 
 
+def test_violation_verdict_keeps_its_guard_band(headline):
+    """A level bound within ``GUARD_COMPARE`` below the center bound less the
+    margin guard is no violation; one 1e-9 relative below it is."""
+    _, _, cert = headline
+    rec, s_lower, guard = cert.levels[0], cert.s_lower, cert.margin_guard
+
+    def level_at(value):
+        return replace(rec, s_upper=replace(rec.s_upper, value=value),
+                       s_upper_mirror=replace(rec.s_upper_mirror, value=value))
+
+    edge = s_lower.value - guard
+    inside = assemble_certificate((level_at(edge * (1.0 - 1e-11)),), s_lower, guard)
+    assert not inside.violation and inside.violation_level is None
+    below = assemble_certificate((level_at(edge * (1.0 - 1e-9)),), s_lower, guard)
+    assert below.violation_level == rec.k
+
+
 class TestPrimeInclusion:
     def test_p0_levels_contained(self, p0):
         _, domain, cert = p0

@@ -207,6 +207,16 @@ def test_outer_radius_p0(p0):
     assert domain.outer_radius_upper((1.0, 0.0)) == pytest.approx(math.sqrt(10.0), rel=1e-9)
 
 
+def test_outer_radius_carries_its_guard(p0):
+    """The outer radius is the circumscribed box's ``hypot`` widened by
+    ``GUARD_REL``, bit for bit."""
+    _, domain, _ = p0
+    for p in [(1.0, 0.0), (1.5, 0.1), (0.7, -0.05j)]:
+        rz, rw = abs(complex(p[0])), abs(complex(p[1]))
+        box = math.hypot(domain.outer_radius() + rz, math.exp(domain.max_log_height()) + rw)
+        assert domain.outer_radius_upper(p) == box * (1.0 + GUARD_REL)
+
+
 def test_outer_radius_dominates_samples(p0):
     _, domain, _ = p0
     r = domain.outer_radius_upper((1.0, 0.0))

@@ -1212,7 +1212,8 @@ class TestOracle:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_threads_match_one_thread(self, monkeypatch, caplog, blas, m, degree, count, cpus):
         """On ``cpus`` threads the whole result is the one-thread result bit
-        for bit, and the debug line names the threads and the BLAS hold."""
+        for bit, and the debug lines name the threads and the BLAS hold,
+        taken only on more than one thread."""
         monkeypatch.setattr(estimate, "_usable_cpus", lambda: 1)
         with caplog.at_level(logging.DEBUG, logger="squeeze.estimate"):
             want = monomial_disc_oracle(m, count=count, degree=degree, seed=8)
@@ -1220,19 +1221,27 @@ class TestOracle:
             got = monomial_disc_oracle(m, count=count, degree=degree, seed=8)
         assert got == want
         assert float.hex(got.min_alpha) == float.hex(want.min_alpha)
-        lines = [r.getMessage() for r in caplog.records if "disc oracle" in r.getMessage()]
-        assert lines[0].endswith("1 thread(s), OpenBLAS not held")
-        if count < 2 * _FULL_ROWS:
-            assert lines[1].endswith("1 thread(s), OpenBLAS not held")
-        else:
-            assert lines[1].endswith(f"{cpus} thread(s), OpenBLAS held to one thread")
+        lines = [r.getMessage() for r in caplog.records
+                 if "disc oracle" in r.getMessage() or "OpenBLAS" in r.getMessage()]
+        threads = 1 if count < 2 * _FULL_ROWS else cpus
+        assert len(lines) == (3 if threads > 1 else 2)
+        assert lines[0].endswith("pruned; 1 thread(s)")
+        if threads > 1:
+            assert lines[1].startswith("OpenBLAS held to one thread (from ")
+            assert lines[1].endswith(f") for {cpus} CPUs")
+        assert lines[-1].endswith(f"pruned; {threads} thread(s)")
 
     def test_one_thread_where_no_cpus_are_named(self, monkeypatch, caplog):
+        """Where the platform names no CPUs the oracle runs on one thread and
+        leaves OpenBLAS's thread count alone."""
+        set_to = []
+        monkeypatch.setattr(estimate, "_openblas_threads", lambda: (lambda: 4, set_to.append))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert estimate._usable_cpus() == 1
         with caplog.at_level(logging.DEBUG, logger="squeeze.estimate"):
             monomial_disc_oracle(2, count=1000, seed=8)
-        assert caplog.records[-1].getMessage().endswith("1 thread(s), OpenBLAS not held")
+        assert set_to == [] and "OpenBLAS held" not in caplog.text
+        assert caplog.records[-1].getMessage().endswith("pruned; 1 thread(s)")
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_feasible_on_parts_matches_unsplit(self, threads):

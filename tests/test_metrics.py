@@ -303,6 +303,17 @@ def test_sandwich_checker():
     check_sandwich([lo, ok_hi])
 
 
+def test_sandwich_check_keeps_its_guard_band():
+    """A certified lower bound within ``GUARD_COMPARE`` (1e-10 relative)
+    above its upper bound passes the check; one 2e-10 above it does not."""
+    hi = Bound("squeezing", "upper", 0.5, P, None, True, "quotient")
+    check_sandwich([Bound("squeezing", "lower", 0.5 * (1.0 + 5e-11), P, None, True,
+                          "inclusion"), hi])
+    with pytest.raises(CertificationError, match="sandwich violated"):
+        check_sandwich([Bound("squeezing", "lower", 0.5 * (1.0 + 2e-10), P, None, True,
+                              "inclusion"), hi])
+
+
 def test_slice_radii_monotone_under_growth(p0):
     # growing the domain grows both slice radii
     _, domain, _ = p0

@@ -8,6 +8,7 @@ import pytest
 from squeeze import (
     CertificationError,
     ConstructionParams,
+    PointC2,
     RadialProfile,
     ReinhardtDomain,
     ValidationError,
@@ -15,6 +16,7 @@ from squeeze import (
     certify_smoothed,
     levi_verify,
     smooth,
+    squeezing_lower_inclusion,
 )
 from squeeze.smooth import (
     BUMP_ABS_MOMENT,
@@ -370,6 +372,16 @@ class TestLevi:
         assert rep.min_value < 1e-7
         assert not rep.strictly_pseudoconvex_reported
 
+    def test_verdict_is_strict_at_the_tolerance(self, headline_smoothed):
+        """A tolerance equal to the scan's own minimum is not cleared; the
+        next float below it is."""
+        sd, rep, _ = headline_smoothed
+        at = levi_verify(sd, grid_points=rep.grid_points, tolerance=rep.min_value)
+        assert at.min_value == rep.min_value and not at.strictly_pseudoconvex_reported
+        below = levi_verify(sd, grid_points=rep.grid_points,
+                            tolerance=math.nextafter(rep.min_value, 0.0))
+        assert below.strictly_pseudoconvex_reported
+
     def test_headline_reported(self, headline_smoothed):
         _, rep, _ = headline_smoothed
         assert rep.min_value > 1e-7
@@ -417,6 +429,32 @@ class TestCertifySmoothed:
         after = row(smoothed, 2).s_upper.value
         assert after >= base
         assert (after - base) / base < 0.05
+
+    def test_bound_on_its_target_misses_it(self, headline, headline_smoothed):
+        """A level whose target is exactly its own smoothed bound misses it;
+        the other level keeps its verdict."""
+        sd, _, smoothed = headline_smoothed
+        _, _, cert = headline
+        on_target = Fraction(smoothed.levels[0].s_upper.value)
+        levels = (replace(cert.levels[0], target=on_target),) + cert.levels[1:]
+        again = certify_smoothed(sd, levels, cert.margin_guard)
+        assert again.levels[0].s_upper.value == float(on_target)
+        assert not again.levels[0].target_met
+        assert [rec.target_met for rec in again.levels[1:]] == [
+            rec.target_met for rec in smoothed.levels[1:]]
+
+    def test_center_bound_is_the_inclusion_bound(self, headline, headline_smoothed):
+        """The smoothed center bound is ``squeezing_lower_inclusion`` on the
+        smoothed domain, whose outer radius is the base's, and its provenance
+        says why that radius holds."""
+        sd, _, smoothed = headline_smoothed
+        _, domain, _ = headline
+        p = PointC2(1.0 + 0.0j, 0.0 + 0.0j)
+        assert sd.outer_radius_upper(p) == domain.outer_radius_upper(p)
+        assert smoothed.s_lower == squeezing_lower_inclusion(sd, p)
+        assert smoothed.s_lower.provenance.endswith(
+            "(base circumscribed box; the smoothed domain lies inside the base)")
+        assert squeezing_lower_inclusion(domain, p).provenance.endswith("(circumscribed box)")
 
     def test_mirror_values_equal(self, headline_smoothed):
         _, _, smoothed = headline_smoothed
