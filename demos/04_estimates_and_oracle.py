@@ -33,8 +33,8 @@ xi = Direction(1.0 + 0.0j, 1.0 + 0.0j)
 
 for name, model in (("bidisc", PolydiscModel()), ("ball", BallModel())):
     k_ref, c_ref = reference_metric(name, p0, xi)
-    k_est = kobayashi_upper_search(model, p0, xi, seed=1)
-    c_est = caratheodory_lower_search(model, p0, xi, seed=1)
+    k_est, _disc, _trace = kobayashi_upper_search(model, p0, xi, seed=1)
+    c_est, _function, _trace = caratheodory_lower_search(model, p0, xi, seed=1)
     print(f"{name:>6}: K ref {k_ref:.4f}, disc-search estimate {k_est.value:.4f};"
           f" C ref {c_ref:.4f}, function-search estimate {c_est.value:.4f}")
 

@@ -325,7 +325,7 @@ def _estimate_payload(config: RunConfig):
         for quantity in quantities:
             search, options = kinds[quantity]
             searches[label, quantity] = functools.partial(
-                search, target, p, xi, seed=seed, return_trace=True, **options)
+                search, target, p, xi, seed=seed, **options)
 
     for rec in levels:
         t_k = math.log(rec.a_k)

@@ -22,7 +22,6 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +32,9 @@ from .metrics import Bound, Direction
 log = logging.getLogger(__name__)
 
 _LOG_FLOOR = -745.0  # log of the smallest positive double
+# the adapters' boundary grids: profile heights (or ball radii) and phases
+_BOUNDARY_HEIGHTS = 48
+_BOUNDARY_PHASES = 16
 
 
 def _log_moduli(z, w) -> tuple[np.ndarray, np.ndarray]:
@@ -92,10 +94,11 @@ class ReinhardtAdapter:
     def has_hole(self) -> bool:
         return True
 
-    def boundary_samples(self, nt: int = 48, nphase: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    def boundary_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(t, theta, psi) grid on the profile surface plus end-cap tori."""
         dom = self.domain
-        t = np.linspace(dom.t_min, dom.t_max, nt)
+        nphase = _BOUNDARY_PHASES
+        t = np.linspace(dom.t_min, dom.t_max, _BOUNDARY_HEIGHTS)
         r = np.exp(dom.profile.eval_many(t))
         th = _circle(nphase)
         ones = np.ones(nphase)
@@ -114,52 +117,44 @@ class ReinhardtAdapter:
 
 
 class BallModel:
-    """Euclidean ball of radius r about the origin."""
-
-    def __init__(self, r: float = 1.0):
-        self.r = float(r)
+    """The unit ball of C^2."""
 
     def defect(self, z, w):
-        return (np.abs(z) ** 2 + np.abs(w) ** 2) / (self.r * self.r) - 1.0
+        return np.abs(z) ** 2 + np.abs(w) ** 2 - 1.0
 
     def polydisc_radii(self, p: PointC2):
         rz, rw = p.moduli()
-        s = math.sqrt(max(self.r * self.r - rz * rz - rw * rw, 0.0) / 2.0)
+        s = math.sqrt(max(1.0 - rz * rz - rw * rw, 0.0) / 2.0)
         return s, s
 
     def has_hole(self) -> bool:
         return False
 
-    def boundary_samples(self, nt: int = 48, nphase: int = 16):
-        mu = np.linspace(0.0, 1.0, nt)
-        rz = self.r * np.sqrt(mu)
-        rw = self.r * np.sqrt(1.0 - mu)
+    def boundary_samples(self):
+        nphase = _BOUNDARY_PHASES
+        mu = np.linspace(0.0, 1.0, _BOUNDARY_HEIGHTS)
         th = _circle(nphase)
-        z = np.repeat((rz[:, None] * th[None, :]), nphase, axis=1).ravel()
-        w = np.tile((rw[:, None] * th[None, :]), (1, nphase)).ravel()
+        z = np.repeat((np.sqrt(mu)[:, None] * th[None, :]), nphase, axis=1).ravel()
+        w = np.tile((np.sqrt(1.0 - mu)[:, None] * th[None, :]), (1, nphase)).ravel()
         return z, w
 
 
 class PolydiscModel:
-    def __init__(self, r_z: float = 1.0, r_w: float = 1.0):
-        self.r_z = float(r_z)
-        self.r_w = float(r_w)
+    """The unit bidisc of C^2."""
 
     def defect(self, z, w):
-        return np.maximum(np.abs(z) / self.r_z, np.abs(w) / self.r_w) - 1.0
+        return np.maximum(np.abs(z), np.abs(w)) - 1.0
 
     def polydisc_radii(self, p: PointC2):
         rz, rw = p.moduli()
-        return self.r_z - rz, self.r_w - rw
+        return 1.0 - rz, 1.0 - rw
 
     def has_hole(self) -> bool:
         return False
 
-    def boundary_samples(self, nt: int = 48, nphase: int = 16):
-        th = _circle(nphase * 4)
-        z = np.repeat(self.r_z * th, nphase * 4)
-        w = np.tile(self.r_w * th, nphase * 4)
-        return z, w
+    def boundary_samples(self):
+        th = _circle(4 * _BOUNDARY_PHASES)
+        return np.repeat(th, th.size), np.tile(th, th.size)
 
 
 def _as_adapter(domain):
@@ -168,6 +163,17 @@ def _as_adapter(domain):
     if hasattr(domain, "defect"):
         return domain
     raise ValidationError(f"cannot interpret {domain!r} as a searchable domain")
+
+
+def _as_direction(xi) -> Direction:
+    """``xi`` as a ``Direction``: a ``Direction`` or a pair of numbers;
+    ``ValidationError`` otherwise."""
+    if isinstance(xi, Direction):
+        return xi
+    if (isinstance(xi, (tuple, list)) and len(xi) == 2
+            and all(isinstance(x, numbers.Number) for x in xi)):
+        return Direction(complex(xi[0]), complex(xi[1]))
+    raise ValidationError(f"cannot interpret {xi!r} as a direction of C^2")
 
 
 def _check_basepoint(domain, adapter, p: PointC2) -> None:
@@ -183,17 +189,10 @@ def _check_basepoint(domain, adapter, p: PointC2) -> None:
 
 # --------------------------------------------------------------- references
 def reference_metric(model: str, p, xi) -> tuple[float, float]:
-    """Classical (K, C) values for disc, polydisc (bidisc) and ball."""
-    if model == "disc":
-        pz = complex(p)
-        xz = complex(xi)
-        if not abs(pz) < 1.0:
-            raise ValidationError("point outside the unit disc")
-        v = abs(xz) / (1.0 - abs(pz) ** 2)
-        return v, v
+    """Classical (K, C) values of the unit bidisc and the unit ball."""
     p = _as_point(p)
-    xi = xi if isinstance(xi, Direction) else Direction(complex(xi[0]), complex(xi[1]))
-    if model in ("bidisc", "polydisc"):
+    xi = _as_direction(xi)
+    if model == "bidisc":
         if not (abs(p.z) < 1.0 and abs(p.w) < 1.0):
             raise ValidationError("point outside the unit bidisc")
         v = max(abs(xi.xi_z) / (1.0 - abs(p.z) ** 2),
@@ -245,8 +244,7 @@ def _disc_coordinate(out: np.ndarray, base: complex, slope: complex,
 
 
 # ------------------------------------------------------- shared local search
-def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
-                     iters: int, step0: float = 0.25):
+def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator, iters: int):
     """Seeded coordinate search with multiplicative step adaptation.
 
     A proposal is kept only if it scores above the incumbent, so
@@ -256,7 +254,7 @@ def _adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
     """
     x = x0.copy()
     f = objective(x, -math.inf)
-    step = step0
+    step = 0.25
     for _ in range(iters):
         if x.size == 0:
             break
@@ -324,7 +322,7 @@ def _false_position(lo: float, f_lo: float, hi: float, f_hi: float):
     return c if lo < c < hi else None
 
 
-def _largest_feasible_tau(excess, bar: float, counts: list | None = None) -> float:
+def _largest_feasible_tau(excess, bar: float, counts: list) -> float:
     """The disc-scale ladder (``_ladder``) on the verdict ``excess(t) > 0``.
 
     ``excess(t)`` is the worst sampled defect of the disc of scale ``t``
@@ -356,8 +354,8 @@ def _largest_feasible_tau(excess, bar: float, counts: list | None = None) -> flo
     So each answer is the one its test would give: the result equals the
     full ladder's bit for bit whenever either is above ``bar`` (and is
     ``<= bar`` exactly when the full ladder's is), with at most twice the
-    full ladder's checks.  ``counts``, if given, gains the ladder queries
-    answered from the bracket, with or without regula-falsi steps, at index
+    full ladder's checks.  ``counts`` gains the ladder queries answered
+    from the bracket, with or without regula-falsi steps, at index
     0 and the regula-falsi steps at index 1.
     """
     lo, f_lo = -math.inf, -math.inf  # the largest scale tested feasible
@@ -408,12 +406,12 @@ def _largest_feasible_tau(excess, bar: float, counts: list | None = None) -> flo
         if edge == math.inf or test(edge):
             return 0.0
     tau = _ladder(fails)
-    if counts is not None:
-        counts[0] += answered
-        counts[1] += steps
+    counts[0] += answered
+    counts[1] += steps
     return tau
 
 
+_MARGIN = 1e-6  # a disc is feasible where its sampled defect is at most -_MARGIN
 _SEARCH_BLOCK = 256  # circle samples per block in the disc search
 _TAIL_MEMO = 4  # tail polynomials the disc search keeps, the most recently used
 
@@ -471,16 +469,20 @@ class _DiscTails:
         return t.full
 
 
-def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
-                           budget: int = 150, seed: int = 0,
-                           samples: int = 2048, restarts: int = 4,
-                           margin: float = 1e-6, return_trace: bool = False):
+def kobayashi_upper_search(domain, p, xi, degree: int = 6, budget: int = 150, seed: int = 0,
+                           samples: int = 2048, restarts: int = 4):
     """Best polynomial-disc upper estimate of K(p, xi); not certified.
 
-    Feasibility of a disc is enforced as ``defect <= -margin`` on ``samples``
-    boundary points of the unit circle; the returned disc additionally passes
-    a 10x finer sampling (the scale backs off until it does).  A NaN defect
-    fails both checks.  The basepoint must lie in the domain.
+    Returns ``(bound, candidate, trace)``: the ``Bound``, the best disc
+    (``DiscCandidate``) and per restart ``(restart, 1 / scale, scale)``.
+    ``p`` is a ``PointC2`` or a pair of numbers, ``xi`` a ``Direction`` or a
+    pair of numbers.
+
+    Feasibility of a disc is enforced as ``defect <= -_MARGIN`` (1e-6) on
+    ``samples`` boundary points of the unit circle; the returned disc
+    additionally passes a 10x finer sampling at ``-_MARGIN / 2`` (the scale
+    backs off until it does).  A NaN defect fails both checks.  The
+    basepoint must lie in the domain.
 
     Each proposal of the search is first tested at the edge of the
     incumbent scale, the smallest scale above it that the ladder would test
@@ -506,14 +508,13 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
+    xi = _as_direction(xi)
     _check_basepoint(domain, adapter, p)
     degree = _int_at_least("degree", degree)
     budget = _int_at_least("budget", budget)
     samples = _int_at_least("samples", samples)
     restarts = _int_at_least("restarts", restarts)
     seed = _int_at_least("seed", seed, 0)
-    if not (isinstance(margin, numbers.Real) and math.isfinite(margin) and margin > 0):
-        raise ValidationError(f"margin must be a finite number > 0, not {margin!r}")
     zeta = _circle(samples)
     n_tail = degree - 1
     tails = _DiscTails(zeta)
@@ -540,18 +541,18 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         """The worst sampled defect plus the margin; a lower bound if the
         witness block fails.  A float sum is 0 only when the exact sum is,
         and keeps its sign, so ``excess <= 0`` exactly when the worst
-        defect is ``<= -margin``."""
+        defect is ``<= -_MARGIN``."""
         nonlocal witness
         d = defect(tau, tails.zeta_blocks[witness], tails.block(tz, witness),
                    tails.block(tw, witness))
-        worst = float(d[d.argmax()]) + margin  # argmax finds a NaN first
+        worst = float(d[d.argmax()]) + _MARGIN  # argmax finds a NaN first
         if not worst <= 0.0 or len(tails.slices) == 1:
             counts[3] += 1  # the block fails, or it holds every sample
             return worst
         counts[4] += 1
         d = defect(tau, zeta, tails.full(tz), tails.full(tw))
         i = d.argmax()
-        worst = float(d[i]) + margin
+        worst = float(d[i]) + _MARGIN
         if not worst <= 0.0:
             witness = int(i) // _SEARCH_BLOCK
         return worst
@@ -597,7 +598,7 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
     fine_z, fine_w = (_polyval(tails.tail(c).coeffs, zeta_fine) for c in tail_arrays(best_x))
     for _ in range(200):
         fine_defect = float(np.max(defect(best_tau, zeta_fine, fine_z, fine_w)))
-        if fine_defect <= -0.5 * margin:
+        if fine_defect <= -0.5 * _MARGIN:
             break
         best_tau *= 0.999
     else:
@@ -613,18 +614,15 @@ def kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         certified=False,
         provenance=(
             f"polynomial disc search: degree={degree}, budget={budget}, seed={seed}, "
-            f"samples={samples}, restarts={restarts}, margin={margin!r}, "
+            f"samples={samples}, restarts={restarts}, margin={_MARGIN!r}, "
             f"fine-grid defect={fine_defect!r}"
             + ("; inscribed polydisc fallback" if fallback else "")
         ),
     )
-    if return_trace:
-        tz_best, tw_best = tail_arrays(best_x)
-        candidate = DiscCandidate(
-            basepoint=p, direction=xi, tau=best_tau,
-            tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
-        return bound, candidate, trace
-    return bound
+    tz_best, tw_best = tail_arrays(best_x)
+    candidate = DiscCandidate(basepoint=p, direction=xi, tau=best_tau,
+                              tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
+    return bound, candidate, trace
 
 
 # --------------------------------------------------- Caratheodory lower search
@@ -658,14 +656,6 @@ def _boundary_matrix(indices, z, w, p: PointC2) -> np.ndarray:
     return out
 
 
-def _validate_indices(indices, p: PointC2):
-    for (i, j) in indices:
-        if j < 0:
-            raise ValidationError("negative w-powers are not holomorphic on the domain")
-        if i < 0 and abs(p.z) == 0.0:
-            raise ValidationError("Laurent z-powers need a basepoint off z = 0")
-
-
 def _monomial_at(indices, p: PointC2):
     # p.w ** j with p.w = 0 and j >= 1 is exactly 0; j = 0 is skipped
     vals = []
@@ -693,12 +683,13 @@ def _monomial_grad(indices, p: PointC2, xi: Direction):
     return np.asarray(out)
 
 
+_SAFETY = 1.01  # the sampled sup is inflated by this factor
 _SLACK = 1e-13  # relative slack of the subset bounds
 _STRIDE = 16  # the strided subset holds every 16th boundary row
 
 
-def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
-    """The objective ``|d.c| / (safety * max |b @ c|)`` of the Carathéodory
+def _caratheodory_objective(b: np.ndarray, d: np.ndarray):
+    """The objective ``|d.c| / (_SAFETY * max |b @ c|)`` of the Carathéodory
     search for ``_adaptive_search``, and its counts: objective calls,
     proposals settled on the incumbent's worst row, on the witness block and
     on the strided subset, and evaluations over all rows.
@@ -722,7 +713,7 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
       max_{i in S} |b_i| * |c|`` (N. J. Higham, *Accuracy and Stability of
       Numerical Algorithms*, 2nd ed., SIAM 2002, section 3.1), so the full
       sup is at least ``v - slack`` whichever rows BLAS evaluates together.
-      If ``|d.c| <= bar * safety * (v - slack) * (1 - 1e-13)``, the full
+      If ``|d.c| <= bar * _SAFETY * (v - slack) * (1 - 1e-13)``, the full
       value cannot exceed ``bar`` even after its three roundings.  The
       subsets are tried in turn: the witness block, the block of
       ``_SEARCH_BLOCK`` contiguous rows that holds ``r``, then the strided
@@ -752,7 +743,7 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
             for k, rows, norm in ((2, blocks[witness], block_norms[witness]),
                                   (3, strided, strided_norm)):
                 v = float(np.max(np.abs(rows @ c)))
-                if dc <= bar * safety * (v - _SLACK * norm * c_norm) * (1.0 - _SLACK):
+                if dc <= bar * _SAFETY * (v - _SLACK * norm * c_norm) * (1.0 - _SLACK):
                     counts[k] += 1
                     return 0.0
         counts[4] += 1
@@ -761,7 +752,7 @@ def _caratheodory_objective(b: np.ndarray, d: np.ndarray, safety: float):
         sup = float(a[worst])
         if sup <= 0.0:
             return 0.0
-        value = float(dc / (safety * sup))
+        value = float(dc / (_SAFETY * sup))
         if value > bar:
             witness = worst // _SEARCH_BLOCK
             live = b[worst] != 0.0
@@ -790,16 +781,21 @@ def _top_seeds(objective, seeds: list[np.ndarray]) -> list[int]:
     return [i for _, i in top]
 
 
-def caratheodory_lower_search(domain, p, xi: Direction,
-                              index_set: Sequence[tuple[int, int]] | None = None,
-                              budget: int = 200, seed: int = 0,
-                              safety: float = 1.01, return_trace: bool = False):
+def caratheodory_lower_search(domain, p, xi, budget: int = 200, seed: int = 0):
     """Best monomial-combination lower estimate of C(p, xi); not certified.
 
-    Maximizes |g'(p)(xi)| / (safety * sampled sup |g|) over coefficient
+    Returns ``(bound, candidate, trace)``: the ``Bound``, the best
+    combination (``FunctionCandidate``) and per polished seed ``(run,
+    value, 0.0)``.  ``p`` is a ``PointC2`` or a pair of numbers, ``xi`` a
+    ``Direction`` or a pair of numbers.
+
+    Maximizes |g'(p)(xi)| / (_SAFETY * sampled sup |g|) over coefficient
     vectors; the sup is sampled on the distinguished boundary grid of the
-    adapter and inflated by ``safety``.  The basepoint must lie in the
-    domain.
+    adapter and inflated by ``_SAFETY`` (1.01).  The monomials are
+    ``DEFAULT_ANNULUS_INDEXES`` on a domain with a hole (``has_hole()``),
+    Laurent z-powers included, and ``DEFAULT_DISC_INDEXES`` otherwise; an
+    adapter with a hole needs a basepoint off z = 0.  The basepoint must lie
+    in the domain.
 
     A proposal that cannot beat the incumbent, and a seed that cannot enter
     the three kept (``_top_seeds``), may be rejected on the incumbent's
@@ -810,22 +806,17 @@ def caratheodory_lower_search(domain, p, xi: Direction,
     """
     adapter = _as_adapter(domain)
     p = _as_point(p)
+    xi = _as_direction(xi)
     _check_basepoint(domain, adapter, p)
     budget = _int_at_least("budget", budget)
     seed = _int_at_least("seed", seed, 0)
-    if not (isinstance(safety, numbers.Real) and math.isfinite(safety) and safety >= 1):
-        raise ValidationError(f"safety must be a finite number >= 1, not {safety!r}")
-    if index_set is None:
-        index_set = (DEFAULT_ANNULUS_INDEXES if adapter.has_hole()
-                     else DEFAULT_DISC_INDEXES)
-    indices = tuple((int(i), int(j)) for i, j in index_set)
-    if not indices:
-        raise ValidationError("empty index set")
-    _validate_indices(indices, p)
+    indices = DEFAULT_ANNULUS_INDEXES if adapter.has_hole() else DEFAULT_DISC_INDEXES
+    if p.z == 0 and any(i < 0 for i, _j in indices):
+        raise ValidationError("Laurent z-powers need a basepoint off z = 0")
     zs, ws = adapter.boundary_samples()
     b = _boundary_matrix(indices, zs, ws, p)
     d = _monomial_grad(indices, p, xi)
-    objective, counts = _caratheodory_objective(b, d, safety)
+    objective, counts = _caratheodory_objective(b, d)
 
     # seed pool: single monomials, signed/rotated pairs, random mixtures;
     # polish the strongest seeds with the adaptive search
@@ -866,15 +857,12 @@ def caratheodory_lower_search(domain, p, xi: Direction,
         direction=xi, certified=False,
         provenance=(
             f"monomial candidate search: indices={indices}, budget={budget}, "
-            f"seed={seed}, boundary samples={len(zs)}, safety={safety}"
+            f"seed={seed}, boundary samples={len(zs)}, safety={_SAFETY}"
         ),
     )
-    candidate = FunctionCandidate(indices=indices,
-                                  coefficients=tuple(best_c.tolist()),
+    candidate = FunctionCandidate(indices=indices, coefficients=tuple(best_c.tolist()),
                                   basepoint=p)
-    if return_trace:
-        return bound, candidate, trace
-    return bound
+    return bound, candidate, trace
 
 
 # ------------------------------------------------------- parallel plumbing
@@ -1082,7 +1070,7 @@ def _root_columns(order: np.ndarray, samples: int, degree: int) -> np.ndarray:
     return p
 
 
-def _circle_samples(a: np.ndarray, p: np.ndarray, pool=None) -> np.ndarray:
+def _circle_samples(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The planar samples ``z.real, z.imag, w.real, w.imag`` of ``zeta +
     sum_j a_j zeta^(j+2)``, float32 of shape ``(4, rows, columns)``, for the
     discs whose coefficient rows are ``a`` (``_draw_rows``, or any
@@ -1096,26 +1084,14 @@ def _circle_samples(a: np.ndarray, p: np.ndarray, pool=None) -> np.ndarray:
     gives the last row of a product with an odd row count other bits, so an
     odd row count is padded by one row (dropped from the result) and every
     product has an even one; its Haswell and Zen sgemm's bits also depend
-    on the product's shape.
-
-    With a thread ``pool``, a helper forms the two w-plane products while
-    the calling thread forms the two z-plane ones: the same products of the
-    same operands, so the same samples."""
+    on the product's shape."""
     rows = a.shape[1]
     if rows % 2:
         a = np.concatenate((a, a[:, :1]), axis=1)
     out = np.empty((4, a.shape[1], p.shape[2]), dtype=np.float32)
-
-    def planes(plane: int) -> None:
+    for plane in (0, 1):
         np.matmul(a[plane], p[0], out=out[2 * plane])
         np.matmul(a[plane], p[1], out=out[2 * plane + 1])
-
-    w_planes = None if pool is None else pool.submit(planes, 1)
-    planes(0)
-    if w_planes is None:
-        planes(1)
-    else:
-        w_planes.result()
     return out[:, :rows]
 
 
@@ -1221,7 +1197,7 @@ def _feasible_rows(c: np.ndarray, s: np.ndarray, a: np.ndarray, sums: np.ndarray
 
 
 def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
-                       seed: int = 1234, samples: int | None = None) -> OracleResult:
+                       seed: int = 1234) -> OracleResult:
     """Minimum |alpha| over random rigorously feasible polynomial discs in the
     model {|w| < 1, |w| < |z|^-m} through (1, 0) with f'(0) = tau (1, 1).
 
@@ -1251,8 +1227,11 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     cZ|^2 = 2 Re Z + 2c |Z|^2 > c |Z|^2 >= 0``.  So in exact arithmetic each
     disc's feasible scales form an interval from 0.
 
-    A scale test runs in stages.  The coarse stage tests every disc on
-    every ``_COARSE``-th circle sample, ``ceil(samples / _COARSE)`` of them.
+    The circle holds ``samples = 128 * 2^j`` samples, the fewest of that
+    form with ``samples >= 5 d_eff``, ``d_eff = degree (m + 1)``; so the
+    Bernstein threshold ``1 - pi d_eff / samples`` is at least ``1 - pi /
+    5``.  A scale test runs in stages.  The coarse stage tests every disc on
+    every ``_COARSE``-th circle sample, ``samples / _COARSE`` of them.
     A survivor whose coefficient-sum bound ``c^2 S_w^2 (1 + c S_z)^(2m)``
     (``S = 1 + sum_j |a_j|``, ``_coefficient_sums``) is at most the float32
     threshold less ``_SUM_MARGIN`` is feasible with no further sample
@@ -1282,10 +1261,9 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     ``rows // _FULL_ROWS`` parts, the calling thread included, with numpy's
     OpenBLAS held to one thread for the call; so a call whose chunks hold
     fewer than ``2 * _FULL_ROWS`` discs runs in the calling thread alone.
-    On more threads a helper forms the w-plane coarse samples while the
-    calling thread forms the z-plane ones, and each scale test over at
-    least ``2 * _FULL_ROWS`` live discs is split by rows (``_feasible``),
-    each part building its own full-stage samples.  Every value is computed
+    On more threads each scale test over at least ``2 * _FULL_ROWS`` live
+    discs is split by rows (``_feasible``), each part building its own
+    full-stage samples.  Every value is computed
     by the same kernel on the same operands as in one thread, so the result
     is the same bit for bit.
     """
@@ -1297,17 +1275,12 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
         raise ValidationError("the float32 haircut is checked for m <= 32 and "
                               "degree <= 6 only")
     d_eff = degree * (m + 1)
-    if samples is None:
-        samples = 128
-        while samples < 5 * d_eff:
-            samples *= 2
-    else:
-        samples = _int_at_least("samples", samples)
+    samples = 128
+    while samples < 5 * d_eff:
+        samples *= 2
     thr = 1.0 - math.pi * d_eff / samples
-    if thr <= 0.0:
-        raise ValidationError("not enough circle samples for the Bernstein margin")
     order = _coarse_first(samples)
-    k = -(-samples // _COARSE)
+    k = samples // _COARSE
     coarse_p = _root_columns(order[:k], samples, degree)
     other_p = _root_columns(order[k:], samples, degree)
     chunk = max(256, (1 << 21) // samples)
@@ -1327,7 +1300,7 @@ def monomial_disc_oracle(m: int, count: int = 34000, degree: int = 6,
             b = min(chunk, count - done)
             a = _draw_rows(np.random.default_rng([seed, m, ci]), b, degree)
             sums = _coefficient_sums(a)
-            s = _circle_samples(a, coarse_p, pool)
+            s = _circle_samples(a, coarse_p)
             lo = np.zeros(b)
             hi = np.full(b, np.inf)
             c = np.full(b, math.sqrt(2.0 / m))

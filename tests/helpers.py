@@ -13,10 +13,10 @@ from squeeze import ConstructionParams, MarginSchedule, build
 from squeeze.errors import CertificationError, NumericalError, ValidationError
 from squeeze.domain import (_NEG_INF, PointC2, RadialProfile, ReinhardtDomain,
                             _as_point, as_float, fmt)
-from squeeze.estimate import (_LOG_FLOOR, DEFAULT_ANNULUS_INDEXES, DEFAULT_DISC_INDEXES,
-                              DiscCandidate, FunctionCandidate, _as_adapter, _circle_samples,
-                              _coarse_first, _log_moduli, _monomial_at,
-                              _monomial_grad, _root_columns, _validate_indices)
+from squeeze import estimate
+from squeeze.estimate import (_LOG_FLOOR, DiscCandidate, FunctionCandidate, _as_adapter,
+                              _circle_samples, _coarse_first, _log_moduli, _monomial_at,
+                              _monomial_grad, _root_columns)
 from squeeze.metrics import (Bound, Direction, at_breakpoint, caratheodory_upper_slices,
                              shear_normalize, squeezing_upper_quotient)
 from squeeze.smooth import _radius, bump, bump_cdf, bump_first_moment
@@ -158,8 +158,7 @@ def single_pass_feasible(c: np.ndarray, base_z: np.ndarray, base_w: np.ndarray,
         return ~np.any(bad, axis=1)
 
 
-def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
-                         seed: int = 1234, samples: int | None = None):
+def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6, seed: int = 1234):
     """The disc oracle without branch-and-bound pruning or the
     coefficient-sum bound: every disc runs all 30 bracket steps on all its
     samples, its coefficients drawn as complex arrays.  Returns
@@ -168,13 +167,10 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     if m < 1:
         raise ValidationError("m must be a positive integer")
     d_eff = degree * (m + 1)
-    if samples is None:
-        samples = 128
-        while samples < 5 * d_eff:
-            samples *= 2
+    samples = 128
+    while samples < 5 * d_eff:
+        samples *= 2
     thr = 1.0 - math.pi * d_eff / samples
-    if thr <= 0.0:
-        raise ValidationError("not enough circle samples for the Bernstein margin")
     chunk = max(256, (1 << 21) // samples)
     thr2 = np.float32((thr * (1.0 - 1e-4)) ** 2)
 
@@ -202,12 +198,11 @@ def unpruned_disc_oracle(m: int, count: int = 34000, degree: int = 6,
     return 1.0 / best_tau, count
 
 
-def unpruned_adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator,
-                             iters: int, step0: float = 0.25):
+def unpruned_adaptive_search(objective, x0: np.ndarray, rng: np.random.Generator, iters: int):
     """Seeded coordinate search with multiplicative step adaptation."""
     x = x0.copy()
     f = objective(x)
-    step = step0
+    step = 0.25
     for _ in range(iters):
         if x.size == 0:
             break
@@ -254,8 +249,7 @@ def unpruned_largest_feasible_tau(infeasible_at) -> float:
 
 def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
                                     budget: int = 150, seed: int = 0,
-                                    samples: int = 2048, restarts: int = 4,
-                                    margin: float = 1e-6, return_trace: bool = False):
+                                    samples: int = 2048, restarts: int = 4):
     """``kobayashi_upper_search`` running the full ladder on every proposal;
     the pruned search must agree bit for bit."""
     adapter = _as_adapter(domain)
@@ -264,6 +258,7 @@ def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
         raise ValidationError("basepoint must lie in the domain")
     if degree < 1:
         raise ValidationError("degree must be at least 1")
+    margin = 1e-6
     zeta = np.exp(2j * math.pi * np.arange(samples) / samples)
     n_tail = max(degree - 1, 0)
 
@@ -349,13 +344,11 @@ def unpruned_kobayashi_upper_search(domain, p, xi: Direction, degree: int = 6,
             + ("; inscribed polydisc fallback" if fallback else "")
         ),
     )
-    if return_trace:
-        tz_best, tw_best = tail_arrays(best_x)
-        candidate = DiscCandidate(
-            basepoint=p, direction=xi, tau=best_tau,
-            tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
-        return bound, candidate, trace
-    return bound
+    tz_best, tw_best = tail_arrays(best_x)
+    candidate = DiscCandidate(
+        basepoint=p, direction=xi, tau=best_tau,
+        tails_z=tuple(tz_best.tolist()), tails_w=tuple(tw_best.tolist()))
+    return bound, candidate, trace
 
 
 def guarded_log_moduli(z, w):
@@ -383,20 +376,18 @@ def stacked_boundary_matrix(indices, z, w, p: PointC2) -> np.ndarray:
     return np.stack(cols, axis=1) - _monomial_at(indices, p)[None, :]
 
 
-def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
-                                       budget: int = 200, seed: int = 0,
-                                       safety: float = 1.01, return_trace: bool = False,
-                                       scores: list | None = None):
+def unpruned_caratheodory_lower_search(domain, p, xi: Direction, budget: int = 200,
+                                       seed: int = 0, scores: list | None = None):
     """``caratheodory_lower_search`` evaluating every proposal over all
-    boundary samples; the pruned search must agree bit for bit.  ``scores``,
-    if given, gains the seed pool's ``(value, index)`` pairs, best first."""
+    boundary samples; the pruned search must agree bit for bit.  The index
+    sets are read from ``squeeze.estimate`` at the call, as the search reads
+    them.  ``scores``, if given, gains the seed pool's ``(value, index)``
+    pairs, best first."""
     adapter = _as_adapter(domain)
     p = _as_point(p)
-    if index_set is None:
-        index_set = (DEFAULT_ANNULUS_INDEXES if adapter.has_hole()
-                     else DEFAULT_DISC_INDEXES)
-    indices = tuple((int(i), int(j)) for i, j in index_set)
-    _validate_indices(indices, p)
+    safety = 1.01
+    indices = (estimate.DEFAULT_ANNULUS_INDEXES if adapter.has_hole()
+               else estimate.DEFAULT_DISC_INDEXES)
     zs, ws = adapter.boundary_samples()
     b = stacked_boundary_matrix(indices, zs, ws, p)
     d = _monomial_grad(indices, p, xi)
@@ -454,9 +445,7 @@ def unpruned_caratheodory_lower_search(domain, p, xi: Direction, index_set=None,
     )
     candidate = FunctionCandidate(indices=indices, coefficients=tuple(best_c.tolist()),
                                   basepoint=p)
-    if return_trace:
-        return bound, candidate, trace
-    return bound
+    return bound, candidate, trace
 
 
 def dense_gap(prof, t):
@@ -655,7 +644,8 @@ class MonomialModel:
     def has_hole(self) -> bool:
         return False
 
-    def boundary_samples(self, nt: int = 48, nphase: int = 16):
+    def boundary_samples(self):
+        nt, nphase = 48, 16
         t = np.linspace(-2.0, 2.0, nt)
         r = np.exp(np.minimum(0.0, -self.m * t))
         th = np.exp(2j * math.pi * np.arange(nphase) / nphase)

@@ -128,8 +128,8 @@ def test_criterion_5_calibration_and_sandwich():
         (PolydiscModel(), p0c, xi10, 1.0),  # disc factor
     ]
     for model, p, xi, ref in cases:
-        k_est = kobayashi_upper_search(model, p, xi, seed=20240501)
-        c_est = caratheodory_lower_search(model, p, xi, seed=20240501)
+        k_est, _disc, _trace = kobayashi_upper_search(model, p, xi, seed=20240501)
+        c_est, _function, _trace = caratheodory_lower_search(model, p, xi, seed=20240501)
         assert abs(k_est.value - ref) <= 0.05 * ref
         assert abs(c_est.value - ref) <= 0.05 * ref
 

@@ -59,40 +59,40 @@ class TestReference:
         k, c = reference_metric("bidisc", P0C, XI11)
         assert k == c == 1.0
 
-    def test_disc_mobius(self):
-        k, c = reference_metric("disc", 0.5, 1.0)
-        assert k == c == pytest.approx(4.0 / 3.0, rel=1e-15)
-
     def test_outside_rejected(self):
         with pytest.raises(ValidationError):
-            reference_metric("disc", 1.5, 1.0)
+            reference_metric("bidisc", PointC2(0.0j, 1.5 + 0.0j), XI11)
         with pytest.raises(ValidationError):
             reference_metric("ball", PointC2(1.0 + 0.0j, 1.0 + 0.0j), XI11)
+
+    @pytest.mark.parametrize("model", ["disc", "polydisc", "annulus"])
+    def test_only_the_unit_bidisc_and_ball(self, model):
+        with pytest.raises(ValidationError, match="unknown reference model"):
+            reference_metric(model, P0C, XI11)
 
 
 class TestKobayashiSearch:
     def test_bidisc_center(self):
-        b = kobayashi_upper_search(PolydiscModel(), P0C, XI11, seed=1)
+        b, _disc, _trace = kobayashi_upper_search(PolydiscModel(), P0C, XI11, seed=1)
         assert b.value <= 1.05
         assert not b.certified
 
     def test_disc_factor(self):
-        b = kobayashi_upper_search(PolydiscModel(), P0C, XI10, seed=1)
+        b, _disc, _trace = kobayashi_upper_search(PolydiscModel(), P0C, XI10, seed=1)
         assert b.value == pytest.approx(1.0, rel=5e-2)
 
     def test_monomial_model_respects_lower_bound(self):
-        b = kobayashi_upper_search(MonomialModel(8), PointC2(1.0 + 0.0j, 0.0j),
-                                   XI11, seed=2, budget=60, restarts=3)
+        b, _disc, _trace = kobayashi_upper_search(MonomialModel(8), PointC2(1.0 + 0.0j, 0.0j),
+                                                  XI11, seed=2, budget=60, restarts=3)
         assert b.value >= 2.0 - 1e-9
 
     def test_deterministic(self):
-        b1 = kobayashi_upper_search(BallModel(), P0C, XI11, seed=5)
-        b2 = kobayashi_upper_search(BallModel(), P0C, XI11, seed=5)
+        b1, _disc, _trace = kobayashi_upper_search(BallModel(), P0C, XI11, seed=5)
+        b2, _disc, _trace = kobayashi_upper_search(BallModel(), P0C, XI11, seed=5)
         assert b1.value == b2.value
 
     def test_candidate_disc_structure(self):
-        b, disc, _trace = kobayashi_upper_search(
-            PolydiscModel(), P0C, XI11, seed=1, return_trace=True)
+        b, disc, _trace = kobayashi_upper_search(PolydiscModel(), P0C, XI11, seed=1)
         cz, cw = disc_coefficients(disc)
         # f(0) = p and f'(0) = tau * xi hold exactly by construction
         assert cz[0] == P0C.z and cw[0] == P0C.w
@@ -106,11 +106,9 @@ class TestKobayashiSearch:
     @pytest.mark.parametrize("kwargs", [
         {"samples": 3.5}, {"samples": 0}, {"degree": 2.5}, {"degree": 0},
         {"budget": 0}, {"budget": 1.5}, {"restarts": 0}, {"restarts": "2"},
-        {"margin": -1.0}, {"margin": 0.0}, {"margin": math.nan}, {"margin": math.inf},
-        {"margin": "1e-6"}, {"seed": -1}, {"seed": 1.5},
+        {"seed": -1}, {"seed": 1.5},
     ], ids=["samples3.5", "samples0", "degree2.5", "degree0", "budget0", "budget1.5",
-            "restarts0", "restarts-str", "margin-1", "margin0", "margin-nan", "margin-inf",
-            "margin-str", "seed-1", "seed1.5"])
+            "restarts0", "restarts-str", "seed-1", "seed1.5"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             kobayashi_upper_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
@@ -120,8 +118,8 @@ class TestKobayashiSearch:
         rec = row(cert, 1)
         beta = math.exp(domain.profile.eval(math.log(rec.a_k)))
         xi = Direction(complex(rec.a_k, 0.0), complex(beta, 0.0))
-        b = kobayashi_upper_search(domain, PointC2(complex(rec.a_k, 0), 0.0j),
-                                   xi, seed=3, budget=60, restarts=2)
+        b, _disc, _trace = kobayashi_upper_search(domain, PointC2(complex(rec.a_k, 0), 0.0j),
+                                                  xi, seed=3, budget=60, restarts=2)
         assert b.value >= math.sqrt(rec.m_k / 2.0) * (1.0 - 1e-9)
 
 
@@ -198,7 +196,7 @@ class TestLadder:
             return not a <= t <= b
 
         want = unpruned_largest_feasible_tau(infeasible_at)
-        got = _largest_feasible_tau(infeasible_at, bar)
+        got = _largest_feasible_tau(infeasible_at, bar, [0, 0])
         assert (got > bar) == (want > bar)
         if want > bar:
             assert got == want
@@ -224,7 +222,7 @@ class TestLadder:
         bar = want * (1.0 + rel)
         assume(bar > 1e-6)
         calls.clear()
-        assert _largest_feasible_tau(infeasible_at, bar) == 0.0
+        assert _largest_feasible_tau(infeasible_at, bar, [0, 0]) == 0.0
         assert calls == [_edge_above(bar)]
 
     # a smooth excess, a flat one with a bar, and a flat one that is NaN
@@ -238,7 +236,7 @@ class TestLadder:
         a, b, bar = case[:3]
         excess = excess_function(a, b, *case[3:])
         calls, calls_ref = [], []
-        got = _largest_feasible_tau(lambda t: calls.append(t) or excess(t), bar)
+        got = _largest_feasible_tau(lambda t: calls.append(t) or excess(t), bar, [0, 0])
         want = unpruned_largest_feasible_tau(lambda t: calls_ref.append(t) or not excess(t) <= 0.0)
         assert (got > bar) == (want > bar)
         if want > bar:
@@ -335,7 +333,7 @@ def _with_samples(cases):
                          _with_samples([(case, seed) for case in sorted(CALIBRATION) for seed in (0, 7)]))
 def test_pruned_search_matches_unpruned_reference_calibration(case, seed, samples):
     model, xi = CALIBRATION[case]
-    kw = dict(seed=seed, budget=60, samples=samples, return_trace=True)
+    kw = dict(seed=seed, budget=60, samples=samples)
     _assert_same_search(kobayashi_upper_search(model, P0C, xi, **kw),
                         unpruned_kobayashi_upper_search(model, P0C, xi, **kw))
 
@@ -366,7 +364,7 @@ def _staircase_calls(levels):
                          _with_samples([(levels, seed) for levels in (1, 2, 3) for seed in (1, 31)]))
 def test_pruned_search_matches_unpruned_reference_staircase(levels, seed, samples):
     for domain, p, xi, k in _staircase_calls(levels):
-        kw = dict(seed=seed + k, budget=60, samples=samples, return_trace=True)
+        kw = dict(seed=seed + k, budget=60, samples=samples)
         _assert_same_search(kobayashi_upper_search(domain, p, xi, **kw),
                             unpruned_kobayashi_upper_search(domain, p, xi, **kw))
 
@@ -484,12 +482,12 @@ def test_block_tail_memo_is_exact_and_bounded():
 
 class TestCaratheodorySearch:
     def test_disc_identity(self):
-        b = caratheodory_lower_search(PolydiscModel(), P0C, XI10, seed=1)
+        b, _cand, _trace = caratheodory_lower_search(PolydiscModel(), P0C, XI10, seed=1)
         assert b.value >= 1.0 / 1.01 - 1e-9
         assert b.value <= 1.0 + 1e-9
 
     def test_bidisc_center(self):
-        b = caratheodory_lower_search(PolydiscModel(), P0C, XI11, seed=1)
+        b, _cand, _trace = caratheodory_lower_search(PolydiscModel(), P0C, XI11, seed=1)
         assert b.value == pytest.approx(1.0, rel=5e-2)
 
     def test_prime_model_sandwich(self):
@@ -497,35 +495,33 @@ class TestCaratheodorySearch:
         p = PointC2(1.0 + 0.0j, 0.0j)
         upper = caratheodory_upper_slices(model, p, XI11)
         assert upper.value == pytest.approx(3.0, rel=1e-12)
-        lower = caratheodory_lower_search(model, p, XI11, seed=4)
+        lower, _cand, _trace = caratheodory_lower_search(model, p, XI11, seed=4)
         assert lower.value <= upper.value * (1.0 + 1e-9)
         assert lower.value > 0.1
 
-    def test_empty_index_set_rejected(self):
-        with pytest.raises(ValidationError):
-            caratheodory_lower_search(PolydiscModel(), P0C, XI11, index_set=[])
-
     def test_candidate_structure(self):
-        b, cand, trace = caratheodory_lower_search(
-            BallModel(), P0C, XI11, seed=2, return_trace=True)
+        b, cand, trace = caratheodory_lower_search(BallModel(), P0C, XI11, seed=2)
         assert cand.basepoint == P0C
         assert len(cand.indices) == len(cand.coefficients)
         assert len(trace) == 3
         assert max(t[1] for t in trace) == pytest.approx(b.value, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
-        {"safety": 0}, {"safety": 0.5}, {"safety": math.nan}, {"safety": math.inf},
         {"budget": 0}, {"budget": 2.5}, {"seed": -1}, {"seed": 1.5},
-    ], ids=["safety0", "safety0.5", "safety-nan", "safety-inf", "budget0", "budget2.5",
-            "seed-1", "seed1.5"])
+    ], ids=["budget0", "budget2.5", "seed-1", "seed1.5"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             caratheodory_lower_search(PolydiscModel(), P0C, XI11, **{"budget": 5, **kwargs})
 
     def test_laurent_rejected_at_origin(self):
-        with pytest.raises(ValidationError):
-            caratheodory_lower_search(BallModel(), P0C, XI11,
-                                      index_set=[(-1, 0)], seed=1)
+        """An adapter with a hole gets the annulus monomials, Laurent
+        z-powers included, so its basepoint must lie off z = 0."""
+        class HoledBall(BallModel):
+            def has_hole(self):
+                return True
+
+        with pytest.raises(ValidationError, match="Laurent z-powers"):
+            caratheodory_lower_search(HoledBall(), P0C, XI11, seed=1)
 
 
 def _caratheodory_calls(levels):
@@ -539,7 +535,7 @@ def _caratheodory_calls(levels):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_pruned_caratheodory_matches_unpruned_reference_calibration(case, seed):
     model, xi = CALIBRATION[case]
-    kw = dict(seed=seed, budget=150, return_trace=True)
+    kw = dict(seed=seed, budget=150)
     _assert_same_search(caratheodory_lower_search(model, P0C, xi, **kw),
                         unpruned_caratheodory_lower_search(model, P0C, xi, **kw))
 
@@ -548,7 +544,7 @@ def test_pruned_caratheodory_matches_unpruned_reference_calibration(case, seed):
 @pytest.mark.parametrize("seed", [1, 31])
 def test_pruned_caratheodory_matches_unpruned_reference_staircase(levels, seed):
     for domain, p, xi, k in _caratheodory_calls(levels):
-        kw = dict(seed=seed + k, budget=150, return_trace=True)
+        kw = dict(seed=seed + k, budget=150)
         _assert_same_search(caratheodory_lower_search(domain, p, xi, **kw),
                             unpruned_caratheodory_lower_search(domain, p, xi, **kw))
 
@@ -575,11 +571,11 @@ def test_seed_pool_with_tied_scores_matches_unpruned_reference(model, monkeypatc
     kept = []
     top_seeds = estimate._top_seeds
     monkeypatch.setattr(estimate, "_top_seeds", lambda *a: kept.extend(top_seeds(*a)) or kept)
-    kw = dict(index_set=[(1, 0), (0, 1), (1, 0), (0, 1)], seed=0, budget=150, return_trace=True)
+    monkeypatch.setattr(estimate, "DEFAULT_DISC_INDEXES", ((1, 0), (0, 1), (1, 0), (0, 1)))
     scores = []
-    want = unpruned_caratheodory_lower_search(model, P0C, XI11, scores=scores, **kw)
+    want = unpruned_caratheodory_lower_search(model, P0C, XI11, seed=0, budget=150, scores=scores)
     assert scores[0][0] == scores[3][0] > scores[4][0]
-    _assert_same_search(caratheodory_lower_search(model, P0C, XI11, **kw), want)
+    _assert_same_search(caratheodory_lower_search(model, P0C, XI11, seed=0, budget=150), want)
     assert kept == [i for _v, i in scores[:3]]
 
 
@@ -608,9 +604,9 @@ def test_worst_row_rule_settles_only_losers(monkeypatch):
     settled = []
     make = estimate._caratheodory_objective
 
-    def spy(b, d, safety):
-        objective, counts = make(b, d, safety)
-        reference, _ = make(b, d, safety)
+    def spy(b, d):
+        objective, counts = make(b, d)
+        reference, _ = make(b, d)
 
         def checked(x, bar=-math.inf):
             before = counts[1]
@@ -635,13 +631,13 @@ def test_worst_row_rule_on_moves_where_the_worst_row_vanishes():
     settled = 0
     for domain, p, xi, _k in _caratheodory_calls(3):
         b, d = _caratheodory_problem(domain, p, xi)
-        reference, _ = _caratheodory_objective(b, d, 1.01)
+        reference, _ = _caratheodory_objective(b, d)
         rng = np.random.default_rng(6)
         for c in _coefficients(rng, b.shape[1], 20):
             zero = np.flatnonzero(b[int(np.abs(b @ c).argmax())] == 0.0)
             if zero.size == 0:
                 continue
-            objective, counts = _caratheodory_objective(b, d, 1.01)
+            objective, counts = _caratheodory_objective(b, d)
             bar = objective(c.view(float))
             for _ in range(10):
                 moved = c.copy()
@@ -722,7 +718,7 @@ def test_witness_block_bound_never_rejects_a_winner():
     rejected = [0, 0, 0]
     for domain, p, xi, _k in _caratheodory_calls(3):
         b, d = _caratheodory_problem(domain, p, xi)
-        reference, _ = _caratheodory_objective(b, d, 1.01)
+        reference, _ = _caratheodory_objective(b, d)
         rng = np.random.default_rng(5)
         xs = [c.view(float) for c in _coefficients(rng, b.shape[1], 12)]
         for x in xs:
@@ -732,7 +728,7 @@ def test_witness_block_bound_never_rejects_a_winner():
             # or of another vector
             for incumbent in (x, xs[0], xs[-1]):
                 for bar in bars:
-                    objective, counts = _caratheodory_objective(b, d, 1.01)
+                    objective, counts = _caratheodory_objective(b, d)
                     objective(incumbent)
                     got = objective(x, bar)
                     assert got == full if full > bar else got <= bar
@@ -771,6 +767,48 @@ def test_search_rejects_basepoint_outside_domain(search, case):
     domain, p = _outside_cases()[case]
     with pytest.raises(ValidationError, match="basepoint must lie in the domain"):
         search(domain, p, XI11, budget=5)
+
+
+# each entry point's value at (p, xi); the searches return their bound
+DIRECTION_ENTRY_POINTS = {
+    "kobayashi": lambda p, xi: kobayashi_upper_search(BallModel(), p, xi, budget=5, restarts=1,
+                                                      samples=256)[0],
+    "caratheodory": lambda p, xi: caratheodory_lower_search(BallModel(), p, xi, budget=5)[0],
+    "reference": lambda p, xi: reference_metric("ball", p, xi),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRY_POINTS))
+@pytest.mark.parametrize("xi", [(1, 1), [1.0, 1.0 + 0.0j], (np.float64(1.0), 1 + 0j)],
+                         ids=["tuple", "list", "numpy"])
+def test_direction_given_as_a_pair(entry, xi):
+    run = DIRECTION_ENTRY_POINTS[entry]
+    p = PointC2(0.1 + 0.0j, 0.0j)
+    assert run((0.1, 0), xi) == run(p, Direction(1.0 + 0.0j, 1.0 + 0.0j))
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRY_POINTS))
+@pytest.mark.parametrize("xi", [1.0, [1], (1, 1, 1), "11", (1, "1"), None, (0, 0)],
+                         ids=["scalar", "one", "three", "str", "str-entry", "none", "zero"])
+def test_direction_not_a_pair_rejected(entry, xi):
+    with pytest.raises(ValidationError):
+        DIRECTION_ENTRY_POINTS[entry]((0.1, 0), xi)
+
+
+def test_search_constants_in_the_provenance():
+    """The fixed margin, safety factor and index set show in the provenance
+    that ``squeeze estimate`` writes to ``estimates.json``."""
+    k_bound, _disc, _trace = kobayashi_upper_search(BallModel(), P0C, XI11, seed=3, budget=20,
+                                                    restarts=1, samples=256)
+    prefix = ("polynomial disc search: degree=6, budget=20, seed=3, samples=256, "
+              "restarts=1, margin=1e-06, fine-grid defect=")
+    assert k_bound.provenance.startswith(prefix)
+    assert float(k_bound.provenance[len(prefix):]) <= -0.5e-6
+    c_bound, _function, _trace = caratheodory_lower_search(BallModel(), P0C, XI11, seed=3,
+                                                           budget=20)
+    assert c_bound.provenance == (
+        "monomial candidate search: indices=((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1)), "
+        "budget=20, seed=3, boundary samples=12288, safety=1.01")
 
 
 class TestCoefficientCheck:
@@ -843,10 +881,10 @@ class TestOracle:
 
     @pytest.mark.parametrize("kwargs", [
         {"count": 0}, {"count": -5}, {"degree": 0}, {"degree": -1},
-        {"m": 2.5}, {"m": 2.0}, {"m": "2"}, {"samples": 0}, {"samples": 256.0},
+        {"m": 2.5}, {"m": 2.0}, {"m": "2"},
         {"seed": -1}, {"seed": 1.5}, {"m": 33}, {"degree": 7},
     ], ids=["count0", "count-5", "degree0", "degree-1", "m2.5", "m2.0", "m-str",
-            "samples0", "samples-float", "seed-1", "seed1.5", "m33", "degree7"])
+            "seed-1", "seed1.5", "m33", "degree7"])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(ValidationError):
             monomial_disc_oracle(**{"m": 2, "count": 300, **kwargs})
@@ -883,7 +921,7 @@ class TestOracle:
         samples, the coefficient rows and the root columns of the other
         samples."""
         order = _coarse_first(samples)
-        k = -(-samples // _COARSE)
+        k = samples // _COARSE
         a = coefficient_rows(az, bw)
         degree = az.shape[1] + 1
         return (_circle_samples(a, _root_columns(order[:k], samples, degree)), a,
@@ -1146,13 +1184,22 @@ class TestOracle:
 
         assert g(c1) <= g(c2) * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("samples", [130, 200])
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_samples_not_a_multiple_of_the_stride(self, samples, seed):
-        res = monomial_disc_oracle(2, count=1000, seed=seed, samples=samples)
-        assert res.samples == samples
-        assert (res.min_alpha, res.count) == unpruned_disc_oracle(
-            2, count=1000, seed=seed, samples=samples)
+    def test_derived_sample_count(self):
+        """For every m <= 32 and degree <= 6 the circle holds the fewest
+        samples of the form ``128 * 2^j`` that are at least ``5 d_eff``, a
+        multiple of ``_COARSE``, so the coarse stage takes every
+        ``_COARSE``-th sample exactly and the Bernstein threshold is at
+        least ``1 - pi / 5``."""
+        for m in range(1, 33):
+            for degree in range(1, 7):
+                res = monomial_disc_oracle(m, count=1, degree=degree, seed=0)
+                d_eff = degree * (m + 1)
+                n = res.samples // 128
+                assert res.samples == 128 * n and n & (n - 1) == 0
+                assert res.samples >= 5 * d_eff and (n == 1 or res.samples < 10 * d_eff)
+                assert res.samples % _COARSE == 0
+                assert res.feasibility_factor == 1.0 - math.pi * d_eff / res.samples
+                assert res.feasibility_factor >= 1.0 - math.pi / 5.0
 
     # (32, 6, 2500) spans two chunks, so pruning against an earlier
     # chunk's best scale is exercised too
@@ -1317,7 +1364,7 @@ class TestOracle:
         methods and keeps one call stack, so the helper threads may run
         private code only: no public squeeze function or method is called
         off the calling thread, and the helpers do run the scale test and
-        the sample builds of both stages."""
+        the full stage's sample builds."""
         public = set()
         for name, mod in list(sys.modules.items()):
             if not name.startswith("squeeze."):
@@ -1347,4 +1394,4 @@ class TestOracle:
             threading.setprofile(None)
         assert not seen & public
         ran = {code.co_name for code in seen if code.co_filename == _bad.__code__.co_filename}
-        assert {"_feasible_rows", "_bad", "_circle_samples", "planes"} <= ran
+        assert {"_feasible_rows", "_bad", "_circle_samples"} <= ran
